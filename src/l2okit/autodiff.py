@@ -6,6 +6,11 @@ bit-for-bit. Only the primitives needed by the LSTM optimizer and its
 losses are implemented, and broadcasting is restricted to
 matrix-plus-row-vector and array-plus-scalar so every gradient rule
 stays auditable.
+
+A Value keeps a vjp only for the parents that lead to a trainable leaf,
+so backward never computes gradients into batch data, labels or other
+constants. Callers may build their own fused nodes by passing
+(parent, vjp) pairs to Value; model.py does so for the LSTM cell.
 """
 
 from __future__ import annotations
@@ -48,7 +53,10 @@ class Value:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.trainable = False
-        self._parents: tuple[tuple[Value, Callable], ...] = tuple(parents)
+        # a parent with neither parents nor trainability is a constant:
+        # its gradient is never read, so its vjp is not kept
+        self._parents: tuple[tuple[Value, Callable], ...] = tuple(
+            [(p, vjp) for p, vjp in parents if p.trainable or p._parents])
         tape._register(self)
 
     @property
@@ -144,30 +152,6 @@ def matmul(a: Value, b: Value) -> Value:
     return Value(tape, out_data, parents)
 
 
-def matmul_rows(a: Value, b: Value) -> Value:
-    """Matrix product evaluated with a fixed per-row accumulation order.
-
-    BLAS matmul may compute different rows with differently ordered
-    accumulations, which breaks bitwise permutation equivariance of the
-    coordinate-wise optimizer. Unoptimized einsum reduces every output
-    element in the same sequential order, so row results depend only on
-    that row's inputs. b may be a matrix or a vector.
-    """
-    tape = _same_tape(a, b)
-    A, B = a.data, b.data
-    if A.ndim != 2:
-        raise ValueError("matmul_rows: left operand must be 2-d")
-    if B.ndim == 2:
-        out_data = np.einsum("ik,kj->ij", A, B, optimize=False)
-        parents = [(a, lambda g: g @ B.T), (b, lambda g: A.T @ g)]
-    elif B.ndim == 1:
-        out_data = np.einsum("ik,k->i", A, B, optimize=False)
-        parents = [(a, lambda g: np.outer(g, B)), (b, lambda g: A.T @ g)]
-    else:
-        raise ValueError(f"matmul_rows: unsupported right rank {B.ndim}")
-    return Value(tape, out_data, parents)
-
-
 def sigmoid(a: Value) -> Value:
     out_data = expit(a.data)
     return Value(a.tape, out_data, [(a, lambda g: g * out_data * (1.0 - out_data))])
@@ -256,11 +240,12 @@ def detach(v: Value) -> Value:
     return v.tape.constant(v.data)
 
 
-def backward(tape: Tape, root: Value) -> dict[int, np.ndarray]:
-    """Accumulate d(root)/d(node) for every node reachable from root.
+def backward(tape: Tape, root: Value) -> None:
+    """Accumulate d(root)/d(node) into .grad of every node on a path from
+    a trainable leaf to root. Other nodes, constants included, keep grad
+    None (root itself always gets 1).
 
     Grads are reset first, so repeated calls are bit-identical.
-    Returns a map node_id -> gradient array (reachable nodes only).
     """
     if root.tape is not tape:
         raise ValueError("backward: root is not on this tape")
@@ -275,9 +260,10 @@ def backward(tape: Tape, root: Value) -> dict[int, np.ndarray]:
         for parent, vjp in v._parents:
             contrib = vjp(v.grad)
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad = parent.grad + contrib
-    return {v.node_id: v.grad for v in tape._nodes if v.grad is not None}
+                # equals zeros + contrib bit for bit, -0.0 -> +0.0 included
+                parent.grad = contrib + 0.0
+            else:
+                parent.grad = parent.grad + contrib
 
 
 def grad_check(f, p0: np.ndarray, eps: float = 1e-5) -> float:

@@ -17,7 +17,8 @@ from .config import (ConfigError, RunConfig, build_config, config_hash,
 from .evaluation import (EvalConfig, EvalReport, compare, run_eval,
                          write_curves_csv, write_summary_csv)
 from .experiments import (train_curriculum, train_il, train_self_improving,
-                          train_vanilla, write_epoch_csv, write_trace_csv)
+                          train_vanilla, write_epoch_csv, write_events_csv,
+                          write_trace_csv)
 from .imitation import ImitationConfig, SelfImprovingSchedule
 from .metatrain import MetaLossSpec, TrainConfig
 from .model import init_l2o, load_checkpoint, save_checkpoint
@@ -64,7 +65,7 @@ def cmd_train(cfg: RunConfig) -> int:
     teachers = default_ensemble(lr=cfg.teacher_lr)
     epoch_log: list = []
     events: list = []
-    artifacts = ["config.txt", "checkpoint.l2o", "epochs.csv"]
+    artifacts = ["config.txt", "checkpoint.l2o", "epochs.csv", "events.csv"]
 
     if cfg.mode in ("vanilla", "aug"):
         train_vanilla(phi, inst, tc, mls, epoch_log=epoch_log, events=events)
@@ -100,6 +101,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     save_checkpoint(phi, os.path.join(out_dir, "checkpoint.l2o"))
     write_epoch_csv(epoch_log, os.path.join(out_dir, "epochs.csv"))
+    write_events_csv(events, os.path.join(out_dir, "events.csv"))
     _write_manifest(out_dir, cfg, artifacts)
     print(f"trained mode={cfg.mode} profile={cfg.profile} -> {out_dir}")
     return 0

@@ -98,3 +98,14 @@ def write_trace_csv(trace, path) -> None:
         for r in trace:
             w.writerow([r.kind, r.stage, r.period, r.epoch, r.n_train, r.n_valid,
                         repr(r.l_val), repr(r.l_min), int(r.improved)])
+
+
+def write_events_csv(events, path) -> None:
+    """Training events as (kind, where, detail) rows. A "divergence" row
+    gives the first optimizee step of the segment that diverged and no
+    detail; a "teacher-divergence" row gives the epoch and the teacher."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["kind", "where", "detail"])
+        for kind, where, *detail in events:
+            w.writerow([kind, where, *(detail or [""])])

@@ -10,7 +10,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .metatrain import MetaLossSpec, segment_loss_and_grads
-from .model import TENSOR_NAMES, init_l2o, l2o_step_tape, phi_leaves, zero_state
+from .model import (TENSOR_NAMES, init_l2o, l2o_step_tape, state_constants,
+                    zero_state)
 from .optimizees import OptimizeeSpec, sample_instance
 from .seeding import rng_for
 
@@ -90,7 +91,7 @@ def check_lstm_cell(seed: int = 1) -> float:
             arr = getattr(probe, n)
             leaves[n] = ad.reshape(ad.take(p, slice(pos, pos + arr.size)), arr.shape)
             pos += arr.size
-        st = tuple(tape.constant(np.zeros((3, 4))) for _ in range(4))
+        st = state_constants(tape, zero_state(3, 4))
         update, _ = l2o_step_tape(tape, leaves, probe, st, g)
         return ad.vsum(update)
 

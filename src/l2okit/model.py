@@ -5,9 +5,10 @@ so the parameter count is independent of the optimizee dimension. The
 gradient is preprocessed into a (log-magnitude, sign) pair, fed through
 two LSTM layers, and projected to a single scaled update per coordinate.
 
-Two forward paths exist: a plain numpy one for evaluative rollouts and a
-tape one for meta-training. They apply the identical sequence of array
-operations, so their outputs agree bit-for-bit (covered by tests).
+One cell function computes the forward pass. Evaluative rollouts call it
+on plain arrays; meta-training wraps each call in a single tape node whose
+vjp is written by hand, and the output projection likewise. On the tape a
+layer's state is one packed (2, dim, hidden) Value holding h and c.
 """
 
 from __future__ import annotations
@@ -113,23 +114,34 @@ def preprocess(g: np.ndarray, p: float) -> np.ndarray:
 
 
 def _mm_rows(a, b):
-    """Matrix product with a row-order-independent accumulation (see
-    autodiff.matmul_rows); keeps the optimizer bitwise permutation
-    equivariant across coordinates."""
+    """Matrix product evaluated with a fixed per-row accumulation order.
+
+    BLAS matmul may compute different rows with differently ordered
+    accumulations, which breaks bitwise permutation equivariance of the
+    coordinate-wise optimizer. Unoptimized einsum reduces every output
+    element in the same sequential order, so row results depend only on
+    that row's inputs. b may be a matrix or a vector.
+    """
     if b.ndim == 2:
         return np.einsum("ik,kj->ij", a, b, optimize=False)
     return np.einsum("ik,k->i", a, b, optimize=False)
 
 
-def _cell_np(x, h, c, wx, wh, b, hidden):
+def _cell(x, h, c, wx, wh, b, hidden):
+    """One LSTM cell. Returns the new h and c and the activations
+    (i, f, g, o, tanh c) that the cell's vjp reuses."""
     z = _mm_rows(x, wx) + _mm_rows(h, wh) + b
     i = expit(z[:, :hidden])
     f = expit(z[:, hidden:2 * hidden])
     g = np.tanh(z[:, 2 * hidden:3 * hidden])
     o = expit(z[:, 3 * hidden:])
     c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (i, f, g, o, tc)
+
+
+def _project(h, w_out, b_out, out_scale):
+    return out_scale * (_mm_rows(h, w_out) + b_out)
 
 
 def l2o_step_np(phi: L2OParams, state: L2OState, g: np.ndarray):
@@ -137,9 +149,9 @@ def l2o_step_np(phi: L2OParams, state: L2OState, g: np.ndarray):
     if state.h1.shape[0] != g.shape[0]:
         raise ValueError("l2o_step: state/gradient dimension mismatch")
     x = preprocess(g, phi.preprocess_p)
-    h1, c1 = _cell_np(x, state.h1, state.c1, phi.wx1, phi.wh1, phi.b1, phi.hidden)
-    h2, c2 = _cell_np(h1, state.h2, state.c2, phi.wx2, phi.wh2, phi.b2, phi.hidden)
-    update = phi.out_scale * (_mm_rows(h2, phi.w_out) + phi.b_out)
+    h1, c1, _ = _cell(x, state.h1, state.c1, phi.wx1, phi.wh1, phi.b1, phi.hidden)
+    h2, c2, _ = _cell(h1, state.h2, state.c2, phi.wx2, phi.wh2, phi.b2, phi.hidden)
+    update = _project(h2, phi.w_out, phi.b_out, phi.out_scale)
     return update, L2OState(h1, c1, h2, c2)
 
 
@@ -148,39 +160,109 @@ def phi_leaves(tape: ad.Tape, phi: L2OParams) -> dict[str, ad.Value]:
     return {name: tape.leaf(arr, trainable=True) for name, arr in phi.tensors().items()}
 
 
-def _cell_tape(x, h, c, wx, wh, b, hidden):
-    z = ad.add(ad.add(ad.matmul_rows(x, wx), ad.matmul_rows(h, wh)), b)
-    i = ad.sigmoid(ad.take(z, (slice(None), slice(0, hidden))))
-    f = ad.sigmoid(ad.take(z, (slice(None), slice(hidden, 2 * hidden))))
-    g = ad.tanh(ad.take(z, (slice(None), slice(2 * hidden, 3 * hidden))))
-    o = ad.sigmoid(ad.take(z, (slice(None), slice(3 * hidden, 4 * hidden))))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
+def _once(fn):
+    """Memoize fn on the identity of its argument. backward calls the vjps
+    of one node's parents in a row with the same gradient array, so they
+    share one evaluation of the node's backward pass."""
+    memo = [None, None]
+
+    def call(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, fn(g)
+        return memo[1]
+
+    return call
+
+
+def _pad_h(gh):
+    """A packed-state gradient whose c part is zero."""
+    out = np.zeros((2,) + gh.shape)
+    out[0] = gh
+    return out
+
+
+def _cell_node(x: ad.Value, hc: ad.Value, wx: ad.Value, wh: ad.Value,
+               b: ad.Value, hidden: int) -> ad.Value:
+    """The LSTM cell as one tape node over packed states. x is the layer
+    below's packed state, whose h part is the input, or for the bottom layer
+    the preprocessed gradient, a (dim, 2) constant.
+
+    The vjp repeats, operation for operation, the backward pass of the same
+    cell written as 17 tape primitives (two einsum matmuls, two adds, four
+    column takes, the gate nonlinearities, the c and h products), so the
+    gradients are the same bits; tests/test_model.py keeps that chain as
+    the reference. The chain added each first gradient contribution to
+    zeros, which turns -0.0 into +0.0; `+ 0.0` on the gate gradient gz
+    repeats that. The chain's other such steps cannot change a bit here:
+    their values are only multiplied by non-negative gate factors before
+    gz, or added to the incoming c gradient, which backward has already
+    seeded the same way.
+    """
+    below = x.data.ndim == 3
+    xd = x.data[0] if below else x.data
+    h, c = hc.data
+    wxd, whd = wx.data, wh.data
+    h_new, c_new, (i, f, gg, o, tc) = _cell(xd, h, c, wxd, whd, b.data, hidden)
+
+    @_once
+    def grads(g):
+        gh, gc = g
+        # the new c's gradient: from outside, plus through h = o * tanh(c)
+        gcn = gc + gh * o * (1.0 - tc * tc)
+        # the pre-activation gradient, gate blocks i, f, g, o
+        gz = np.empty((h.shape[0], 4 * hidden))
+        np.multiply(gcn * gg * i, 1.0 - i, out=gz[:, :hidden])
+        np.multiply(gcn * c * f, 1.0 - f, out=gz[:, hidden:2 * hidden])
+        np.multiply(gcn * i, 1.0 - gg * gg, out=gz[:, 2 * hidden:3 * hidden])
+        np.multiply(gh * tc * o, 1.0 - o, out=gz[:, 3 * hidden:])
+        gz += 0.0
+        return gz, gcn
+
+    parents = [(wx, lambda g: xd.T @ grads(g)[0]),
+               (wh, lambda g: h.T @ grads(g)[0]),
+               (b, lambda g: grads(g)[0].sum(axis=0)),
+               (hc, lambda g: np.stack((grads(g)[0] @ whd.T, grads(g)[1] * f)))]
+    if below:
+        parents.append((x, lambda g: _pad_h(grads(g)[0] @ wxd.T)))
+    return ad.Value(hc.tape, np.stack((h_new, c_new)), parents)
+
+
+def _projection_node(hc: ad.Value, w_out: ad.Value, b_out: ad.Value,
+                     out_scale: float) -> ad.Value:
+    """The update from the upper layer's h as one tape node. The vjp
+    repeats the backward of the einsum matmul, bias add and scale it
+    replaces; `+ 0.0` repeats the scale's zero-seeded first contribution."""
+    h = hc.data[0]
+    w = w_out.data
+    grad_pre = _once(lambda g: g * out_scale + 0.0)
+    return ad.Value(hc.tape, _project(h, w, b_out.data, out_scale),
+                    [(w_out, lambda g: h.T @ grad_pre(g)),
+                     (b_out, lambda g: grad_pre(g).sum()),
+                     (hc, lambda g: _pad_h(np.outer(grad_pre(g), w)))])
 
 
 def l2o_step_tape(tape: ad.Tape, leaves: dict[str, ad.Value], phi: L2OParams,
-                  state: tuple[ad.Value, ad.Value, ad.Value, ad.Value],
-                  g: np.ndarray):
-    """Differentiable forward pass. The gradient g enters as a constant
-    (no second derivatives). Returns (update Value, new state Values)."""
+                  state: tuple[ad.Value, ad.Value], g: np.ndarray):
+    """Differentiable forward pass over the packed states (hc1, hc2). The
+    gradient g enters as a constant (no second derivatives). Returns
+    (update Value, new state Values)."""
     x = tape.constant(preprocess(g, phi.preprocess_p))
-    h1, c1, h2, c2 = state
-    h1, c1 = _cell_tape(x, h1, c1, leaves["wx1"], leaves["wh1"], leaves["b1"], phi.hidden)
-    h2, c2 = _cell_tape(h1, h2, c2, leaves["wx2"], leaves["wh2"], leaves["b2"], phi.hidden)
-    update = ad.scale(ad.add(ad.matmul_rows(h2, leaves["w_out"]), leaves["b_out"]),
-                      phi.out_scale)
-    return update, (h1, c1, h2, c2)
+    hc1, hc2 = state
+    hc1 = _cell_node(x, hc1, leaves["wx1"], leaves["wh1"], leaves["b1"], phi.hidden)
+    hc2 = _cell_node(hc1, hc2, leaves["wx2"], leaves["wh2"], leaves["b2"], phi.hidden)
+    update = _projection_node(hc2, leaves["w_out"], leaves["b_out"], phi.out_scale)
+    return update, (hc1, hc2)
 
 
 def state_constants(tape: ad.Tape, state: L2OState):
-    return (tape.constant(state.h1), tape.constant(state.c1),
-            tape.constant(state.h2), tape.constant(state.c2))
+    """The state as the packed tape constants (hc1, hc2)."""
+    return (tape.constant(np.stack((state.h1, state.c1))),
+            tape.constant(np.stack((state.h2, state.c2))))
 
 
 def state_from_values(state_vals) -> L2OState:
-    h1, c1, h2, c2 = state_vals
-    return L2OState(h1.data, c1.data, h2.data, c2.data)
+    hc1, hc2 = (v.data for v in state_vals)
+    return L2OState(hc1[0], hc1[1], hc2[0], hc2[1])
 
 
 def save_checkpoint(phi: L2OParams, path) -> None:

@@ -210,3 +210,81 @@ def test_grad_check_nonfinite_probe():
 
     with pytest.raises(FloatingPointError):
         ad.grad_check(f, np.array([1e-9]), eps=1e-5)
+
+
+
+def _unpruned_backward(tape, root):
+    # backward without pruning: every recorded vjp runs and each first
+    # contribution is added to zeros
+    for v in tape._nodes:
+        v.grad = None
+    root.grad = np.ones_like(root.data)
+    for v in reversed(tape._nodes[: root.node_id + 1]):
+        if v.grad is None:
+            continue
+        for parent, vjp in v._parents:
+            contrib = vjp(v.grad)
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+            parent.grad = parent.grad + contrib
+
+
+def _mixed_loss(tape, x0, w0, batch, labels, keep_all):
+    """A loss over trainable x, w and u with batch constants, labels, a
+    detached branch and a constants-only term; u's gradient holds a -0.0
+    before accumulation. With keep_all every would-be constant is a
+    trainable leaf instead, so nothing is pruned.
+    Returns (leaves, constants, constants-only term, loss)."""
+    consts = []
+
+    def const(a):
+        consts.append(tape.leaf(a, trainable=True) if keep_all else tape.constant(a))
+        return consts[-1]
+
+    def stop(v):
+        consts.append(tape.leaf(v.data, trainable=True) if keep_all else ad.detach(v))
+        return consts[-1]
+
+    x = tape.leaf(x0, trainable=True)
+    w = tape.leaf(w0, trainable=True)
+    u = tape.leaf(np.array([0.5, -2.0, 1.0]), trainable=True)
+    hid = ad.tanh(ad.add(ad.matmul(const(batch), ad.reshape(w, (3, 4))), x))
+    side = ad.mul(stop(ad.square(hid)), hid)
+    offset = ad.vsum(ad.square(const(labels)))
+    masked = ad.scale(ad.vsum(ad.mul(u, const(np.array([0.0, -0.0, 1.5])))), -1.0)
+    loss = ad.add(ad.vsum(ad.mul(ad.add(side, hid), const(labels))), offset)
+    return (x, w, u), consts, offset, ad.add(loss, masked)
+
+
+def test_backward_skips_constants_and_matches_unpruned(monkeypatch):
+    rng = np.random.default_rng(7)
+    args = (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 12),
+            rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (5, 4)))
+
+    ref_tape = ad.Tape()
+    ref_leaves, _, _, ref_loss = _mixed_loss(ref_tape, *args, keep_all=True)
+    _unpruned_backward(ref_tape, ref_loss)
+
+    called = []
+    plain_init = ad.Value.__init__
+
+    def counting_init(self, tape, data, parents=()):
+        def count(parent, vjp):
+            def counted(g):
+                called.append(parent)
+                return vjp(g)
+            return counted
+        plain_init(self, tape, data, [(p, count(p, vjp)) for p, vjp in parents])
+
+    monkeypatch.setattr(ad.Value, "__init__", counting_init)
+    tape = ad.Tape()
+    leaves, consts, offset, loss = _mixed_loss(tape, *args, keep_all=False)
+    ad.backward(tape, loss)
+
+    assert called
+    assert all(c.grad is None for c in consts) and offset.grad is None
+    assert not any(p is c for p in called for c in consts)
+    assert not any(p is offset for p in called)
+    for got, want in zip(leaves, ref_leaves):
+        assert got.grad.shape == want.grad.shape
+        assert got.grad.tobytes() == want.grad.tobytes()

@@ -128,9 +128,25 @@ def test_manifest_hashes_match_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert set(manifest["artifacts"]) == {"config.txt", "checkpoint.l2o",
-                                          "epochs.csv"}
+                                          "epochs.csv", "events.csv"}
     for name, digest in manifest["artifacts"].items():
         assert digest == sha256(out / name)
+    assert (out / "events.csv").read_text() == "kind,where,detail\n"
+
+
+def test_forced_divergence_is_written_to_events(tmp_path):
+    # every episode imitates a teacher whose first step blows the quadratic up
+    out = tmp_path / "diverge"
+    rc = main(["train", "--mode", "il", "--family", "quadratic", "--epochs", "2",
+               "--n-train", "4", "--r", "1.0", "--teacher-lr", "1e160",
+               "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "events.csv").read_text().splitlines()
+    assert rows[0] == "kind,where,detail"
+    fields = [row.split(",") for row in rows[1:]]
+    assert [f[:2] for f in fields] == [["teacher-divergence", "0"],
+                                      ["teacher-divergence", "1"]]
+    assert all(f[2] in ("sgd", "adam", "adagrad", "rmsprop") for f in fields)
 
 
 def test_curriculum_train_writes_trace(tmp_path):

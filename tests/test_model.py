@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2okit import autodiff as ad
-from l2okit.model import (L2OParams, TENSOR_NAMES, init_l2o, l2o_step_np,
-                          l2o_step_tape, load_checkpoint, phi_leaves,
-                          preprocess, save_checkpoint, state_constants,
-                          zero_state)
+from l2okit import imitation, metatrain
+from l2okit.metatrain import TrajStep
+from l2okit.model import (L2OParams, L2OState, TENSOR_NAMES, init_l2o,
+                          l2o_step_np, load_checkpoint, preprocess,
+                          save_checkpoint, zero_state)
+from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
 
 
@@ -102,21 +104,92 @@ def test_state_dimension_mismatch_rejected():
         l2o_step_np(phi, zero_state(3, phi.hidden), np.zeros(4))
 
 
-def test_tape_and_numpy_paths_bit_identical():
-    phi = random_phi(8)
+# -- reference: the LSTM step as a chain of tape primitives -----------------
+# Each cell is 17 nodes and the projection 3, with the state as four
+# separate (dim, hidden) Values. The fused cell node must reproduce its
+# gradients bit for bit.
+
+def _matmul_rows_ref(a, b):
+    A, B = a.data, b.data
+    if B.ndim == 2:
+        return ad.Value(a.tape, np.einsum("ik,kj->ij", A, B, optimize=False),
+                        [(a, lambda g: g @ B.T), (b, lambda g: A.T @ g)])
+    return ad.Value(a.tape, np.einsum("ik,k->i", A, B, optimize=False),
+                    [(a, lambda g: np.outer(g, B)), (b, lambda g: A.T @ g)])
+
+
+def _cell_ref(x, h, c, wx, wh, b, hidden):
+    z = ad.add(ad.add(_matmul_rows_ref(x, wx), _matmul_rows_ref(h, wh)), b)
+    i = ad.sigmoid(ad.take(z, (slice(None), slice(0, hidden))))
+    f = ad.sigmoid(ad.take(z, (slice(None), slice(hidden, 2 * hidden))))
+    g = ad.tanh(ad.take(z, (slice(None), slice(2 * hidden, 3 * hidden))))
+    o = ad.sigmoid(ad.take(z, (slice(None), slice(3 * hidden, 4 * hidden))))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    return h_new, c_new
+
+
+def _step_ref(tape, leaves, phi, state, g):
+    x = tape.constant(preprocess(g, phi.preprocess_p))
+    h1, c1, h2, c2 = state
+    h1, c1 = _cell_ref(x, h1, c1, leaves["wx1"], leaves["wh1"], leaves["b1"], phi.hidden)
+    h2, c2 = _cell_ref(h1, h2, c2, leaves["wx2"], leaves["wh2"], leaves["b2"], phi.hidden)
+    update = ad.scale(ad.add(_matmul_rows_ref(h2, leaves["w_out"]), leaves["b_out"]),
+                      phi.out_scale)
+    return update, (h1, c1, h2, c2)
+
+
+def _state_constants_ref(tape, state):
+    return tuple(tape.constant(a) for a in (state.h1, state.c1, state.h2, state.c2))
+
+
+def _state_from_values_ref(vals):
+    return L2OState(*(v.data for v in vals))
+
+
+def _use_reference_step(monkeypatch, module):
+    monkeypatch.setattr(module, "l2o_step_tape", _step_ref)
+    monkeypatch.setattr(module, "state_constants", _state_constants_ref)
+    monkeypatch.setattr(module, "state_from_values", _state_from_values_ref)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("zero_projection", [False, True])
+@pytest.mark.parametrize("path", ["segment", "imitation"])
+def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_projection):
+    # a freshly initialized phi has w_out = 0, so every gradient into the
+    # cells is an exact zero and the sign of zero is exercised too
+    phi = init_l2o(8, hidden=5) if zero_projection else random_phi(8, hidden=5)
+    phi.out_scale = 0.3
+    dim = 7
+    omega = np.array([0.5, 2.0, 1.25])
     rng = np.random.default_rng(8)
-    g = rng.normal(size=6)
-    state = zero_state(6, phi.hidden)
-    for _ in range(3):
-        u_np, state_np = l2o_step_np(phi, state, g)
-        tape = ad.Tape()
-        leaves = phi_leaves(tape, phi)
-        st = state_constants(tape, state)
-        u_tape, st_tape = l2o_step_tape(tape, leaves, phi, st, g)
-        assert np.array_equal(u_np, u_tape.data)
-        assert np.array_equal(state_np.h2, st_tape[2].data)
-        state = state_np
-        g = g + u_np
+    state = L2OState(*(rng.normal(0, 0.5, (dim, phi.hidden)) for _ in range(4)))
+    inst = sample_instance(OptimizeeSpec(family="quadratic", dim=dim), 3)
+    theta0 = inst.init_params(4)
+    steps = [TrajStep(rng.normal(size=dim), rng.normal(0, 0.01, dim), 0.0)
+             for _ in omega]
+
+    def run():
+        if path == "segment":
+            loss, grads, _, st, diverged = metatrain.segment_loss_and_grads(
+                phi, inst, theta0, state, omega)
+            assert not diverged
+            return loss, grads, st
+        return imitation.imitation_loss_and_grads(phi, steps, omega, state)
+
+    fused = run()
+    _use_reference_step(monkeypatch, metatrain if path == "segment" else imitation)
+    ref = run()
+    assert _same_bits(fused[0], ref[0])
+    for name in TENSOR_NAMES:
+        assert _same_bits(fused[1][name], ref[1][name]), name
+    for part in ("h1", "c1", "h2", "c2"):
+        assert _same_bits(getattr(fused[2], part), getattr(ref[2], part)), part
 
 
 def test_gradient_flow_through_all_tensors():
