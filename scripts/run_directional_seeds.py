@@ -25,15 +25,16 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import scipy
 
 from l2okit.curriculum import CurriculumConfig
 from l2okit.evaluation import EvalConfig, run_eval
-from l2okit.experiments import train_curriculum, train_vanilla
-from l2okit.imitation import ImitationConfig
-from l2okit.metatrain import MetaLossSpec, TrainConfig
+from l2okit.experiments import train_curriculum, train_fixed
+from l2okit.imitation import ImitationConfig, il_epoch
+from l2okit.metatrain import MetaLossSpec, TrainConfig, train_epoch
 from l2okit.model import init_l2o
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import derive_seed
@@ -44,7 +45,7 @@ TINY = OptimizeeSpec(family="tiny_mlp")
 VANILLA_EPOCHS = 300
 VANILLA_HORIZON = 20
 CURRICULUM = CurriculumConfig(ladder=(20, 40, 100), n_period=3, t_period=25)
-IMITATION = ImitationConfig(r=0.3, teachers=default_ensemble(lr=0.01), t_total=600)
+IMITATION = ImitationConfig(r=0.3, teachers=default_ensemble(lr=0.01))
 CL_IL_EPOCHS = 600
 SEGMENT = 20
 N_EVAL = 500
@@ -57,14 +58,15 @@ def directional(seed: int) -> dict:
     """The fixture's experiment and criterion 6's checks at one seed."""
     inst = sample_instance(TINY, derive_seed(seed, "train-inst"))
     phi_v = init_l2o(derive_seed(seed, "init-phi"))
-    train_vanilla(phi_v, inst, TrainConfig(master_seed=seed, epochs=VANILLA_EPOCHS),
-                  MetaLossSpec(horizon=VANILLA_HORIZON, segment=VANILLA_HORIZON))
+    tc_v = TrainConfig(master_seed=seed, epochs=VANILLA_EPOCHS)
+    train_fixed(phi_v, partial(train_epoch, inst=inst, tc=tc_v), tc_v,
+                MetaLossSpec(horizon=VANILLA_HORIZON, segment=VANILLA_HORIZON))
 
     inst2 = sample_instance(TINY, derive_seed(seed, "train-inst"))
     phi_c = init_l2o(derive_seed(seed, "init-phi"))
-    result = train_curriculum(phi_c, inst2, TINY, CURRICULUM,
-                              TrainConfig(master_seed=seed, epochs=CL_IL_EPOCHS),
-                              segment=SEGMENT, ic=IMITATION)
+    tc_c = TrainConfig(master_seed=seed, epochs=CL_IL_EPOCHS)
+    result = train_curriculum(phi_c, partial(il_epoch, inst=inst2, tc=tc_c, ic=IMITATION),
+                              TINY, CURRICULUM, tc_c, segment=SEGMENT)
 
     def eval_cfg(name):
         return EvalConfig(optimizee=TINY, n_eval=N_EVAL, seeds=EVAL_SEEDS,

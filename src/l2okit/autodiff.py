@@ -266,12 +266,29 @@ def backward(tape: Tape, root: Value) -> None:
                 parent.grad = parent.grad + contrib
 
 
+def fd_error(analytic: np.ndarray, loss_at, p0: np.ndarray,
+             eps: float = 1e-5) -> float:
+    """Max relative error of analytic against the central differences of
+    loss_at, a function from a parameter array shaped like p0 to a float,
+    around p0. Error metric per coordinate: |analytic - fd| / max(1, |fd|)."""
+    p0 = np.asarray(p0, dtype=np.float64)
+    fd = np.zeros_like(p0)
+    flat = p0.ravel()
+    for j in range(flat.size):
+        e = np.zeros_like(flat)
+        e[j] = eps
+        hi = loss_at((flat + e).reshape(p0.shape))
+        lo = loss_at((flat - e).reshape(p0.shape))
+        fd.ravel()[j] = (hi - lo) / (2.0 * eps)
+    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
+
+
 def grad_check(f, p0: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients
+    (see fd_error).
 
     f(tape, p) must build and return a scalar Value from the parameter
-    vector leaf p. Error metric per coordinate:
-    |analytic - fd| / max(1, |fd|).
+    vector leaf p.
     """
     if eps <= 0:
         raise ValueError("grad_check: eps must be positive")
@@ -289,13 +306,4 @@ def grad_check(f, p0: np.ndarray, eps: float = 1e-5) -> float:
             raise FloatingPointError("grad_check: non-finite value at probe point")
         return float(val)
 
-    fd = np.zeros_like(p0)
-    flat = p0.ravel()
-    for j in range(flat.size):
-        e = np.zeros_like(flat)
-        e[j] = eps
-        hi = eval_at((flat + e).reshape(p0.shape))
-        lo = eval_at((flat - e).reshape(p0.shape))
-        fd.ravel()[j] = (hi - lo) / (2.0 * eps)
-    denom = np.maximum(1.0, np.abs(fd))
-    return float(np.max(np.abs(analytic - fd) / denom))
+    return fd_error(analytic, eval_at, p0, eps)

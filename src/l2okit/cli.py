@@ -11,16 +11,18 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
-from .config import (ConfigError, RunConfig, build_config, config_hash,
-                     parse_config_file, serialize_config, _parse_int_list)
+from .config import (MODES, PROFILES, ConfigError, RunConfig, build_config,
+                     config_hash, parse_config_file, serialize_config,
+                     _parse_int_list)
 from .evaluation import (EvalConfig, EvalReport, compare, run_eval,
                          write_curves_csv, write_summary_csv)
-from .experiments import (train_curriculum, train_il, train_self_improving,
-                          train_vanilla, write_epoch_csv, write_events_csv,
-                          write_trace_csv)
-from .imitation import ImitationConfig, SelfImprovingSchedule
-from .metatrain import MetaLossSpec, TrainConfig
+from .experiments import (train_curriculum, train_fixed, write_epoch_csv,
+                          write_events_csv, write_trace_csv)
+from .imitation import (ImitationConfig, SelfImprovingSchedule, il_epoch,
+                        self_improving_epoch)
+from .metatrain import MetaLossSpec, TrainConfig, train_epoch
 from .model import init_l2o, load_checkpoint, save_checkpoint
 from .optimizees import sample_instance
 from .seeding import derive_seed
@@ -67,17 +69,21 @@ def cmd_train(cfg: RunConfig) -> int:
     events: list = []
     artifacts = ["config.txt", "checkpoint.l2o", "epochs.csv", "events.csv"]
 
-    if cfg.mode in ("vanilla", "aug"):
-        train_vanilla(phi, inst, tc, mls, epoch_log=epoch_log, events=events)
-    elif cfg.mode == "il":
-        ic = ImitationConfig(r=cfg.r, teachers=teachers, t_total=tc.epochs)
-        train_il(phi, inst, ic, tc, mls, epoch_log=epoch_log, events=events)
-    elif cfg.mode in ("cl", "cl-il"):
-        ic = (ImitationConfig(r=cfg.r, teachers=teachers, t_total=tc.epochs)
-              if cfg.mode == "cl-il" else None)
-        result = train_curriculum(phi, inst, spec, cfg.curriculum(), tc,
-                                  segment=cfg.segment, ic=ic,
-                                  epoch_log=epoch_log, events=events)
+    context = {"inst": inst, "tc": tc, "events": events}
+    if cfg.mode in ("il", "cl-il"):
+        body = partial(il_epoch, ic=ImitationConfig(r=cfg.r, teachers=teachers),
+                       **context)
+    elif cfg.mode == "self-improving":
+        sis = SelfImprovingSchedule(teachers=teachers,
+                                    anneal_epochs=cfg.anneal_epochs,
+                                    start_prob=cfg.si_start_prob)
+        body = partial(self_improving_epoch, sis=sis, **context)
+    else:
+        body = partial(train_epoch, **context)
+
+    if cfg.mode in ("cl", "cl-il"):
+        result = train_curriculum(phi, body, spec, cfg.curriculum(), tc,
+                                  segment=cfg.segment, epoch_log=epoch_log)
         phi = result.best_phi
         write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
         artifacts.append("trace.csv")
@@ -89,15 +95,8 @@ def cmd_train(cfg: RunConfig) -> int:
                       fh, sort_keys=True)
             fh.write("\n")
         artifacts.append("curriculum.json")
-    elif cfg.mode == "self-improving":
-        sis = SelfImprovingSchedule(teachers=teachers,
-                                    anneal_epochs=cfg.anneal_epochs,
-                                    start_prob=cfg.si_start_prob)
-        train_self_improving(phi, inst, sis, tc, mls, epoch_log=epoch_log,
-                             events=events)
     else:
-        print(f"error: unsupported train mode {cfg.mode!r}", file=sys.stderr)
-        return 2
+        train_fixed(phi, body, tc, mls, epoch_log=epoch_log)
 
     save_checkpoint(phi, os.path.join(out_dir, "checkpoint.l2o"))
     write_epoch_csv(epoch_log, os.path.join(out_dir, "epochs.csv"))
@@ -181,9 +180,8 @@ def cmd_gradcheck() -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--mode", choices=("vanilla", "aug", "cl", "il", "cl-il",
-                                      "self-improving"))
-    p.add_argument("--profile", choices=("desk", "paper"))
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--profile", choices=PROFILES)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--family")

@@ -12,10 +12,11 @@ from dataclasses import dataclass, fields
 
 from .curriculum import CurriculumConfig
 from .optimizees import FAMILIES, OptimizeeSpec
+from .teachers import KINDS
 
 MODES = ("vanilla", "aug", "cl", "il", "cl-il", "self-improving")
 PROFILES = ("desk", "paper")
-EVAL_OPTIMIZERS = ("checkpoint", "sgd", "adam", "adagrad", "rmsprop")
+EVAL_OPTIMIZERS = ("checkpoint",) + KINDS
 
 PAPER_LADDER = (100, 200, 500, 1000, 1500, 2000, 2500, 3000)
 DESK_LADDER = (20, 40, 100, 200)

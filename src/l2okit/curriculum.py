@@ -72,13 +72,12 @@ class CurriculumResult:
 
 
 def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
-                     copy_fn=None, epoch_budget: int | None = None) -> CurriculumResult:
+                     epoch_budget: int | None = None) -> CurriculumResult:
     """Run the staged schedule.
 
     train_period_fn(phi, n_train, epoch_base) trains phi in place for
     t_period epochs at horizon n_train. validate_fn(phi, n_valid) returns
-    a scalar validation loss. copy_fn snapshots phi (defaults to
-    phi.copy()).
+    a scalar validation loss. phi.copy() takes each snapshot.
 
     Per stage: at least n_period periods, then keep going while the last
     period improved on the best validation loss; if a whole stage passes
@@ -86,10 +85,8 @@ def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
     stage advance, training restarts from the best snapshot and the
     comparison floor is re-baselined by validating it at the new horizon.
     """
-    if copy_fn is None:
-        copy_fn = lambda p: p.copy()
-    phi_cur = copy_fn(phi0)
-    phi_best = copy_fn(phi0)
+    phi_cur = phi0.copy()
+    phi_best = phi0.copy()
     l_min = math.inf
     i = 0
     epoch = 0
@@ -120,7 +117,7 @@ def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
             last_improved = l_val < l_min
             if last_improved:
                 l_min = l_val
-                phi_best = copy_fn(phi_cur)
+                phi_best = phi_cur.copy()
                 stage_improved = True
                 best_stage = i
             trace.append(TraceRow("period", i, n, epoch, n_train, n_valid,
@@ -134,7 +131,7 @@ def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
             trace.append(TraceRow("exhausted", i - 1, n, epoch, n_train, n_valid,
                                   math.nan, l_min, False))
             return finish("exhausted")
-        phi_cur = copy_fn(phi_best)
+        phi_cur = phi_best.copy()
         n_valid = n_valid_for(cc, i)
         l_min = float(validate_fn(phi_best, n_valid))
         trace.append(TraceRow("rebaseline", i, 0, epoch, cc.ladder[i], n_valid,

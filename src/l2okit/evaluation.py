@@ -17,7 +17,7 @@ from .metatrain import l2o_stepper, rollout
 from .model import L2OParams
 from .optimizees import OptimizeeSpec, sample_instance
 from .seeding import derive_seed
-from .teachers import TeacherKind, init_state, teacher_step
+from .teachers import TeacherKind, teacher_stepper
 
 _LOG_FLOOR = 1e-300
 
@@ -116,14 +116,7 @@ def make_stepper(optimizer, dim: int):
     if isinstance(optimizer, L2OParams):
         return l2o_stepper(optimizer, dim)
     if isinstance(optimizer, TeacherKind):
-        state = init_state(dim)
-
-        def step(g):
-            nonlocal state
-            update, state = teacher_step(optimizer, state, g)
-            return update
-
-        return step
+        return teacher_stepper(optimizer, dim)
     raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
 
 

@@ -1,9 +1,16 @@
-"""Runnable training modes: vanilla / augmented, curriculum (optionally
-with imitation episodes), pure imitation, and self-improving.
+"""Training schedules for every mode, and the CSV writers for their logs.
 
-All functions mutate phi in place and append plain-tuple rows to the
-provided logs; CSV serialization lives at the bottom so repeated runs
-with the same config produce byte-identical files.
+A mode is an epoch body, called as body(phi, epoch, mls, adam) and
+returning (kind, loss): metatrain.train_epoch (vanilla, aug, cl),
+imitation.il_epoch (il, cl-il) or imitation.self_improving_epoch
+(self-improving), with the mode's context bound by keyword. A schedule
+runs a body: train_fixed for tc.epochs at one horizon, or
+train_curriculum over the horizon ladder.
+
+train_fixed mutates phi in place; train_curriculum trains copies and
+returns the best snapshot. Both append plain-tuple rows to the provided
+log; CSV serialization lives at the bottom so repeated runs with the
+same config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,58 +18,34 @@ from __future__ import annotations
 import csv
 
 from .curriculum import CurriculumConfig, CurriculumResult, curriculum_train
-from .imitation import ImitationConfig, SelfImprovingSchedule, il_epoch, self_improving_train
-from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, ValidationSet,
-                        train_epoch, validate)
+from .metatrain import MetaAdam, MetaLossSpec, TrainConfig, ValidationSet, validate
 from .model import L2OParams
-from .optimizees import OptimizeeInstance, OptimizeeSpec
+from .optimizees import OptimizeeSpec
 
 
-def train_vanilla(phi: L2OParams, inst: OptimizeeInstance, tc: TrainConfig,
-                  mls: MetaLossSpec, epoch_log: list | None = None,
-                  events: list | None = None) -> L2OParams:
-    """Fixed-horizon meta-training for tc.epochs exploring-start epochs."""
+def train_fixed(phi: L2OParams, body, tc: TrainConfig, mls: MetaLossSpec,
+                epoch_log: list | None = None) -> None:
+    """Run the epoch body for tc.epochs epochs at one horizon."""
     adam = MetaAdam(lr=tc.meta_lr)
     for epoch in range(tc.epochs):
-        loss = train_epoch(phi, inst, epoch, tc, mls, adam, events=events)
-        if epoch_log is not None:
-            epoch_log.append((epoch, "Lf", loss, mls.horizon))
-    return phi
-
-
-def train_il(phi: L2OParams, inst: OptimizeeInstance, ic: ImitationConfig,
-             tc: TrainConfig, mls: MetaLossSpec, epoch_log: list | None = None,
-             events: list | None = None) -> L2OParams:
-    adam = MetaAdam(lr=tc.meta_lr)
-    for epoch in range(ic.t_total):
-        kind, loss = il_epoch(phi, inst, epoch, ic, tc, mls, adam, events=events)
+        kind, loss = body(phi, epoch, mls, adam)
         if epoch_log is not None:
             epoch_log.append((epoch, kind, loss, mls.horizon))
-    return phi
 
 
-def train_curriculum(phi: L2OParams, inst: OptimizeeInstance, spec: OptimizeeSpec,
+def train_curriculum(phi: L2OParams, body, spec: OptimizeeSpec,
                      cc: CurriculumConfig, tc: TrainConfig, segment: int = 20,
-                     ic: ImitationConfig | None = None,
-                     epoch_log: list | None = None,
-                     events: list | None = None) -> CurriculumResult:
-    """Staged schedule over the horizon ladder. With an ImitationConfig
-    the per-epoch body becomes the mixed episode (the cl-il flagship);
-    trajectory horizons follow the current stage's N_train. One meta-Adam
-    persists across stages."""
+                     epoch_log: list | None = None) -> CurriculumResult:
+    """Staged schedule over the horizon ladder, running the epoch body at
+    the current stage's N_train (the cl-il flagship runs il_epoch). One
+    meta-Adam persists across stages."""
     adam = MetaAdam(lr=tc.meta_lr)
     vs = ValidationSet.create(spec, tc)
 
     def train_period_fn(phi_cur, n_train, epoch_base):
         mls = MetaLossSpec(horizon=n_train, segment=min(segment, n_train))
-        for k in range(cc.t_period):
-            epoch = epoch_base + k
-            if ic is None:
-                kind, loss = "Lf", train_epoch(phi_cur, inst, epoch, tc, mls,
-                                               adam, events=events)
-            else:
-                kind, loss = il_epoch(phi_cur, inst, epoch, ic, tc, mls, adam,
-                                      events=events)
+        for epoch in range(epoch_base, epoch_base + cc.t_period):
+            kind, loss = body(phi_cur, epoch, mls, adam)
             if epoch_log is not None:
                 epoch_log.append((epoch, kind, loss, n_train))
 
@@ -71,14 +54,6 @@ def train_curriculum(phi: L2OParams, inst: OptimizeeInstance, spec: OptimizeeSpe
 
     return curriculum_train(phi, cc, train_period_fn, validate_fn,
                             epoch_budget=tc.epochs)
-
-
-def train_self_improving(phi: L2OParams, inst: OptimizeeInstance,
-                         sis: SelfImprovingSchedule, tc: TrainConfig,
-                         mls: MetaLossSpec, epoch_log: list | None = None,
-                         events: list | None = None) -> L2OParams:
-    return self_improving_train(phi, inst, sis, mls, tc, events=events,
-                                episode_log=epoch_log)
 
 
 def write_epoch_csv(rows, path) -> None:
@@ -101,11 +76,10 @@ def write_trace_csv(trace, path) -> None:
 
 
 def write_events_csv(events, path) -> None:
-    """Training events as (kind, where, detail) rows. A "divergence" row
-    gives the first optimizee step of the segment that diverged and no
-    detail; a "teacher-divergence" row gives the epoch and the teacher."""
+    """Training events as (kind, where, detail) rows; where is the epoch.
+    A "divergence" row's detail is the first optimizee step of the
+    segment that diverged; a "teacher-divergence" row's is the teacher."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "where", "detail"])
-        for kind, where, *detail in events:
-            w.writerow([kind, where, *(detail or [""])])
+        w.writerows(events)

@@ -37,7 +37,7 @@ def _unflatten_into(phi, vec):
         pos += arr.size
 
 
-def _grads_to_vec(phi, grads):
+def _grads_to_vec(grads):
     return np.concatenate([grads[n].ravel() for n in TENSOR_NAMES])
 
 
@@ -111,7 +111,7 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
     loss, grads, _, _, diverged = segment_loss_and_grads(
         phi, inst, theta0, state, mls.weights())
     assert not diverged
-    analytic = _grads_to_vec(phi, grads)
+    analytic = _grads_to_vec(grads)
 
     # frozen-input oracle: replay with the base run's g_t sequence fixed
     from .model import l2o_step_np
@@ -137,14 +137,7 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
             total += fval
         return total
 
-    p0 = _flatten(phi)
-    eps = 1e-5
-    fd = np.zeros_like(p0)
-    for j in range(p0.size):
-        e = np.zeros_like(p0)
-        e[j] = eps
-        fd[j] = (loss_at(p0 + e) - loss_at(p0 - e)) / (2 * eps)
-    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
+    return ad.fd_error(analytic, loss_at, _flatten(phi))
 
 
 def check_imitation_loss(seed: int = 3) -> float:
@@ -161,7 +154,7 @@ def check_imitation_loss(seed: int = 3) -> float:
     omega = np.ones(5)
     state = zero_state(inst.dim, phi.hidden)
     _, grads, _ = imitation_loss_and_grads(phi, traj.steps, omega, state)
-    analytic = _grads_to_vec(phi, grads)
+    analytic = _grads_to_vec(grads)
 
     from .model import l2o_step_np
 
@@ -175,14 +168,7 @@ def check_imitation_loss(seed: int = 3) -> float:
             total += w * float(np.sum((upd - rec.update) ** 2))
         return total
 
-    p0 = _flatten(phi)
-    eps = 1e-5
-    fd = np.zeros_like(p0)
-    for j in range(p0.size):
-        e = np.zeros_like(p0)
-        e[j] = eps
-        fd[j] = (loss_at(p0 + e) - loss_at(p0 - e)) / (2 * eps)
-    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
+    return ad.fd_error(analytic, loss_at, _flatten(phi))
 
 
 def run_all() -> dict[str, float]:

@@ -15,19 +15,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, Trajectory,
-                        meta_update, rollout, train_epoch)
-from .model import (L2OParams, TENSOR_NAMES, l2o_step_tape, phi_leaves,
+                        exploring_start, rollout, train_epoch)
+from .model import (L2OParams, l2o_step_tape, leaf_grads, phi_leaves,
                     state_constants, state_from_values, zero_state)
 from .optimizees import OptimizeeInstance
-from .seeding import derive_seed, rng_for
-from .teachers import TeacherKind, default_ensemble, init_state, teacher_step
+from .seeding import rng_for
+from .teachers import TeacherKind, default_ensemble, teacher_stepper
 
 
 @dataclass(frozen=True)
 class ImitationConfig:
     r: float = 0.3
     teachers: tuple[TeacherKind, ...] = default_ensemble()
-    t_total: int = 300
 
     def __post_init__(self):
         if not 0 <= self.r <= 1:
@@ -58,14 +57,8 @@ class SelfImprovingSchedule:
 def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
                        theta0: np.ndarray, n: int) -> Trajectory:
     """Roll the analytical optimizer for n steps; independent of phi."""
-    state = init_state(inst.dim)
-
-    def step(g):
-        nonlocal state
-        update, state = teacher_step(kind, state, g)
-        return update
-
-    return rollout(step, inst, theta0, n, produced_by=f"teacher:{kind.kind}")
+    return rollout(teacher_stepper(kind, inst.dim), inst, theta0, n,
+                   produced_by=f"teacher:{kind.kind}")
 
 
 def imitation_loss_and_grads(phi: L2OParams, steps, omega_seg, state):
@@ -81,11 +74,7 @@ def imitation_loss_and_grads(phi: L2OParams, steps, omega_seg, state):
         term = ad.scale(ad.vsum(ad.square(diff)), float(w))
         loss_acc = term if loss_acc is None else ad.add(loss_acc, term)
     ad.backward(tape, loss_acc)
-    grads = {}
-    for name in TENSOR_NAMES:
-        leaf = leaves[name]
-        grads[name] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    return float(loss_acc.data), grads, state_from_values(st)
+    return float(loss_acc.data), leaf_grads(leaves), state_from_values(st)
 
 
 def imitation_update(phi: L2OParams, traj: Trajectory, omega: np.ndarray,
@@ -110,8 +99,8 @@ def imitation_update(phi: L2OParams, traj: Trajectory, omega: np.ndarray,
     return total
 
 
-def il_epoch(phi: L2OParams, inst: OptimizeeInstance, epoch: int, ic: ImitationConfig,
-             tc: TrainConfig, mls: MetaLossSpec, adam: MetaAdam,
+def il_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
+             inst: OptimizeeInstance, tc: TrainConfig, ic: ImitationConfig,
              events: list | None = None):
     """One mixed episode: with probability r imitate a uniformly
     chosen teacher, otherwise run a plain meta-training epoch. Teacher
@@ -120,70 +109,39 @@ def il_epoch(phi: L2OParams, inst: OptimizeeInstance, epoch: int, ic: ImitationC
     Returns (kind, loss) where kind is "Lf" or "IL:<teacher>".
     """
     u = rng_for(tc.master_seed, "il-u", epoch).random()
-    if u < ic.r:
-        idx = int(rng_for(tc.master_seed, "il-teacher", epoch).integers(len(ic.teachers)))
-        kind = ic.teachers[idx]
-        theta0 = inst.init_params(derive_seed(tc.master_seed, "epoch-theta0", epoch))
-        inst.reseed_batches(derive_seed(tc.master_seed, "epoch-batches", epoch))
-        traj = teacher_trajectory(kind, inst, theta0, mls.horizon)
-        if traj.diverged_at is not None:
-            if events is not None:
-                events.append(("teacher-divergence", epoch, kind.kind))
-            return f"IL:{kind.kind}", float("nan")
-        loss = imitation_update(phi, traj, mls.weights(), adam, segment=mls.segment)
-        return f"IL:{kind.kind}", loss
-    loss = train_epoch(phi, inst, epoch, tc, mls, adam, events=events)
-    return "Lf", loss
+    if u >= ic.r:
+        return train_epoch(phi, epoch, mls, adam, inst=inst, tc=tc, events=events)
+    idx = int(rng_for(tc.master_seed, "il-teacher", epoch).integers(len(ic.teachers)))
+    kind = ic.teachers[idx]
+    theta0 = exploring_start(inst, tc, epoch)
+    traj = teacher_trajectory(kind, inst, theta0, mls.horizon)
+    if traj.diverged_at is not None:
+        if events is not None:
+            events.append(("teacher-divergence", epoch, kind.kind))
+        return f"IL:{kind.kind}", float("nan")
+    loss = imitation_update(phi, traj, mls.weights(), adam, segment=mls.segment)
+    return f"IL:{kind.kind}", loss
 
 
-def il_train(phi: L2OParams, inst: OptimizeeInstance, ic: ImitationConfig,
-             mls: MetaLossSpec, tc: TrainConfig, events: list | None = None,
-             episode_log: list | None = None) -> L2OParams:
-    """Imitation-mixed training over a fixed horizon; mutates and
-    returns phi."""
-    adam = MetaAdam(lr=tc.meta_lr)
-    for epoch in range(ic.t_total):
-        kind, loss = il_epoch(phi, inst, epoch, ic, tc, mls, adam, events=events)
-        if episode_log is not None:
-            episode_log.append((epoch, kind, loss, mls.horizon))
-    return phi
-
-
-def self_improving_epoch(phi: L2OParams, inst: OptimizeeInstance, epoch: int,
-                         sis: SelfImprovingSchedule, tc: TrainConfig,
-                         mls: MetaLossSpec, adam: MetaAdam,
-                         events: list | None = None) -> float:
+def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
+                         adam: MetaAdam, *, inst: OptimizeeInstance,
+                         tc: TrainConfig, sis: SelfImprovingSchedule,
+                         events: list | None = None):
     """One epoch on a single mixed trajectory: each step's applied update
     comes from an optimizer sampled from the annealed multinomial.
     Teacher updates enter the tape as constants; the loss is still the
     ordinary meta-loss. Teacher accumulators advance only on the steps
-    where that teacher is sampled."""
+    where that teacher is sampled. Returns ("SI:mixed", meta-loss)."""
     probs = sis.probs(epoch)
     sampler = rng_for(tc.master_seed, "si-choice", epoch)
-    teacher_states = [init_state(inst.dim) for _ in sis.teachers]
+    steppers = [teacher_stepper(kind, inst.dim) for kind in sis.teachers]
 
     def override(t, theta, g):
         j = int(sampler.choice(len(probs), p=probs))
         if j == 0:
             return None
-        update, teacher_states[j - 1] = teacher_step(
-            sis.teachers[j - 1], teacher_states[j - 1], g)
-        return update
+        return steppers[j - 1](g)
 
-    theta0 = inst.init_params(derive_seed(tc.master_seed, "epoch-theta0", epoch))
-    inst.reseed_batches(derive_seed(tc.master_seed, "epoch-batches", epoch))
-    return meta_update(phi, inst, theta0, mls, adam, events=events,
-                       step_override=override)
-
-
-def self_improving_train(phi: L2OParams, inst: OptimizeeInstance,
-                         sis: SelfImprovingSchedule, mls: MetaLossSpec,
-                         tc: TrainConfig, events: list | None = None,
-                         episode_log: list | None = None) -> L2OParams:
-    adam = MetaAdam(lr=tc.meta_lr)
-    for epoch in range(tc.epochs):
-        loss = self_improving_epoch(phi, inst, epoch, sis, tc, mls, adam,
-                                    events=events)
-        if episode_log is not None:
-            episode_log.append((epoch, "SI:mixed", loss, mls.horizon))
-    return phi
+    _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, tc=tc, events=events,
+                          step_override=override)
+    return "SI:mixed", loss

@@ -11,13 +11,14 @@ boundary, so gradients never flow across segments. One meta-optimizer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .model import (L2OParams, TENSOR_NAMES, l2o_step_np, l2o_step_tape,
-                    phi_leaves, state_constants, state_from_values, zero_state)
+                    leaf_grads, phi_leaves, state_constants, state_from_values,
+                    zero_state)
 from .optimizees import OptimizeeInstance, OptimizeeSpec, sample_instance
 from .seeding import derive_seed
 
@@ -76,15 +77,17 @@ class TrainConfig:
             raise ValueError("meta_lr must be > 0")
 
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class MetaAdam:
     """Adam over the dict of L2O parameter tensors; mutates phi in place."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] | None = None
         self.v: dict[str, np.ndarray] | None = None
@@ -99,11 +102,11 @@ class MetaAdam:
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(arr)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1 - self.beta2 ** self.t)
-            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
+            m_hat = self.m[name] / (1 - BETA1 ** self.t)
+            v_hat = self.v[name] / (1 - BETA2 ** self.t)
+            arr -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int,
@@ -184,22 +187,19 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
         term = ad.scale(fv, float(w))
         loss_acc = term if loss_acc is None else ad.add(loss_acc, term)
     ad.backward(tape, loss_acc)
-    grads = {}
-    for name in TENSOR_NAMES:
-        leaf = leaves[name]
-        grads[name] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    return float(loss_acc.data), grads, th.data, state_from_values(st), False
+    return (float(loss_acc.data), leaf_grads(leaves), th.data,
+            state_from_values(st), False)
 
 
 def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
-                mls: MetaLossSpec, adam: MetaAdam, events: list | None = None,
-                step_override=None) -> float:
+                mls: MetaLossSpec, adam: MetaAdam, epoch: int,
+                events: list | None = None, step_override=None) -> float:
     """One full-horizon unroll with per-segment meta-updates; mutates phi.
 
     A segment hitting a non-finite loss skips its update and ends the
     epoch early (the remaining trajectory would stay non-finite anyway);
-    the event is recorded. Returns the summed meta-loss over the segments
-    that completed.
+    the event is recorded as ("divergence", epoch, the segment's first
+    step). Returns the summed meta-loss over the segments that completed.
     """
     omega = mls.weights()
     theta = np.asarray(theta0, dtype=np.float64)
@@ -212,22 +212,31 @@ def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
             step_override=step_override, t_base=seg_start)
         if diverged:
             if events is not None:
-                events.append(("divergence", seg_start))
+                events.append(("divergence", epoch, seg_start))
             break
         adam.step(phi, grads)
         total += loss
     return total
 
 
-def train_epoch(phi: L2OParams, inst: OptimizeeInstance, epoch: int,
-                tc: TrainConfig, mls: MetaLossSpec, adam: MetaAdam,
-                events: list | None = None, step_override=None) -> float:
-    """One exploring-start epoch: fresh theta0 and batch stream, one
-    full-horizon meta_update."""
+def exploring_start(inst: OptimizeeInstance, tc: TrainConfig, epoch: int) -> np.ndarray:
+    """The epoch's fresh theta0; also reseeds the instance's batch stream."""
     theta0 = inst.init_params(derive_seed(tc.master_seed, "epoch-theta0", epoch))
     inst.reseed_batches(derive_seed(tc.master_seed, "epoch-batches", epoch))
-    return meta_update(phi, inst, theta0, mls, adam, events=events,
-                       step_override=step_override)
+    return theta0
+
+
+def train_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
+                inst: OptimizeeInstance, tc: TrainConfig,
+                events: list | None = None, step_override=None):
+    """One exploring-start epoch: fresh theta0 and batch stream, one
+    full-horizon meta_update. Returns ("Lf", meta-loss).
+
+    Every epoch body takes (phi, epoch, mls, adam) positionally and its
+    mode's context by keyword, so a training loop can run any of them."""
+    theta0 = exploring_start(inst, tc, epoch)
+    return "Lf", meta_update(phi, inst, theta0, mls, adam, epoch, events=events,
+                             step_override=step_override)
 
 
 @dataclass

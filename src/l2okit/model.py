@@ -160,6 +160,13 @@ def phi_leaves(tape: ad.Tape, phi: L2OParams) -> dict[str, ad.Value]:
     return {name: tape.leaf(arr, trainable=True) for name, arr in phi.tensors().items()}
 
 
+def leaf_grads(leaves: dict[str, ad.Value]) -> dict[str, np.ndarray]:
+    """name -> gradient of each phi leaf after backward; zeros for a leaf
+    the loss does not reach."""
+    return {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+            for name, leaf in leaves.items()}
+
+
 def _once(fn):
     """Memoize fn on the identity of its argument. backward calls the vjps
     of one node's parents in a row with the same gradient array, so they

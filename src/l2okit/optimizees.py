@@ -161,20 +161,21 @@ class _MLPClassifierInstance(_DatasetInstance):
     theta packs [W1 (f*h), b1 (h), W2 (h*c), b2 (c)] flat, in that order.
     """
 
-    n_hidden: int
+    def __init__(self, spec: OptimizeeSpec, x: np.ndarray, y: np.ndarray,
+                 n_hidden: int, n_classes: int):
+        self.spec = spec
+        self.x = x
+        self.y = y
+        self.n_hidden = n_hidden
+        self.n_classes = n_classes
+        f = x.shape[1]
+        self.dim = f * n_hidden + n_hidden + n_hidden * n_classes + n_classes
+        self.reseed_batches(0)
 
-    def _shapes(self):
+    def loss_on_tape(self, tape, theta, batch):
         f = self.x.shape[1]
         h = self.n_hidden
         c = self.n_classes
-        return f, h, c
-
-    @property
-    def n_classes(self):
-        return self._n_classes
-
-    def loss_on_tape(self, tape, theta, batch):
-        f, h, c = self._shapes()
         o1 = f * h
         o2 = o1 + h
         o3 = o2 + h * c
@@ -194,14 +195,7 @@ class _MLPClassifierInstance(_DatasetInstance):
 
 class TinyMLPInstance(_MLPClassifierInstance):
     def __init__(self, spec: OptimizeeSpec, x: np.ndarray, y: np.ndarray):
-        self.spec = spec
-        self.x = x
-        self.y = y
-        self.n_hidden = spec.hidden
-        self._n_classes = spec.n_classes
-        f = x.shape[1]
-        self.dim = f * spec.hidden + spec.hidden + spec.hidden * spec.n_classes + spec.n_classes
-        self.reseed_batches(0)
+        super().__init__(spec, x, y, spec.hidden, spec.n_classes)
 
 
 class MnistMLPInstance(_MLPClassifierInstance):
@@ -211,14 +205,7 @@ class MnistMLPInstance(_MLPClassifierInstance):
     N_CLASSES = 10
 
     def __init__(self, spec: OptimizeeSpec, x: np.ndarray, y: np.ndarray):
-        self.spec = spec
-        self.x = x
-        self.y = y
-        self.n_hidden = self.N_HIDDEN
-        self._n_classes = self.N_CLASSES
-        f = x.shape[1]
-        self.dim = f * self.n_hidden + self.n_hidden + self.n_hidden * self.N_CLASSES + self.N_CLASSES
-        self.reseed_batches(0)
+        super().__init__(spec, x, y, self.N_HIDDEN, self.N_CLASSES)
 
 
 def _sample_blobs(spec: OptimizeeSpec, rng: np.random.Generator, labels01: bool):

@@ -7,6 +7,7 @@ per session through a module-scoped fixture.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ import pytest
 from l2okit.cli import main
 from l2okit.curriculum import CurriculumConfig, curriculum_train
 from l2okit.evaluation import EvalConfig, run_eval
-from l2okit.experiments import train_curriculum, train_vanilla
+from l2okit.experiments import train_curriculum, train_fixed
 from l2okit.gradchecks import (check_imitation_loss, check_meta_loss)
 from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
-                              il_train, self_improving_epoch,
+                              il_epoch, self_improving_epoch,
                               teacher_trajectory)
 from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
                               train_epoch)
@@ -165,13 +166,13 @@ def test_criterion_4_episode_statistics():
     tc = TrainConfig(master_seed=11, epochs=5)
     mls = MetaLossSpec(horizon=8, segment=4)
     phi_il = rand_phi(1)
-    il_train(phi_il, sample_instance(QUAD, 2),
-             ImitationConfig(r=0.0, t_total=5), mls, tc)
+    train_fixed(phi_il, partial(il_epoch, inst=sample_instance(QUAD, 2), tc=tc,
+                                ic=ImitationConfig(r=0.0)), tc, mls)
     phi_plain = rand_phi(1)
     adam = MetaAdam(lr=tc.meta_lr)
     inst = sample_instance(QUAD, 2)
     for epoch in range(5):
-        train_epoch(phi_plain, inst, epoch, tc, mls, adam)
+        train_epoch(phi_plain, epoch, mls, adam, inst=inst, tc=tc)
     identical = all(np.array_equal(getattr(phi_il, n), getattr(phi_plain, n))
                     for n in TENSOR_NAMES)
 
@@ -190,11 +191,11 @@ def test_criterion_5_self_improving_schedule():
     tc = TrainConfig(master_seed=15, epochs=1)
     mls = MetaLossSpec(horizon=8, segment=4)
     phi_si = rand_phi(5)
-    self_improving_epoch(phi_si, sample_instance(QUAD, 6), 150, sis, tc, mls,
-                         MetaAdam(lr=tc.meta_lr))
+    self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=tc.meta_lr),
+                         inst=sample_instance(QUAD, 6), tc=tc, sis=sis)
     phi_plain = rand_phi(5)
-    train_epoch(phi_plain, sample_instance(QUAD, 6), 150, tc, mls,
-                MetaAdam(lr=tc.meta_lr))
+    train_epoch(phi_plain, 150, mls, MetaAdam(lr=tc.meta_lr),
+                inst=sample_instance(QUAD, 6), tc=tc)
     identical = all(np.array_equal(getattr(phi_si, n), getattr(phi_plain, n))
                     for n in TENSOR_NAMES)
 
@@ -215,16 +216,17 @@ def directional_experiment():
     t0 = time.time()
     inst = sample_instance(TINY, derive_seed(seed, "train-inst"))
     phi_v = init_l2o(derive_seed(seed, "init-phi"))
-    train_vanilla(phi_v, inst, TrainConfig(master_seed=seed, epochs=300),
-                  MetaLossSpec(horizon=20, segment=20))
+    tc_v = TrainConfig(master_seed=seed, epochs=300)
+    train_fixed(phi_v, partial(train_epoch, inst=inst, tc=tc_v), tc_v,
+                MetaLossSpec(horizon=20, segment=20))
 
     inst2 = sample_instance(TINY, derive_seed(seed, "train-inst"))
     phi_c = init_l2o(derive_seed(seed, "init-phi"))
     cc = CurriculumConfig(ladder=(20, 40, 100), n_period=3, t_period=25)
-    ic = ImitationConfig(r=0.3, teachers=default_ensemble(lr=0.01), t_total=600)
-    result = train_curriculum(phi_c, inst2, TINY, cc,
-                              TrainConfig(master_seed=seed, epochs=600),
-                              segment=20, ic=ic)
+    ic = ImitationConfig(r=0.3, teachers=default_ensemble(lr=0.01))
+    tc_c = TrainConfig(master_seed=seed, epochs=600)
+    result = train_curriculum(phi_c, partial(il_epoch, inst=inst2, tc=tc_c, ic=ic),
+                              TINY, cc, tc_c, segment=20)
 
     def eval_cfg(name):
         return EvalConfig(optimizee=TINY, n_eval=500, seeds=tuple(range(10)),

@@ -161,6 +161,24 @@ def test_curriculum_train_writes_trace(tmp_path):
     assert info["train_iterations"] > 0
 
 
+@pytest.mark.parametrize("mode, base, artifacts", [
+    ("cl-il", "cl", ("checkpoint.l2o", "epochs.csv", "trace.csv",
+                     "curriculum.json", "events.csv")),
+    ("il", "vanilla", ("checkpoint.l2o", "epochs.csv", "events.csv")),
+])
+def test_imitation_mode_at_r_zero_writes_base_mode_bytes(tmp_path, mode, base,
+                                                         artifacts):
+    # at r = 0 no episode imitates a teacher, so the imitation mode must
+    # run exactly the epochs of its base mode
+    common = ["train", "--family", "quadratic", "--seed", "4", "--epochs", "30",
+              "--ladder", "4,8,16", "--n-period", "1", "--t-period", "4"]
+    a, b = tmp_path / mode, tmp_path / base
+    assert main([*common, "--mode", mode, "--r", "0", "--out", str(a)]) == 0
+    assert main([*common, "--mode", base, "--out", str(b)]) == 0
+    for name in artifacts:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_eval_requires_checkpoint(tmp_path, capsys):
     rc = main(["eval", "--family", "quadratic", "--out", str(tmp_path / "e")])
     assert rc == 1

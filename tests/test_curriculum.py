@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import l2okit.experiments as experiments
 from l2okit.curriculum import (CurriculumConfig, CurriculumResult, TraceRow,
                                curriculum_train, n_valid_for)
-from l2okit.metatrain import TrainConfig, ValidationSet, validate
+from l2okit.metatrain import TrainConfig, ValidationSet, train_epoch, validate
 from l2okit.model import init_l2o
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 
@@ -182,8 +183,8 @@ def test_real_binding_restarts_each_stage_from_best_snapshot(monkeypatch):
     # so the run crosses stages well inside the budget
     tc = TrainConfig(master_seed=0, epochs=100, n_val_instances=2, meta_lr=1.0)
     cc = CurriculumConfig(ladder=(2, 4, 8), n_period=1, t_period=2)
-    res = experiments.train_curriculum(init_l2o(0, hidden=4),
-                                       sample_instance(spec, 1), spec, cc, tc,
+    body = partial(train_epoch, inst=sample_instance(spec, 1), tc=tc)
+    res = experiments.train_curriculum(init_l2o(0, hidden=4), body, spec, cc, tc,
                                        segment=2)
 
     rows = [r for r in res.trace if r.kind == "period"]

@@ -1,9 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from l2okit.experiments import train_fixed
 from l2okit.gradchecks import check_imitation_loss
 from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
-                              il_epoch, il_train, imitation_loss_and_grads,
+                              il_epoch, imitation_loss_and_grads,
                               imitation_update, self_improving_epoch,
                               teacher_trajectory)
 from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig, TrajStep,
@@ -101,17 +104,17 @@ def rand_phi(seed, hidden=6):
 def test_r_zero_is_bitwise_vanilla():
     tc = TrainConfig(master_seed=11, epochs=5)
     mls = MetaLossSpec(horizon=8, segment=4)
-    ic = ImitationConfig(r=0.0, t_total=5)
+    ic = ImitationConfig(r=0.0)
 
     phi_il = rand_phi(1)
     inst = sample_instance(QUAD, 2)
-    il_train(phi_il, inst, ic, mls, tc)
+    train_fixed(phi_il, partial(il_epoch, inst=inst, tc=tc, ic=ic), tc, mls)
 
     phi_plain = rand_phi(1)
     inst2 = sample_instance(QUAD, 2)
     adam = MetaAdam(lr=tc.meta_lr)
     for epoch in range(5):
-        train_epoch(phi_plain, inst2, epoch, tc, mls, adam)
+        train_epoch(phi_plain, epoch, mls, adam, inst=inst2, tc=tc)
 
     for name in TENSOR_NAMES:
         assert np.array_equal(getattr(phi_il, name), getattr(phi_plain, name))
@@ -121,17 +124,19 @@ def test_r_one_runs_only_imitation():
     tc = TrainConfig(master_seed=12, epochs=4)
     mls = MetaLossSpec(horizon=6, segment=6)
     log = []
-    il_train(rand_phi(2), sample_instance(QUAD, 3), ImitationConfig(r=1.0, t_total=4),
-             mls, tc, episode_log=log)
+    body = partial(il_epoch, inst=sample_instance(QUAD, 3), tc=tc,
+                   ic=ImitationConfig(r=1.0))
+    train_fixed(rand_phi(2), body, tc, mls, epoch_log=log)
     assert all(kind.startswith("IL:") for _, kind, _, _ in log)
 
 
 def test_episode_kind_matches_seeded_draws():
     tc = TrainConfig(master_seed=13, epochs=30)
     mls = MetaLossSpec(horizon=4, segment=4)
-    ic = ImitationConfig(r=0.3, t_total=30)
+    ic = ImitationConfig(r=0.3)
     log = []
-    il_train(rand_phi(3), sample_instance(QUAD, 4), ic, mls, tc, episode_log=log)
+    body = partial(il_epoch, inst=sample_instance(QUAD, 4), tc=tc, ic=ic)
+    train_fixed(rand_phi(3), body, tc, mls, epoch_log=log)
     for epoch, kind, _, _ in log:
         expected_il = rng_for(tc.master_seed, "il-u", epoch).random() < 0.3
         assert kind.startswith("IL:") == expected_il
@@ -156,11 +161,11 @@ def test_teacher_divergence_is_logged_not_raised():
     tc = TrainConfig(master_seed=14, epochs=1)
     mls = MetaLossSpec(horizon=4, segment=4)
     # an absurd teacher lr blows up the quadratic immediately
-    ic = ImitationConfig(r=1.0, teachers=(TeacherKind("sgd", lr=1e160),), t_total=1)
+    ic = ImitationConfig(r=1.0, teachers=(TeacherKind("sgd", lr=1e160),))
     events = []
     phi = rand_phi(4)
-    kind, loss = il_epoch(phi, sample_instance(QUAD, 5), 0, ic, tc, mls,
-                          MetaAdam(), events=events)
+    kind, loss = il_epoch(phi, 0, mls, MetaAdam(), inst=sample_instance(QUAD, 5),
+                          tc=tc, ic=ic, events=events)
     assert kind == "IL:sgd"
     assert np.isnan(loss)
     assert events and events[0][0] == "teacher-divergence"
@@ -197,12 +202,13 @@ def test_si_pure_l2o_phase_is_bitwise_vanilla():
     sis = SelfImprovingSchedule(anneal_epochs=100)
 
     phi_si = rand_phi(5)
-    loss_si = self_improving_epoch(phi_si, sample_instance(QUAD, 6), 150,
-                                   sis, tc, mls, MetaAdam(lr=tc.meta_lr))
+    _, loss_si = self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=tc.meta_lr),
+                                      inst=sample_instance(QUAD, 6), tc=tc,
+                                      sis=sis)
 
     phi_plain = rand_phi(5)
-    loss_plain = train_epoch(phi_plain, sample_instance(QUAD, 6), 150, tc,
-                             mls, MetaAdam(lr=tc.meta_lr))
+    _, loss_plain = train_epoch(phi_plain, 150, mls, MetaAdam(lr=tc.meta_lr),
+                                inst=sample_instance(QUAD, 6), tc=tc)
 
     assert loss_si == loss_plain
     for name in TENSOR_NAMES:
@@ -215,11 +221,11 @@ def test_si_mixed_phase_differs_from_vanilla():
     sis = SelfImprovingSchedule(anneal_epochs=100, start_prob=0.33)
 
     phi_si = rand_phi(6)
-    self_improving_epoch(phi_si, sample_instance(QUAD, 7), 0, sis, tc, mls,
-                         MetaAdam(lr=tc.meta_lr))
+    self_improving_epoch(phi_si, 0, mls, MetaAdam(lr=tc.meta_lr),
+                         inst=sample_instance(QUAD, 7), tc=tc, sis=sis)
     phi_plain = rand_phi(6)
-    train_epoch(phi_plain, sample_instance(QUAD, 7), 0, tc, mls,
-                MetaAdam(lr=tc.meta_lr))
+    train_epoch(phi_plain, 0, mls, MetaAdam(lr=tc.meta_lr),
+                inst=sample_instance(QUAD, 7), tc=tc)
     assert any(not np.array_equal(getattr(phi_si, n), getattr(phi_plain, n))
                for n in TENSOR_NAMES)
 
@@ -231,8 +237,8 @@ def test_si_epoch_deterministic():
 
     def run():
         phi = rand_phi(7)
-        self_improving_epoch(phi, sample_instance(QUAD, 8), 3, sis, tc, mls,
-                             MetaAdam(lr=tc.meta_lr))
+        self_improving_epoch(phi, 3, mls, MetaAdam(lr=tc.meta_lr),
+                             inst=sample_instance(QUAD, 8), tc=tc, sis=sis)
         return phi
 
     a, b = run(), run()

@@ -92,7 +92,7 @@ def test_meta_loss_value_identity_policy():
     theta0 = inst.init_params(1)
     f0, _ = inst.loss_and_grad(theta0, inst.next_batch())
     mls = MetaLossSpec(horizon=6, segment=6)
-    total = meta_update(phi, inst, theta0, mls, MetaAdam(lr=1e-3))
+    total = meta_update(phi, inst, theta0, mls, MetaAdam(lr=1e-3), 0)
     assert total == pytest.approx(6 * f0, rel=1e-12)
 
 
@@ -150,12 +150,33 @@ def test_divergent_segment_skips_update_and_records_event():
     inst = quad_instance(12)
     events = []
     total = meta_update(phi, inst, np.full(3, np.nan),
-                        MetaLossSpec(horizon=4, segment=2), MetaAdam(),
+                        MetaLossSpec(horizon=4, segment=2), MetaAdam(), 0,
                         events=events)
     assert total == 0.0
-    assert events == [("divergence", 0)]
+    assert events == [("divergence", 0, 0)]
     for n in TENSOR_NAMES:
         assert np.array_equal(before[n], getattr(phi, n))
+
+
+def test_divergence_event_names_epoch_and_segment_start():
+    # a huge external step at optimizee step 2 makes the second segment
+    # of epoch 7 diverge; the first segment's update still applies
+    phi = perturbed_phi(11)
+    tc = TrainConfig(master_seed=5, epochs=8)
+    adam = MetaAdam()
+    events = []
+
+    def override(t, theta, g):
+        return np.full_like(theta, 1e300) if t == 2 else None
+
+    # the on-tape loss overflows to inf: that is the divergence under test
+    with np.errstate(over="ignore"):
+        kind, total = train_epoch(phi, 7, MetaLossSpec(horizon=4, segment=2),
+                                  adam, inst=quad_instance(12), tc=tc,
+                                  events=events, step_override=override)
+    assert events == [("divergence", 7, 2)]
+    assert kind == "Lf" and np.isfinite(total) and total > 0
+    assert adam.t == 1
 
 
 def test_train_epoch_bitwise_deterministic():
@@ -166,7 +187,7 @@ def test_train_epoch_bitwise_deterministic():
         phi = perturbed_phi(13)
         inst = quad_instance(14)
         adam = MetaAdam(lr=tc.meta_lr)
-        losses = [train_epoch(phi, inst, e, tc, mls, adam) for e in range(3)]
+        losses = [train_epoch(phi, e, mls, adam, inst=inst, tc=tc) for e in range(3)]
         return phi, losses
 
     phi_a, losses_a = run()
@@ -216,7 +237,7 @@ def test_short_training_run_improves_quadratic():
     vs = ValidationSet.create(QUAD, tc)
     before = validate(phi, 20, vs)
     for epoch in range(tc.epochs):
-        loss = train_epoch(phi, inst, epoch, tc, mls, adam)
+        _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, tc=tc)
         assert np.isfinite(loss)
     after = validate(phi, 20, vs)
     assert np.isfinite(after)
