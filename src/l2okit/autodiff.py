@@ -2,19 +2,21 @@
 
 A Tape records primitive operations in insertion order; backward() walks
 the node list in exact reverse order, so gradients are deterministic
-bit-for-bit. Only the primitives needed by the LSTM optimizer and its
-losses are implemented, and broadcasting is restricted to
-matrix-plus-row-vector and array-plus-scalar so every gradient rule
-stays auditable.
+bit-for-bit. Broadcasting is restricted to matrix-plus-row-vector and
+array-plus-scalar so every gradient rule stays auditable.
 
 A Value keeps a vjp only for the parents that lead to a trainable leaf,
 so backward never computes gradients into batch data, labels or other
 constants. Callers may build their own fused nodes by passing
-(parent, vjp) pairs to Value; model.py does so for the LSTM cell.
+(parent, vjp) pairs to Value; model.py does so for the LSTM cell and
+optimizees.py for each loss. Meta-training uses only add, scale and
+those fused nodes (imitation adds sub, square and vsum); the other
+primitives serve gradchecks and the tests' reference chains.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -22,10 +24,16 @@ from scipy.special import expit
 
 
 class Tape:
-    """Ordered list of Values; topological order equals insertion order."""
+    """Ordered list of Values; topological order equals insertion order.
+
+    The tape holds its Values and each Value holds only a weak reference
+    back, so a tape and all its arrays are freed by reference counting as
+    soon as its last outside reference goes, not by the cyclic collector.
+    """
 
     def __init__(self):
         self._nodes: list[Value] = []
+        self._ref = weakref.ref(self)
 
     def _register(self, v: "Value") -> None:
         v.node_id = len(self._nodes)
@@ -46,10 +54,10 @@ class Tape:
 class Value:
     """One tape node: a float64 array plus the vjp links to its parents."""
 
-    __slots__ = ("tape", "data", "grad", "node_id", "trainable", "_parents")
+    __slots__ = ("_tape_ref", "data", "grad", "node_id", "trainable", "_parents")
 
     def __init__(self, tape: Tape, data, parents=()):
-        self.tape = tape
+        self._tape_ref = tape._ref
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.trainable = False
@@ -58,6 +66,14 @@ class Value:
         self._parents: tuple[tuple[Value, Callable], ...] = tuple(
             [(p, vjp) for p, vjp in parents if p.trainable or p._parents])
         tape._register(self)
+
+    @property
+    def tape(self) -> Tape:
+        """The tape this Value is on; ValueError once that tape is freed."""
+        tape = self._tape_ref()
+        if tape is None:
+            raise ValueError("value's tape has been freed")
+        return tape
 
     @property
     def shape(self):
@@ -85,11 +101,11 @@ class Value:
 
 
 def _same_tape(*vals: Value) -> Tape:
-    tape = vals[0].tape
+    ref = vals[0]._tape_ref
     for v in vals[1:]:
-        if v.tape is not tape:
+        if v._tape_ref is not ref:
             raise ValueError("cross-tape operation: values belong to different tapes")
-    return tape
+    return vals[0].tape
 
 
 def add(a: Value, b: Value) -> Value:
@@ -247,7 +263,7 @@ def backward(tape: Tape, root: Value) -> None:
 
     Grads are reset first, so repeated calls are bit-identical.
     """
-    if root.tape is not tape:
+    if root._tape_ref is not tape._ref:
         raise ValueError("backward: root is not on this tape")
     if root.data.ndim != 0:
         raise ValueError("backward: root must be a scalar")

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .metatrain import MetaLossSpec, segment_loss_and_grads
 from .model import (TENSOR_NAMES, init_l2o, l2o_step_tape, state_constants,
                     zero_state)
-from .optimizees import OptimizeeSpec, sample_instance
+from .optimizees import MnistMLPInstance, OptimizeeSpec, sample_instance
 from .seeding import rng_for
 
 
@@ -73,6 +73,25 @@ def check_primitives(seed: int = 0) -> float:
     run(lambda t, p: ad.vsum(ad.softplus(p)), v.copy())
     run(lambda t, p: ad.vsum(ad.logsumexp_rows(ad.reshape(p, (3, 4)))),
         m.ravel().copy())
+    return worst
+
+
+def check_loss_nodes(seed: int = 4) -> float:
+    """Each family's fused loss node, scaled so its incoming gradient is
+    not 1; mnist_mlp runs on synthetic 3x3 images."""
+    rng = rng_for(seed, "gradcheck-losses")
+    blobs = dict(features=2, n_points=32, batch_size=8)
+    insts = [sample_instance(OptimizeeSpec(family="quadratic", dim=4), seed),
+             sample_instance(OptimizeeSpec(family="logistic_blobs", **blobs), seed),
+             sample_instance(OptimizeeSpec(family="tiny_mlp", hidden=4, **blobs), seed),
+             MnistMLPInstance(OptimizeeSpec(family="mnist_mlp", batch_size=8),
+                              rng.uniform(0, 1, (16, 9)), rng.integers(0, 10, 16))]
+    worst = 0.0
+    for inst in insts:
+        batch = inst.next_batch()
+        worst = max(worst, ad.grad_check(
+            lambda t, p: ad.scale(inst.loss_on_tape(t, p, batch), 0.7),
+            rng.normal(0, 0.5, inst.dim)))
     return worst
 
 
@@ -174,6 +193,7 @@ def check_imitation_loss(seed: int = 3) -> float:
 def run_all() -> dict[str, float]:
     return {
         "primitives": check_primitives(),
+        "loss_nodes": check_loss_nodes(),
         "lstm_cell": check_lstm_cell(),
         "meta_loss_n1": check_meta_loss(horizon=1),
         "meta_loss_n5_frozen": check_meta_loss(horizon=5),

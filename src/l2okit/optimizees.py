@@ -2,9 +2,21 @@
 
 Each instance freezes its problem data at construction (deterministic in
 the sampling seed); the only mutable state is the mini-batch stream.
-Losses are expressed on the autodiff tape, so the numpy gradient in
-loss_and_grad and the on-tape loss used by the meta-trainer share one
-definition.
+
+Each family writes its loss and gradient once, in closed form, as
+loss_vjp: the loss at theta and a function from the loss's incoming
+gradient (the seed) to the gradient at theta. loss_and_grad calls it
+with seed 1; loss_on_tape makes it one tape node for the meta-trainer,
+whose vjp passes the node's incoming gradient as the seed.
+
+The gradients are the bits that the same losses, written as chains of
+autodiff primitives, give under autodiff.backward: the same products and
+sums in the same order, with the seed entering where the loss's final
+1/n scale does. The chain seeds every first gradient contribution as
+`x + 0.0`, which turns -0.0 into +0.0. Between sums and products the sign
+of a zero can change only the sign of a zero result, so one `+ 0.0` on
+each returned gradient repeats all of them. tests/test_optimizees.py
+keeps the primitive chains as the reference.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from . import idx
@@ -67,23 +80,26 @@ class OptimizeeInstance:
     def next_batch(self) -> Batch:
         raise NotImplementedError
 
-    def loss_on_tape(self, tape: ad.Tape, theta: ad.Value, batch: Batch) -> ad.Value:
+    def loss_vjp(self, theta: np.ndarray, batch: Batch):
+        """Returns (loss, vjp); vjp(seed) is seed * d loss / d theta."""
         raise NotImplementedError
 
     def loss_and_grad(self, theta: np.ndarray, batch: Batch):
         """Returns (loss, grad). A non-finite loss signals divergence; the
         gradient is then zeros and the caller decides what to do."""
-        tape = ad.Tape()
-        th = tape.leaf(np.asarray(theta, dtype=np.float64), trainable=True)
         # overflow here is divergence data, reported via the loss value
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.loss_on_tape(tape, th, batch)
-        loss = float(out.data)
+            loss, vjp = self.loss_vjp(np.asarray(theta, dtype=np.float64), batch)
         if not np.isfinite(loss):
             return loss, np.zeros(self.dim)
-        ad.backward(tape, out)
-        grad = th.grad if th.grad is not None else np.zeros(self.dim)
-        return loss, grad
+        return loss, vjp(1.0)
+
+    def loss_on_tape(self, tape: ad.Tape, theta: ad.Value, batch: Batch) -> ad.Value:
+        """The loss at theta as one tape node. A non-finite value is
+        divergence data for the caller, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, vjp = self.loss_vjp(theta.data, batch)
+        return ad.Value(tape, loss, [(theta, vjp)])
 
 
 class _DatasetInstance(OptimizeeInstance):
@@ -123,11 +139,16 @@ class QuadraticInstance(OptimizeeInstance):
     def next_batch(self) -> Batch:
         return Batch(self.w, self.y)
 
-    def loss_on_tape(self, tape, theta, batch):
-        w = tape.constant(batch.x)
-        y = tape.constant(batch.y)
-        r = ad.sub(ad.matmul(w, theta), y)
-        return ad.scale(ad.vsum(ad.square(r)), 1.0 / batch.x.shape[0])
+    def loss_vjp(self, theta, batch):
+        w = batch.x
+        c = 1.0 / w.shape[0]
+        r = w @ theta - batch.y
+        loss = float((r * r).sum() * c)
+
+        def vjp(seed):
+            return w.T @ (float(seed * c) * (2.0 * r)) + 0.0
+
+        return loss, vjp
 
     def minimizer(self) -> np.ndarray:
         return np.linalg.lstsq(self.w, self.y, rcond=None)[0]
@@ -146,13 +167,18 @@ class LogisticBlobsInstance(_DatasetInstance):
         self.dim = spec.features + 1
         self.reseed_batches(0)
 
-    def loss_on_tape(self, tape, theta, batch):
+    def loss_vjp(self, theta, batch):
         f = self.spec.features
-        w = ad.take(theta, slice(0, f))
-        b = ad.take(theta, f)
-        z = ad.add(ad.matmul(tape.constant(batch.x), w), b)
-        margins = ad.scale(ad.mul(z, tape.constant(batch.y)), -1.0)
-        return ad.scale(ad.vsum(ad.softplus(margins)), 1.0 / batch.x.shape[0])
+        x, y = batch.x, batch.y
+        c = 1.0 / x.shape[0]
+        margins = (x @ theta[:f] + theta[f]) * y * -1.0
+        loss = float(np.logaddexp(0.0, margins).sum() * c)
+
+        def vjp(seed):
+            gz = float(seed * c) * expit(margins) * -1.0 * y
+            return np.concatenate([x.T @ gz, [gz.sum()]]) + 0.0
+
+        return loss, vjp
 
 
 class _MLPClassifierInstance(_DatasetInstance):
@@ -172,25 +198,38 @@ class _MLPClassifierInstance(_DatasetInstance):
         self.dim = f * n_hidden + n_hidden + n_hidden * n_classes + n_classes
         self.reseed_batches(0)
 
-    def loss_on_tape(self, tape, theta, batch):
+    def loss_vjp(self, theta, batch):
         f = self.x.shape[1]
         h = self.n_hidden
-        c = self.n_classes
+        k = self.n_classes
         o1 = f * h
         o2 = o1 + h
-        o3 = o2 + h * c
-        w1 = ad.reshape(ad.take(theta, slice(0, o1)), (f, h))
-        b1 = ad.take(theta, slice(o1, o2))
-        w2 = ad.reshape(ad.take(theta, slice(o2, o3)), (h, c))
-        b2 = ad.take(theta, slice(o3, o3 + c))
-        xb = tape.constant(batch.x)
-        hid = ad.sigmoid(ad.add(ad.matmul(xb, w1), b1))
-        logits = ad.add(ad.matmul(hid, w2), b2)
-        onehot = np.zeros((batch.x.shape[0], c))
-        onehot[np.arange(batch.x.shape[0]), batch.y.astype(np.int64)] = 1.0
-        lse = ad.vsum(ad.logsumexp_rows(logits))
-        picked = ad.vsum(ad.mul(logits, tape.constant(onehot)))
-        return ad.scale(ad.sub(lse, picked), 1.0 / batch.x.shape[0])
+        o3 = o2 + h * k
+        w1 = theta[:o1].reshape(f, h)
+        w2 = theta[o2:o3].reshape(h, k)
+        x = batch.x
+        n = x.shape[0]
+        c = 1.0 / n
+        hid = expit(x @ w1 + theta[o1:o2])
+        logits = hid @ w2 + theta[o3:o3 + k]
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), batch.y.astype(np.int64)] = 1.0
+        # row-wise log-sum-exp, stabilized by the row max
+        m = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - m)
+        s = e.sum(axis=1)
+        lse = (m[:, 0] + np.log(s)).sum()
+        loss = float((lse - (logits * onehot).sum()) * c)
+
+        def vjp(seed):
+            gd = seed * c
+            # the picked term's contribution, then the softmax's
+            glog = -gd * onehot + gd * (e / s[:, None])
+            ga = (glog @ w2.T) * hid * (1.0 - hid)
+            return np.concatenate([(x.T @ ga).ravel(), ga.sum(axis=0),
+                                   (hid.T @ glog).ravel(), glog.sum(axis=0)]) + 0.0
+
+        return loss, vjp
 
 
 class TinyMLPInstance(_MLPClassifierInstance):

@@ -1,9 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2okit import autodiff as ad
+from l2okit import metatrain
+from l2okit.model import init_l2o, zero_state
+from l2okit.optimizees import OptimizeeSpec, sample_instance
 
 
 def scalar_quadratic(tape, p):
@@ -78,6 +84,14 @@ def test_cross_tape_operation_rejected():
     b = ad.Tape().leaf(np.array([1.0]))
     with pytest.raises(ValueError, match="cross-tape"):
         ad.add(a, b)
+
+
+def test_operation_on_freed_tape_rejected():
+    a = ad.Tape().leaf(np.array([1.0]))
+    with pytest.raises(ValueError, match="tape has been freed"):
+        ad.sigmoid(a)
+    with pytest.raises(ValueError, match="tape has been freed"):
+        ad.add(a, a)
 
 
 def test_backward_is_deterministic():
@@ -254,6 +268,50 @@ def _mixed_loss(tape, x0, w0, batch, labels, keep_all):
     masked = ad.scale(ad.vsum(ad.mul(u, const(np.array([0.0, -0.0, 1.5])))), -1.0)
     loss = ad.add(ad.vsum(ad.mul(ad.add(side, hid), const(labels))), offset)
     return (x, w, u), consts, offset, ad.add(loss, masked)
+
+
+def test_tape_is_freed_when_its_function_returns():
+    # a Value refers to its tape weakly, so no reference cycle keeps a
+    # finished tape and its arrays alive until the cyclic collector runs
+    def run():
+        tape = ad.Tape()
+        x = tape.leaf(np.array([0.5, -1.0, 2.0]), trainable=True)
+        root = ad.vsum(ad.mul(ad.sigmoid(x), ad.tanh(x)))
+        ad.backward(tape, root)
+        return weakref.ref(tape), weakref.ref(root.data), x.grad
+
+    gc.disable()
+    try:
+        tape_ref, data_ref, grad = run()
+        assert tape_ref() is None and data_ref() is None
+    finally:
+        gc.enable()
+    assert grad.shape == (3,)
+
+
+def test_segment_tapes_are_freed_without_the_cyclic_collector(monkeypatch):
+    # the fused LSTM cell and loss nodes keep no reference to their tape
+    refs = []
+
+    class RecordedTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(ad, "Tape", RecordedTape)
+    phi = init_l2o(3, hidden=4)
+    phi.w_out[:] = 0.5
+    inst = sample_instance(OptimizeeSpec(family="tiny_mlp", n_points=32,
+                                         batch_size=8), 2)
+    gc.disable()
+    try:
+        _, grads, _, _, diverged = metatrain.segment_loss_and_grads(
+            phi, inst, inst.init_params(1), zero_state(inst.dim, 4), np.ones(3))
+        assert not diverged and len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
+    assert np.any(grads["wx1"] != 0)
 
 
 def test_backward_skips_constants_and_matches_unpruned(monkeypatch):

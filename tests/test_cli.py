@@ -216,4 +216,5 @@ def test_eval_trained_checkpoint(tmp_path):
 
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck"]) == 0
-    assert "below 1e-4" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "below 1e-4" in out and "loss_nodes:" in out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,8 +171,10 @@ def test_divergence_event_names_epoch_and_segment_start():
     def override(t, theta, g):
         return np.full_like(theta, 1e300) if t == 2 else None
 
-    # the on-tape loss overflows to inf: that is the divergence under test
-    with np.errstate(over="ignore"):
+    # the on-tape loss overflows to inf: that is the divergence under
+    # test, recorded as an event and not raised or warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         kind, total = train_epoch(phi, 7, MetaLossSpec(horizon=4, segment=2),
                                   adam, inst=quad_instance(12), tc=tc,
                                   events=events, step_override=override)

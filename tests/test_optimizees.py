@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from l2okit import idx
-from l2okit.optimizees import (Batch, LogisticBlobsInstance, OptimizeeSpec,
-                               QuadraticInstance, TinyMLPInstance,
+from l2okit import autodiff as ad
+from l2okit import idx, metatrain
+from l2okit.model import L2OState, TENSOR_NAMES, init_l2o
+from l2okit.optimizees import (FAMILIES, Batch, LogisticBlobsInstance,
+                               OptimizeeSpec, QuadraticInstance, TinyMLPInstance,
                                sample_instance)
 
 QUAD = OptimizeeSpec(family="quadratic", dim=4)
@@ -211,3 +213,184 @@ def test_mnist_requires_dataset_root(monkeypatch):
     monkeypatch.delenv("L2OKIT_DATA", raising=False)
     with pytest.raises(ValueError, match="dataset root"):
         sample_instance(OptimizeeSpec(family="mnist_mlp"), 0)
+
+
+# -- reference: each loss as a chain of tape primitives ---------------------
+# autodiff.backward through these chains is the bitwise oracle for each
+# family's closed-form loss_vjp, in loss_and_grad and in the fused node.
+
+def _quadratic_ref(inst, tape, theta, batch):
+    w = tape.constant(batch.x)
+    y = tape.constant(batch.y)
+    r = ad.sub(ad.matmul(w, theta), y)
+    return ad.scale(ad.vsum(ad.square(r)), 1.0 / batch.x.shape[0])
+
+
+def _logistic_ref(inst, tape, theta, batch):
+    f = inst.spec.features
+    w = ad.take(theta, slice(0, f))
+    b = ad.take(theta, f)
+    z = ad.add(ad.matmul(tape.constant(batch.x), w), b)
+    margins = ad.scale(ad.mul(z, tape.constant(batch.y)), -1.0)
+    return ad.scale(ad.vsum(ad.softplus(margins)), 1.0 / batch.x.shape[0])
+
+
+def _mlp_ref(inst, tape, theta, batch):
+    f = inst.x.shape[1]
+    h = inst.n_hidden
+    c = inst.n_classes
+    o1 = f * h
+    o2 = o1 + h
+    o3 = o2 + h * c
+    w1 = ad.reshape(ad.take(theta, slice(0, o1)), (f, h))
+    b1 = ad.take(theta, slice(o1, o2))
+    w2 = ad.reshape(ad.take(theta, slice(o2, o3)), (h, c))
+    b2 = ad.take(theta, slice(o3, o3 + c))
+    xb = tape.constant(batch.x)
+    hid = ad.sigmoid(ad.add(ad.matmul(xb, w1), b1))
+    logits = ad.add(ad.matmul(hid, w2), b2)
+    onehot = np.zeros((batch.x.shape[0], c))
+    onehot[np.arange(batch.x.shape[0]), batch.y.astype(np.int64)] = 1.0
+    lse = ad.vsum(ad.logsumexp_rows(logits))
+    picked = ad.vsum(ad.mul(logits, tape.constant(onehot)))
+    return ad.scale(ad.sub(lse, picked), 1.0 / batch.x.shape[0])
+
+
+_REFERENCE = {"quadratic": _quadratic_ref, "logistic_blobs": _logistic_ref,
+              "tiny_mlp": _mlp_ref, "mnist_mlp": _mlp_ref}
+
+
+def _use_reference_loss(monkeypatch, inst):
+    ref = _REFERENCE[inst.spec.family]
+    monkeypatch.setattr(inst, "loss_on_tape",
+                        lambda tape, theta, batch: ref(inst, tape, theta, batch))
+
+
+def _ref_loss_and_grad(inst, theta, batch):
+    tape = ad.Tape()
+    th = tape.leaf(theta, trainable=True)
+    out = _REFERENCE[inst.spec.family](inst, tape, th, batch)
+    ad.backward(tape, out)
+    return float(out.data), th.grad
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def family_specs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("idx")
+    rng = np.random.default_rng(3)
+    idx.write_idx_images(root / "train-images-idx3-ubyte",
+                         rng.integers(0, 256, size=(48, 5, 5), dtype=np.uint8))
+    idx.write_idx_labels(root / "train-labels-idx1-ubyte",
+                         rng.integers(0, 10, size=48, dtype=np.uint8))
+    return {
+        "quadratic": OptimizeeSpec(family="quadratic", dim=6, n_rows=9),
+        "logistic_blobs": OptimizeeSpec(family="logistic_blobs", features=3,
+                                        n_points=64, batch_size=16),
+        "tiny_mlp": OptimizeeSpec(family="tiny_mlp", features=2, hidden=200,
+                                  n_points=64, batch_size=16),
+        "mnist_mlp": OptimizeeSpec(family="mnist_mlp", batch_size=16,
+                                   dataset_root=str(root)),
+    }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_loss_and_grad_matches_primitive_chain_bitwise(family_specs, family):
+    checked = 0
+    for seed in range(3):
+        inst = sample_instance(family_specs[family], seed)
+        inst.reseed_batches(seed)
+        rng = np.random.default_rng(seed)
+        # at theta = 0 some mlp gradient entries are exact zeros
+        for scale in (0.0, 0.01, 1.0, 30.0):
+            for _ in range(3):
+                theta = rng.normal(0.0, scale, inst.dim)
+                batch = inst.next_batch()
+                loss, grad = inst.loss_and_grad(theta, batch)
+                ref_loss, ref_grad = _ref_loss_and_grad(inst, theta, batch)
+                assert np.isfinite(loss)
+                assert _same_bits(loss, ref_loss), (seed, scale)
+                assert _same_bits(grad, ref_grad), (seed, scale)
+                checked += 1
+    assert checked == 36
+
+
+def test_underflowed_logistic_gradient_matches_the_chain_bitwise():
+    # the margin is below -745, so the one gradient term underflows to
+    # -0.0; the chain's zero-seeded accumulation gives +0.0. A build whose
+    # one-element sum keeps -0.0 needs the closed form's `+ 0.0` to pass;
+    # numpy 2.4 sums start from +0.0, so there this passes without it
+    x = np.array([[1.0, 0.0]])
+    y = np.array([1.0])
+    inst = LogisticBlobsInstance(OptimizeeSpec(family="logistic_blobs", features=2,
+                                               n_points=1, batch_size=1), x, y)
+    theta, batch = np.array([1000.0, 0.0, 0.0]), Batch(x, y)
+    _, grad = inst.loss_and_grad(theta, batch)
+    _, ref_grad = _ref_loss_and_grad(inst, theta, batch)
+    assert _same_bits(grad, ref_grad) and _same_bits(grad[2], 0.0)
+
+
+def test_loss_nodes_match_finite_differences():
+    from l2okit.gradchecks import check_loss_nodes
+
+    assert check_loss_nodes() < 1e-4
+
+
+@pytest.mark.parametrize("seed_value", [-1.3, 0.0, 2.5])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_loss_node_matches_primitive_chain_for_any_seed(family_specs, family,
+                                                        seed_value):
+    # the node's incoming gradient is its seed; zero and negative seeds
+    # exercise the sign of zero in the gradient
+    inst = sample_instance(family_specs[family], 4)
+    inst.reseed_batches(4)
+    batch = inst.next_batch()
+    theta = np.random.default_rng(4).normal(0.0, 1.0, inst.dim)
+
+    def grad_of(loss_fn):
+        tape = ad.Tape()
+        th = tape.leaf(theta, trainable=True)
+        out = ad.scale(loss_fn(tape, th, batch), seed_value)
+        ad.backward(tape, out)
+        return out.data, th.grad
+
+    fused = grad_of(inst.loss_on_tape)
+    ref = grad_of(lambda tape, th, b: _REFERENCE[family](inst, tape, th, b))
+    assert _same_bits(fused[0], ref[0])
+    assert _same_bits(fused[1], ref[1])
+
+
+@pytest.mark.parametrize("omega", [(0.5, 2.0, 1.25), (1.5, 0.0, 0.75)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_specs,
+                                                           family, omega):
+    # three steps with non-unit weights: each loss node gets a seed other
+    # than 1, and its theta a gradient from the next step as well
+    inst = sample_instance(family_specs[family], 5)
+    phi = init_l2o(6, hidden=5)
+    rng = np.random.default_rng(6)
+    phi.w_out[:] = rng.normal(0.0, 0.5, phi.hidden)
+    phi.out_scale = 0.3
+    state = L2OState(*(rng.normal(0.0, 0.5, (inst.dim, phi.hidden)) for _ in range(4)))
+    theta0 = rng.normal(0.0, 1.0, inst.dim)
+
+    def run():
+        inst.reseed_batches(7)
+        loss, grads, theta, st, diverged = metatrain.segment_loss_and_grads(
+            phi, inst, theta0, state, np.array(omega))
+        assert not diverged
+        return loss, grads, theta, st
+
+    fused = run()
+    _use_reference_loss(monkeypatch, inst)
+    ref = run()
+    assert _same_bits(fused[0], ref[0])
+    for name in TENSOR_NAMES:
+        assert _same_bits(fused[1][name], ref[1][name]), name
+    assert _same_bits(fused[2], ref[2])
+    for part in ("h1", "c1", "h2", "c2"):
+        assert _same_bits(getattr(fused[3], part), getattr(ref[3], part)), part
