@@ -1,17 +1,16 @@
-"""Minimal reverse-mode autodiff over dense float64 vectors and matrices.
+"""Minimal reverse-mode autodiff over dense float64 arrays.
 
-A Tape records primitive operations in insertion order; backward() walks
-the node list in exact reverse order, so gradients are deterministic
-bit-for-bit. Broadcasting is restricted to matrix-plus-row-vector and
-array-plus-scalar so every gradient rule stays auditable.
+A Tape records operations in insertion order; backward() walks the node
+list in exact reverse order, so gradients are deterministic bit-for-bit.
+The primitives are add, sub, square, vsum and scale; add and sub take
+operands of one shape only, so no gradient rule has to undo a broadcast.
 
 A Value keeps a vjp only for the parents that lead to a trainable leaf,
 so backward never computes gradients into batch data, labels or other
-constants. Callers may build their own fused nodes by passing
-(parent, vjp) pairs to Value; model.py does so for the LSTM cell and
-optimizees.py for each loss. Meta-training uses only add, scale and
-those fused nodes (imitation adds sub, square and vsum); the other
-primitives serve gradchecks and the tests' reference chains.
+constants. Callers build their own fused nodes by passing (parent, vjp)
+pairs to Value; model.py does so for the LSTM cell and optimizees.py for
+each loss. Meta-training uses add, scale and those fused nodes, and
+imitation adds sub, square and vsum.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import weakref
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 
 class Tape:
@@ -75,107 +73,25 @@ class Value:
             raise ValueError("value's tape has been freed")
         return tape
 
-    @property
-    def shape(self):
-        return self.data.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _same_tape(*vals: Value) -> Tape:
-    ref = vals[0]._tape_ref
-    for v in vals[1:]:
-        if v._tape_ref is not ref:
-            raise ValueError("cross-tape operation: values belong to different tapes")
-    return vals[0].tape
+def _operand_tape(a: Value, b: Value, op: str) -> Tape:
+    """The tape of a binary operation's operands, which must share their
+    tape and their shape."""
+    if b._tape_ref is not a._tape_ref:
+        raise ValueError("cross-tape operation: values belong to different tapes")
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"{op}: shapes must match, got {a.data.shape} and {b.data.shape}")
+    return a.tape
 
 
 def add(a: Value, b: Value) -> Value:
-    tape = _same_tape(a, b)
-    if b.data.shape == a.data.shape:
-        out = Value(tape, a.data + b.data,
-                    [(a, lambda g: g), (b, lambda g: g)])
-    elif b.data.ndim == 0:
-        out = Value(tape, a.data + b.data,
-                    [(a, lambda g: g), (b, lambda g: g.sum())])
-    elif a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
-        out = Value(tape, a.data + b.data,
-                    [(a, lambda g: g), (b, lambda g: g.sum(axis=0))])
-    else:
-        raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return out
+    tape = _operand_tape(a, b, "add")
+    return Value(tape, a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
 def sub(a: Value, b: Value) -> Value:
-    tape = _same_tape(a, b)
-    if b.data.shape == a.data.shape:
-        out = Value(tape, a.data - b.data,
-                    [(a, lambda g: g), (b, lambda g: -g)])
-    elif b.data.ndim == 0:
-        out = Value(tape, a.data - b.data,
-                    [(a, lambda g: g), (b, lambda g: -g.sum())])
-    elif a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
-        out = Value(tape, a.data - b.data,
-                    [(a, lambda g: g), (b, lambda g: -g.sum(axis=0))])
-    else:
-        raise ValueError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return out
-
-
-def mul(a: Value, b: Value) -> Value:
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul: shapes must match, got {a.data.shape} and {b.data.shape}")
-    return Value(tape, a.data * b.data,
-                 [(a, lambda g: g * b.data), (b, lambda g: g * a.data)])
-
-
-def matmul(a: Value, b: Value) -> Value:
-    tape = _same_tape(a, b)
-    A, B = a.data, b.data
-    # divergence probing feeds non-finite operands through here; the
-    # resulting nan/inf is data, not an error
-    with np.errstate(invalid="ignore"):
-        out_data = A @ B
-    if A.ndim == 2 and B.ndim == 2:
-        parents = [(a, lambda g: g @ B.T), (b, lambda g: A.T @ g)]
-    elif A.ndim == 2 and B.ndim == 1:
-        parents = [(a, lambda g: np.outer(g, B)), (b, lambda g: A.T @ g)]
-    elif A.ndim == 1 and B.ndim == 2:
-        parents = [(a, lambda g: B @ g), (b, lambda g: np.outer(A, g))]
-    elif A.ndim == 1 and B.ndim == 1:
-        parents = [(a, lambda g: g * B), (b, lambda g: g * A)]
-    else:
-        raise ValueError(f"matmul: unsupported ranks {A.ndim} and {B.ndim}")
-    return Value(tape, out_data, parents)
-
-
-def sigmoid(a: Value) -> Value:
-    out_data = expit(a.data)
-    return Value(a.tape, out_data, [(a, lambda g: g * out_data * (1.0 - out_data))])
-
-
-def tanh(a: Value) -> Value:
-    out_data = np.tanh(a.data)
-    return Value(a.tape, out_data, [(a, lambda g: g * (1.0 - out_data * out_data))])
+    tape = _operand_tape(a, b, "sub")
+    return Value(tape, a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
 
 
 def square(a: Value) -> Value:
@@ -190,70 +106,6 @@ def vsum(a: Value) -> Value:
 def scale(a: Value, c: float) -> Value:
     c = float(c)
     return Value(a.tape, a.data * c, [(a, lambda g: g * c)])
-
-
-def concat(a: Value, b: Value) -> Value:
-    """Concatenate two 1-d vectors."""
-    tape = _same_tape(a, b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ValueError("concat: only 1-d vectors supported")
-    na = a.data.shape[0]
-    return Value(tape, np.concatenate([a.data, b.data]),
-                 [(a, lambda g: g[:na]), (b, lambda g: g[na:])])
-
-
-def take(a: Value, key) -> Value:
-    """Basic (non-overlapping) slice of an array; gradient scatters back."""
-    out_data = a.data[key]
-
-    def vjp(g):
-        z = np.zeros_like(a.data)
-        z[key] = g
-        return z
-
-    return Value(a.tape, out_data, [(a, vjp)])
-
-
-def reshape(a: Value, shape) -> Value:
-    old = a.data.shape
-    return Value(a.tape, a.data.reshape(shape), [(a, lambda g: g.reshape(old))])
-
-
-def log(a: Value) -> Value:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out_data = np.log(a.data)
-    return Value(a.tape, out_data, [(a, lambda g: g / a.data)])
-
-
-def exp(a: Value) -> Value:
-    out_data = np.exp(a.data)
-    return Value(a.tape, out_data, [(a, lambda g: g * out_data)])
-
-
-def softplus(a: Value) -> Value:
-    """log(1 + e^x), computed stably; gradient is sigmoid(x)."""
-    out_data = np.logaddexp(0.0, a.data)
-    return Value(a.tape, out_data, [(a, lambda g: g * expit(a.data))])
-
-
-def logsumexp_rows(a: Value) -> Value:
-    """Row-wise log-sum-exp of a 2-d array; gradient is the row softmax.
-
-    The stabilizing max is a constant, so the value and gradient are exact.
-    """
-    if a.data.ndim != 2:
-        raise ValueError("logsumexp_rows: expects a 2-d array")
-    m = a.data.max(axis=1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=1)
-    out_data = m[:, 0] + np.log(s)
-    sm = e / s[:, None]
-    return Value(a.tape, out_data, [(a, lambda g: g[:, None] * sm)])
-
-
-def detach(v: Value) -> Value:
-    """Same data, but backward treats the result as a constant leaf."""
-    return v.tape.constant(v.data)
 
 
 def backward(tape: Tape, root: Value) -> None:

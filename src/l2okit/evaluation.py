@@ -137,11 +137,12 @@ def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
         curves[seed] = pts
         diverged[seed] = traj.diverged_at
 
-    agg_steps = sorted({t for t in range(cfg.n_eval)
-                        if t % cfg.log_every == 0 or t == cfg.n_eval - 1})
+    logged = {s: dict(curves[s]) for s in cfg.seeds}
     agg_mean, agg_std, kept_steps = [], [], []
-    for t in agg_steps:
-        alive = [dict(curves[s])[t] for s in cfg.seeds
+    for t in range(cfg.n_eval):
+        if t % cfg.log_every and t != cfg.n_eval - 1:
+            continue
+        alive = [logged[s][t] for s in cfg.seeds
                  if diverged[s] is None or diverged[s] > t]
         if not alive:
             continue

@@ -9,11 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .imitation import imitation_loss_and_grads, teacher_trajectory
 from .metatrain import MetaLossSpec, segment_loss_and_grads
-from .model import (TENSOR_NAMES, init_l2o, l2o_step_tape, state_constants,
-                    zero_state)
+from .model import (TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape,
+                    leaf_grads, phi_leaves, state_constants, zero_state)
 from .optimizees import MnistMLPInstance, OptimizeeSpec, sample_instance
 from .seeding import rng_for
+from .teachers import TeacherKind
 
 
 def _phi_probe(hidden=4, seed=7):
@@ -41,39 +43,24 @@ def _grads_to_vec(grads):
     return np.concatenate([grads[n].ravel() for n in TENSOR_NAMES])
 
 
-def check_primitives(seed: int = 0) -> float:
-    """FD agreement of every primitive on random inputs in [-2, 2]."""
+def primitive_cases(seed: int = 0) -> dict:
+    """name -> (f, p0), one finite-difference case per autodiff primitive
+    on random inputs in [-2, 2]; sub takes the trainable operand on
+    either side."""
     rng = rng_for(seed, "gradcheck-prims")
-    worst = 0.0
+    v, c = rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6)
+    return {
+        "add_same": (lambda t, p: ad.vsum(ad.add(p, t.constant(c))), v),
+        "sub_same": (lambda t, p: ad.vsum(ad.sub(t.constant(c), p)), v),
+        "sub_left": (lambda t, p: ad.vsum(ad.sub(p, t.constant(c))), v),
+        "square": (lambda t, p: ad.vsum(ad.square(p)), v),
+        "scale": (lambda t, p: ad.scale(ad.vsum(p), -1.7), v),
+    }
 
-    def run(f, p0):
-        nonlocal worst
-        worst = max(worst, ad.grad_check(f, p0))
 
-    v = rng.uniform(-2, 2, 6)
-    m = rng.uniform(-2, 2, (3, 4))
-    b = rng.uniform(-2, 2, 4)
-    run(lambda t, p: ad.vsum(ad.add(p, t.constant(v))), v.copy())
-    run(lambda t, p: ad.vsum(ad.sub(p, t.constant(v))), v.copy())
-    run(lambda t, p: ad.vsum(ad.mul(p, t.constant(v + 3.0))), v.copy())
-    run(lambda t, p: ad.vsum(ad.add(ad.reshape(p, (3, 4)), t.constant(b))),
-        m.ravel().copy())
-    run(lambda t, p: ad.vsum(ad.matmul(t.constant(m), ad.take(p, slice(0, 4)))),
-        v.copy())
-    run(lambda t, p: ad.vsum(ad.matmul(ad.reshape(p, (3, 4)), t.constant(b))),
-        m.ravel().copy())
-    run(lambda t, p: ad.vsum(ad.sigmoid(p)), v.copy())
-    run(lambda t, p: ad.vsum(ad.tanh(p)), v.copy())
-    run(lambda t, p: ad.vsum(ad.square(p)), v.copy())
-    run(lambda t, p: ad.scale(ad.vsum(p), -1.7), v.copy())
-    run(lambda t, p: ad.vsum(ad.concat(p, t.constant(v))), v.copy())
-    run(lambda t, p: ad.vsum(ad.exp(ad.scale(p, 0.3))), v.copy())
-    run(lambda t, p: ad.vsum(ad.log(ad.add(ad.square(p), t.constant(np.full(6, 1.5))))),
-        v.copy())
-    run(lambda t, p: ad.vsum(ad.softplus(p)), v.copy())
-    run(lambda t, p: ad.vsum(ad.logsumexp_rows(ad.reshape(p, (3, 4)))),
-        m.ravel().copy())
-    return worst
+def check_primitives(seed: int = 0) -> float:
+    """FD agreement of every primitive_cases case."""
+    return max(ad.grad_check(f, p0) for f, p0 in primitive_cases(seed).values())
 
 
 def check_loss_nodes(seed: int = 4) -> float:
@@ -99,22 +86,19 @@ def check_lstm_cell(seed: int = 1) -> float:
     """Sum of one l2o step's update w.r.t. every phi tensor."""
     phi = _phi_probe(hidden=4, seed=seed)
     g = rng_for(seed, "gradcheck-g").normal(0, 0.5, 3)
-    p0 = _flatten(phi)
+    tape = ad.Tape()
+    leaves = phi_leaves(tape, phi)
+    update, _ = l2o_step_tape(tape, leaves, phi, state_constants(tape, zero_state(3, 4)), g)
+    ad.backward(tape, ad.vsum(update))
+    analytic = _grads_to_vec(leaf_grads(leaves))
 
-    def f(tape, p):
+    def loss_at(vec):
         probe = phi.copy()
-        _unflatten_into(probe, p.data)
-        leaves = {}
-        pos = 0
-        for n in TENSOR_NAMES:
-            arr = getattr(probe, n)
-            leaves[n] = ad.reshape(ad.take(p, slice(pos, pos + arr.size)), arr.shape)
-            pos += arr.size
-        st = state_constants(tape, zero_state(3, 4))
-        update, _ = l2o_step_tape(tape, leaves, probe, st, g)
-        return ad.vsum(update)
+        _unflatten_into(probe, vec)
+        update, _ = l2o_step_np(probe, zero_state(3, 4), g)
+        return float(np.sum(update))
 
-    return ad.grad_check(f, p0)
+    return ad.fd_error(analytic, loss_at, _flatten(phi))
 
 
 def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
@@ -133,7 +117,6 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
     analytic = _grads_to_vec(grads)
 
     # frozen-input oracle: replay with the base run's g_t sequence fixed
-    from .model import l2o_step_np
     base_gs = []
     th = theta0.copy()
     st = zero_state(inst.dim, phi.hidden)
@@ -162,9 +145,6 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
 def check_imitation_loss(seed: int = 3) -> float:
     """Imitation-loss phi-gradient vs plain FD (teacher g sequence fixed
     by construction, so there is no frozen-input subtlety)."""
-    from .imitation import imitation_loss_and_grads, teacher_trajectory
-    from .teachers import TeacherKind
-
     phi = _phi_probe(hidden=4, seed=seed)
     spec = OptimizeeSpec(family="quadratic", dim=3)
     inst = sample_instance(spec, seed)
@@ -174,8 +154,6 @@ def check_imitation_loss(seed: int = 3) -> float:
     state = zero_state(inst.dim, phi.hidden)
     _, grads, _ = imitation_loss_and_grads(phi, traj.steps, omega, state)
     analytic = _grads_to_vec(grads)
-
-    from .model import l2o_step_np
 
     def loss_at(vec):
         probe = phi.copy()

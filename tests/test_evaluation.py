@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from l2okit import evaluation
 from l2okit.evaluation import (COMPARE_COLUMNS, EvalConfig, EvalReport,
                                compare, make_stepper, run_eval,
                                write_curves_csv, write_summary_csv)
 from l2okit.model import init_l2o
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import derive_seed
-from l2okit.teachers import TeacherKind
+from l2okit.teachers import TeacherKind, teacher_stepper
 
 QUAD = OptimizeeSpec(family="quadratic", dim=4)
 
@@ -108,6 +109,34 @@ def test_aggregate_recompute():
     for i, t in enumerate(report.agg_steps):
         alive = [dict(report.curves[s])[t] for s in report.seeds
                  if report.diverged_at[s] is None or report.diverged_at[s] > t]
+        assert report.agg_mean[i] == pytest.approx(np.mean(alive), rel=1e-12)
+        assert report.agg_std[i] == pytest.approx(np.std(alive), abs=1e-12)
+
+
+def test_aggregate_drops_a_seed_only_after_it_diverges(monkeypatch):
+    # seed 0's stepper blows theta up at step 12, so seed 0 diverges at
+    # step 13; seeds 1 and 2 run plain SGD to the end
+    sgd = TeacherKind("sgd", lr=0.01)
+
+    def blows_up_at_step_12():
+        step, calls = teacher_stepper(sgd, QUAD.dim), []
+
+        def run(g):
+            calls.append(g)
+            return np.full_like(g, np.inf) if len(calls) == 13 else step(g)
+        return run
+
+    steppers = iter([blows_up_at_step_12(), teacher_stepper(sgd, QUAD.dim),
+                     teacher_stepper(sgd, QUAD.dim)])
+    monkeypatch.setattr(evaluation, "make_stepper", lambda opt, dim: next(steppers))
+    report = run_eval(sgd, quad_cfg(log_every=3))
+    assert report.diverged_at == {0: 13, 1: None, 2: None}
+    assert report.divergence_rate == pytest.approx(1 / 3)
+    assert report.agg_steps == list(range(0, 30, 3)) + [29]
+    assert report.curves[0][-1][0] == 12
+    for i, t in enumerate(report.agg_steps):
+        alive = [dict(report.curves[s])[t] for s in report.seeds if s != 0 or t < 13]
+        assert len(alive) == (3 if t <= 12 else 2)
         assert report.agg_mean[i] == pytest.approx(np.mean(alive), rel=1e-12)
         assert report.agg_std[i] == pytest.approx(np.std(alive), abs=1e-12)
 

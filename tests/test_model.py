@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refchain as rc
 from l2okit import autodiff as ad
 from l2okit import imitation, metatrain
 from l2okit.metatrain import TrajStep
@@ -119,13 +120,13 @@ def _matmul_rows_ref(a, b):
 
 
 def _cell_ref(x, h, c, wx, wh, b, hidden):
-    z = ad.add(ad.add(_matmul_rows_ref(x, wx), _matmul_rows_ref(h, wh)), b)
-    i = ad.sigmoid(ad.take(z, (slice(None), slice(0, hidden))))
-    f = ad.sigmoid(ad.take(z, (slice(None), slice(hidden, 2 * hidden))))
-    g = ad.tanh(ad.take(z, (slice(None), slice(2 * hidden, 3 * hidden))))
-    o = ad.sigmoid(ad.take(z, (slice(None), slice(3 * hidden, 4 * hidden))))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
+    z = rc.add_bias(ad.add(_matmul_rows_ref(x, wx), _matmul_rows_ref(h, wh)), b)
+    i = rc.sigmoid(rc.take(z, (slice(None), slice(0, hidden))))
+    f = rc.sigmoid(rc.take(z, (slice(None), slice(hidden, 2 * hidden))))
+    g = rc.tanh(rc.take(z, (slice(None), slice(2 * hidden, 3 * hidden))))
+    o = rc.sigmoid(rc.take(z, (slice(None), slice(3 * hidden, 4 * hidden))))
+    c_new = ad.add(rc.mul(f, c), rc.mul(i, g))
+    h_new = rc.mul(o, rc.tanh(c_new))
     return h_new, c_new
 
 
@@ -134,7 +135,7 @@ def _step_ref(tape, leaves, phi, state, g):
     h1, c1, h2, c2 = state
     h1, c1 = _cell_ref(x, h1, c1, leaves["wx1"], leaves["wh1"], leaves["b1"], phi.hidden)
     h2, c2 = _cell_ref(h1, h2, c2, leaves["wx2"], leaves["wh2"], leaves["b2"], phi.hidden)
-    update = ad.scale(ad.add(_matmul_rows_ref(h2, leaves["w_out"]), leaves["b_out"]),
+    update = ad.scale(rc.add_bias(_matmul_rows_ref(h2, leaves["w_out"]), leaves["b_out"]),
                       phi.out_scale)
     return update, (h1, c1, h2, c2)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import refchain as rc
 from l2okit import autodiff as ad
 from l2okit import idx, metatrain
 from l2okit.model import L2OState, TENSOR_NAMES, init_l2o
@@ -222,17 +223,17 @@ def test_mnist_requires_dataset_root(monkeypatch):
 def _quadratic_ref(inst, tape, theta, batch):
     w = tape.constant(batch.x)
     y = tape.constant(batch.y)
-    r = ad.sub(ad.matmul(w, theta), y)
+    r = ad.sub(rc.matmul(w, theta), y)
     return ad.scale(ad.vsum(ad.square(r)), 1.0 / batch.x.shape[0])
 
 
 def _logistic_ref(inst, tape, theta, batch):
     f = inst.spec.features
-    w = ad.take(theta, slice(0, f))
-    b = ad.take(theta, f)
-    z = ad.add(ad.matmul(tape.constant(batch.x), w), b)
-    margins = ad.scale(ad.mul(z, tape.constant(batch.y)), -1.0)
-    return ad.scale(ad.vsum(ad.softplus(margins)), 1.0 / batch.x.shape[0])
+    w = rc.take(theta, slice(0, f))
+    b = rc.take(theta, f)
+    z = rc.add_bias(rc.matmul(tape.constant(batch.x), w), b)
+    margins = ad.scale(rc.mul(z, tape.constant(batch.y)), -1.0)
+    return ad.scale(ad.vsum(rc.softplus(margins)), 1.0 / batch.x.shape[0])
 
 
 def _mlp_ref(inst, tape, theta, batch):
@@ -242,17 +243,17 @@ def _mlp_ref(inst, tape, theta, batch):
     o1 = f * h
     o2 = o1 + h
     o3 = o2 + h * c
-    w1 = ad.reshape(ad.take(theta, slice(0, o1)), (f, h))
-    b1 = ad.take(theta, slice(o1, o2))
-    w2 = ad.reshape(ad.take(theta, slice(o2, o3)), (h, c))
-    b2 = ad.take(theta, slice(o3, o3 + c))
+    w1 = rc.reshape(rc.take(theta, slice(0, o1)), (f, h))
+    b1 = rc.take(theta, slice(o1, o2))
+    w2 = rc.reshape(rc.take(theta, slice(o2, o3)), (h, c))
+    b2 = rc.take(theta, slice(o3, o3 + c))
     xb = tape.constant(batch.x)
-    hid = ad.sigmoid(ad.add(ad.matmul(xb, w1), b1))
-    logits = ad.add(ad.matmul(hid, w2), b2)
+    hid = rc.sigmoid(rc.add_bias(rc.matmul(xb, w1), b1))
+    logits = rc.add_bias(rc.matmul(hid, w2), b2)
     onehot = np.zeros((batch.x.shape[0], c))
     onehot[np.arange(batch.x.shape[0]), batch.y.astype(np.int64)] = 1.0
-    lse = ad.vsum(ad.logsumexp_rows(logits))
-    picked = ad.vsum(ad.mul(logits, tape.constant(onehot)))
+    lse = ad.vsum(rc.logsumexp_rows(logits))
+    picked = ad.vsum(rc.mul(logits, tape.constant(onehot)))
     return ad.scale(ad.sub(lse, picked), 1.0 / batch.x.shape[0])
 
 
