@@ -150,7 +150,7 @@ def main(argv=None) -> int:
         "change_commit": sides["change"][1],
         "command": f"python3 benchmark/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace T",
-        "machine": f"{os.cpu_count()} CPUs; every run single-threaded",
+        "machine": f"{os.cpu_count()} CPUs; BLAS pinned to one thread",
         "method": "Each pair runs the parent and the change one after the other "
                   "from fresh checkouts, alternating which side runs first. Timing "
                   "figures are [q1, median, q3] over the runs of one side; "

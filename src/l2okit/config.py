@@ -210,11 +210,13 @@ def build_config(file_values: dict | None = None,
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; reparsing yields an equal config."""
+    """Canonical text form; reparsing yields a config equal to cfg except
+    for `out`, which is left out: it says where a run's artifacts are
+    written, not what they are, so it must not change config_hash."""
     lines = []
     for f in fields(RunConfig):
         val = getattr(cfg, f.name)
-        if val is None:
+        if val is None or f.name == "out":
             continue
         if isinstance(val, tuple):
             val = ",".join(str(v) for v in val)

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -112,30 +115,62 @@ class EvalReport:
         )
 
 
+def _check_optimizer(optimizer) -> None:
+    if not isinstance(optimizer, (L2OParams, TeacherKind)):
+        raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
+
+
 def make_stepper(optimizer, dim: int):
+    _check_optimizer(optimizer)
     if isinstance(optimizer, L2OParams):
         return l2o_stepper(optimizer, dim)
-    if isinstance(optimizer, TeacherKind):
-        return teacher_stepper(optimizer, dim)
-    raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
+    return teacher_stepper(optimizer, dim)
+
+
+# Seeds run on threads, which overlap only the numpy kernels that release
+# the interpreter lock. Those dominate a step from about this optimizee
+# dimension up; below it two threads ran slower than one (2 vCPUs, L2O
+# hidden 20: 0.90x at dim 42, 1.01x at 127, 1.35x at 202, 1.89x at 1,002).
+POOL_MIN_DIM = 200
+
+
+def _pool_size(cfg: EvalConfig) -> int:
+    """Threads for run_eval: one per seed and usable CPU, or 1 (the seeds
+    run in the calling thread) below POOL_MIN_DIM."""
+    workers = min(len(cfg.seeds), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return 1
+    inst = sample_instance(cfg.optimizee, derive_seed(cfg.seeds[0], "eval-inst"))
+    return workers if inst.dim >= POOL_MIN_DIM else 1
+
+
+def eval_seed(optimizer, cfg: EvalConfig, seed: int):
+    """One seed's rollout on a fresh instance and theta0: its logged
+    (step, loss) points and the step it diverged at, or None."""
+    inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
+    theta0 = inst.init_params(derive_seed(seed, "eval-theta0"))
+    inst.reseed_batches(derive_seed(seed, "eval-batches"))
+    traj = rollout(make_stepper(optimizer, inst.dim), inst, theta0, cfg.n_eval,
+                   produced_by=cfg.optimizer_name)
+    pts = [(t, float(loss)) for t, loss in enumerate(traj.losses)
+           if t % cfg.log_every == 0 or t == cfg.n_eval - 1]
+    return pts, traj.diverged_at
 
 
 def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
     """Fresh instance + theta0 per seed, evaluative rollout, aggregates.
-    Fully deterministic given cfg; never mutates the optimizer."""
-    curves: dict[int, list[tuple[int, float]]] = {}
-    diverged: dict[int, int | None] = {}
-    for seed in cfg.seeds:
-        inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
-        theta0 = inst.init_params(derive_seed(seed, "eval-theta0"))
-        inst.reseed_batches(derive_seed(seed, "eval-batches"))
-        traj = rollout(make_stepper(optimizer, inst.dim), inst, theta0, cfg.n_eval,
-                       produced_by=cfg.optimizer_name)
-        losses = traj.losses()
-        pts = [(t, float(losses[t])) for t in range(len(losses))
-               if t % cfg.log_every == 0 or t == cfg.n_eval - 1]
-        curves[seed] = pts
-        diverged[seed] = traj.diverged_at
+    Fully deterministic given cfg, whatever the number of threads the
+    seeds run on; never mutates the optimizer."""
+    _check_optimizer(optimizer)
+    run = partial(eval_seed, optimizer, cfg)
+    workers = _pool_size(cfg)
+    if workers == 1:
+        results = list(map(run, cfg.seeds))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(run, cfg.seeds))
+    curves = {s: pts for s, (pts, _) in zip(cfg.seeds, results)}
+    diverged = {s: at for s, (_, at) in zip(cfg.seeds, results)}
 
     logged = {s: dict(curves[s]) for s in cfg.seeds}
     agg_mean, agg_std, kept_steps = [], [], []

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, Trajectory,
-                        exploring_start, rollout, train_epoch)
+                        TrajStep, exploring_start, rollout, train_epoch)
 from .model import (L2OParams, l2o_step_tape, leaf_grads, phi_leaves,
                     state_constants, state_from_values, zero_state)
 from .optimizees import OptimizeeInstance
@@ -56,9 +56,19 @@ class SelfImprovingSchedule:
 
 def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
                        theta0: np.ndarray, n: int) -> Trajectory:
-    """Roll the analytical optimizer for n steps; independent of phi."""
-    return rollout(teacher_stepper(kind, inst.dim), inst, theta0, n,
-                   produced_by=f"teacher:{kind.kind}")
+    """Roll the analytical optimizer for n steps, keeping each step's
+    (g, update) for replay; independent of phi."""
+    step = teacher_stepper(kind, inst.dim)
+    steps: list[TrajStep] = []
+
+    def recorded_step(g):
+        update = step(g)
+        steps.append(TrajStep(g, update))
+        return update
+
+    traj = rollout(recorded_step, inst, theta0, n, produced_by=f"teacher:{kind.kind}")
+    traj.steps = steps
+    return traj
 
 
 def imitation_loss_and_grads(phi: L2OParams, steps, omega_seg, state):

@@ -11,7 +11,7 @@ boundary, so gradients never flow across segments. One meta-optimizer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +27,18 @@ from .seeding import derive_seed
 class TrajStep:
     g: np.ndarray
     update: np.ndarray
-    loss: float
 
 
 @dataclass
 class Trajectory:
-    steps: list[TrajStep]
+    """A rollout's loss at every step. Only teacher trajectories also keep
+    each step's (g, update) in ``steps``, for imitation; other rollouts
+    keep nothing per step that grows with the optimizee dimension."""
+    losses: list[float]
     produced_by: str
     diverged_at: int | None = None
     final_loss: float | None = None
-
-    def losses(self) -> np.ndarray:
-        return np.array([s.loss for s in self.steps])
+    steps: list[TrajStep] = field(default_factory=list)
 
 
 @dataclass
@@ -119,16 +119,15 @@ def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int,
     if n < 1:
         raise ValueError("rollout: n must be >= 1")
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    steps: list[TrajStep] = []
+    losses: list[float] = []
     for t in range(n):
         batch = inst.next_batch()
         loss, g = inst.loss_and_grad(theta, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(theta)):
-            return Trajectory(steps, produced_by, diverged_at=t)
-        update = step_fn(g)
-        steps.append(TrajStep(g, update, loss))
-        theta = theta + update
-    traj = Trajectory(steps, produced_by)
+            return Trajectory(losses, produced_by, diverged_at=t)
+        losses.append(loss)
+        theta = theta + step_fn(g)
+    traj = Trajectory(losses, produced_by)
     if record_final:
         batch = inst.next_batch()
         loss, _ = inst.loss_and_grad(theta, batch)
@@ -271,6 +270,5 @@ def validate(phi: L2OParams, n_valid: int, vs: ValidationSet,
         if traj.diverged_at is not None:
             scores.append(penalty)
         else:
-            losses = traj.losses()
-            scores.append(float(losses[1:].sum() + traj.final_loss))
+            scores.append(float(np.array(traj.losses)[1:].sum() + traj.final_loss))
     return float(np.mean(scores))

@@ -122,6 +122,14 @@ def test_train_reruns_are_byte_identical(tmp_path):
     assert (a / "epochs.csv").read_bytes() == (b / "epochs.csv").read_bytes()
 
 
+def test_manifest_does_not_depend_on_the_output_directory(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "elsewhere" / "b"
+    run_train(a)
+    run_train(b)
+    assert sha256(a / "manifest.json") == sha256(b / "manifest.json")
+    assert (a / "config.txt").read_bytes() == (b / "config.txt").read_bytes()
+
+
 def test_manifest_hashes_match_artifacts(tmp_path):
     out = tmp_path / "run"
     run_train(out)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from l2okit import evaluation
 from l2okit.evaluation import (COMPARE_COLUMNS, EvalConfig, EvalReport,
                                compare, make_stepper, run_eval,
                                write_curves_csv, write_summary_csv)
-from l2okit.model import init_l2o
+from l2okit.model import init_l2o, load_checkpoint, save_checkpoint
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import derive_seed
 from l2okit.teachers import TeacherKind, teacher_stepper
@@ -201,3 +204,78 @@ def test_csv_losses_roundtrip_exactly(tmp_path):
     for row in rows:
         step, seed, loss = row.split(",")
         assert float(loss) == dict(report.curves[int(seed)])[int(step)]
+
+
+# dim 200 reaches POOL_MIN_DIM; one row makes SGD's stable step size differ
+# enough across seeds that seed 2 diverges mid-run and seeds 0 and 3 converge
+WIDE_QUAD = OptimizeeSpec(family="quadratic", dim=200, n_rows=1)
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def wide_l2o_checkpoint(tmp_path):
+    phi = init_l2o(5, hidden=4)
+    rng = np.random.default_rng(5)
+    phi.w_out[:] = rng.normal(0, 0.3, phi.hidden)
+    save_checkpoint(phi, tmp_path / "phi.l2o")
+    return load_checkpoint(tmp_path / "phi.l2o")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["l2o-checkpoint", "teacher", "one-seed-diverges"])
+def test_report_bytes_do_not_depend_on_the_number_of_threads(monkeypatch, tmp_path,
+                                                             case):
+    if case == "l2o-checkpoint":
+        optimizer, n_eval, seeds = wide_l2o_checkpoint(tmp_path), 200, (0, 1, 2, 3)
+    elif case == "teacher":
+        optimizer, n_eval, seeds = TeacherKind("adam", lr=0.01), 300, (0, 1, 2, 3)
+    else:
+        optimizer, n_eval, seeds = TeacherKind("sgd", lr=0.00515), 4000, (0, 2, 3)
+    cfg = EvalConfig(optimizee=WIDE_QUAD, n_eval=n_eval, seeds=seeds, log_every=50)
+    seed_threads = []
+
+    def recorded_eval_seed(*args):
+        seed_threads.append(threading.current_thread())
+        return eval_seed(*args)
+
+    eval_seed = evaluation.eval_seed
+    monkeypatch.setattr(evaluation, "eval_seed", recorded_eval_seed)
+    out = {}
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        seed_threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads as often as possible
+        try:
+            report = run_eval(optimizer, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        on_main = {t is threading.main_thread() for t in seed_threads}
+        assert len(seed_threads) == len(seeds)
+        assert on_main == ({True} if cpus == 1 else {False})
+        write_curves_csv(report, tmp_path / f"curves-{cpus}.csv")
+        out[cpus] = (report.to_json(), (tmp_path / f"curves-{cpus}.csv").read_bytes())
+    assert out[1] == out[3]
+    if case == "one-seed-diverges":
+        assert report.diverged_at == {0: None, 2: 3572, 3: None}
+
+
+def test_run_eval_leaves_no_thread_running(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    before = set(threading.enumerate())
+    run_eval(TeacherKind("adam", lr=0.01),
+             EvalConfig(optimizee=WIDE_QUAD, n_eval=50, seeds=(0, 1, 2, 3)))
+    assert set(threading.enumerate()) == before
+
+
+def test_unsupported_optimizer_fails_before_the_pool(monkeypatch):
+    use_cpus(monkeypatch, 3)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started for an unsupported optimizer")
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(TypeError, match="unsupported optimizer"):
+        run_eval(object(), EvalConfig(optimizee=WIDE_QUAD, n_eval=5, seeds=(0, 1)))

@@ -60,7 +60,7 @@ def test_imitation_loss_single_step_value():
     # zero-initialized phi emits zero updates, so the loss is just the
     # squared norm of the teacher update: 0.2^2 = 0.04
     phi = init_l2o(0, hidden=6)
-    steps = [TrajStep(g=np.array([1.0]), update=np.array([0.2]), loss=1.0)]
+    steps = [TrajStep(g=np.array([1.0]), update=np.array([0.2]))]
     loss, grads, _ = imitation_loss_and_grads(phi, steps, np.ones(1),
                                               zero_state(1, phi.hidden))
     assert loss == pytest.approx(0.04, abs=1e-15)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from l2okit.gradchecks import check_meta_loss
 from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
-                              ValidationSet, meta_update, rollout,
-                              rollout_l2o, segment_loss_and_grads,
+                              ValidationSet, l2o_stepper, meta_update,
+                              rollout, rollout_l2o, segment_loss_and_grads,
                               train_epoch, validate)
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
@@ -50,19 +51,26 @@ def test_identity_policy_rollout_is_constant():
     phi = init_l2o(0, hidden=6)
     inst = quad_instance(1)
     theta0 = inst.init_params(2)
-    traj = rollout_l2o(phi, inst, theta0, 10)
-    losses = traj.losses()
-    assert np.all(losses == losses[0])
-    assert all(np.all(s.update == 0) for s in traj.steps)
+    step, updates = l2o_stepper(phi, inst.dim), []
+
+    def recorded_step(g):
+        updates.append(step(g))
+        return updates[-1]
+
+    traj = rollout(recorded_step, inst, theta0, 10)
+    assert len(traj.losses) == len(updates) == 10
+    assert all(v == traj.losses[0] for v in traj.losses)
+    assert all(np.all(u == 0) for u in updates)
 
 
 def test_rollout_records_analytic_gradient():
     inst = QuadraticInstance(OptimizeeSpec(family="quadratic", dim=2),
                              np.eye(2), np.zeros(2))
     theta0 = np.array([1.0, -2.0])
-    traj = rollout_l2o(init_l2o(0, hidden=4), inst, theta0, 1)
-    # f = ||theta||^2 / 2, so g = theta
-    np.testing.assert_allclose(traj.steps[0].g, theta0, atol=1e-12)
+    seen = []
+    rollout(lambda g: seen.append(g) or np.zeros_like(g), inst, theta0, 1)
+    # f = ||theta||^2 / 2, so the step function is handed g = theta
+    np.testing.assert_allclose(seen[0], theta0, atol=1e-12)
 
 
 def test_rollout_rejects_bad_horizon():
@@ -74,7 +82,23 @@ def test_rollout_divergence_is_data():
     inst = quad_instance(3)
     traj = rollout_l2o(init_l2o(0, hidden=4), inst, np.full(3, np.inf), 5)
     assert traj.diverged_at == 0
-    assert traj.steps == []
+    assert traj.losses == []
+
+
+def test_rollout_memory_does_not_grow_with_dimension_times_steps():
+    # 2,000 kept (g, update) pairs at dim 1,002 would take 32 MB; a
+    # rollout keeps one loss per step
+    dim, n = 1002, 2000
+    inst = sample_instance(OptimizeeSpec(family="quadratic", dim=dim, n_rows=4), 0)
+    theta0 = inst.init_params(1)
+    tracemalloc.start()
+    try:
+        traj = rollout(lambda g: -1e-3 * g, inst, theta0, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.losses) == n and traj.diverged_at is None
+    assert peak < 2 * n * dim * 8 / 16
 
 
 def test_rollout_record_final():
@@ -83,7 +107,7 @@ def test_rollout_record_final():
     traj = rollout_l2o(init_l2o(0, hidden=4), inst, theta0, 3, record_final=True)
     assert traj.final_loss is not None
     # identity policy keeps theta fixed, so the final loss matches step 0
-    assert traj.final_loss == pytest.approx(traj.steps[0].loss)
+    assert traj.final_loss == pytest.approx(traj.losses[0])
 
 
 def test_meta_loss_value_identity_policy():

@@ -172,7 +172,7 @@ def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_proj
     state = L2OState(*(rng.normal(0, 0.5, (dim, phi.hidden)) for _ in range(4)))
     inst = sample_instance(OptimizeeSpec(family="quadratic", dim=dim), 3)
     theta0 = inst.init_params(4)
-    steps = [TrajStep(rng.normal(size=dim), rng.normal(0, 0.01, dim), 0.0)
+    steps = [TrajStep(rng.normal(size=dim), rng.normal(0, 0.01, dim))
              for _ in omega]
 
     def run():
