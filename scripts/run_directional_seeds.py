@@ -5,8 +5,8 @@ tests/test_acceptance.py::test_criterion_6_directional_reproduction
 decides on one training seed (EXP_SEED) whether curriculum+imitation
 (cl-il) beats vanilla training on tiny_mlp at a 500-step horizon. That
 outcome moves with float rounding in the numpy/scipy/BLAS build. This
-script reruns the same experiment, with the constants of the test's
-`directional_experiment` fixture, for each given training seed, and
+script reruns the test's `directional_experiment` fixture for each
+given training seed, and
 writes one JSON file. Per seed it holds both medians, both divergence
 rates, the paired wins, the criterion-6 verdict, how the curriculum
 stopped and what it cost; the file also records the build that produced
@@ -25,29 +25,19 @@ import os
 import platform
 import sys
 import time
-from functools import partial
 
 import numpy as np
 import scipy
 
-from l2okit.curriculum import CurriculumConfig
+from l2okit.config import build_config
 from l2okit.evaluation import EvalConfig, run_eval
-from l2okit.experiments import train_curriculum, train_fixed
-from l2okit.imitation import ImitationConfig, il_epoch
-from l2okit.metatrain import MetaLossSpec, TrainConfig, train_epoch
-from l2okit.model import init_l2o
-from l2okit.optimizees import OptimizeeSpec, sample_instance
-from l2okit.seeding import derive_seed
-from l2okit.teachers import default_ensemble
+from l2okit.experiments import train
 
-# Constants of the directional_experiment fixture in tests/test_acceptance.py.
-TINY = OptimizeeSpec(family="tiny_mlp")
-VANILLA_EPOCHS = 300
-VANILLA_HORIZON = 20
-CURRICULUM = CurriculumConfig(ladder=(20, 40, 100), n_period=3, t_period=25)
-IMITATION = ImitationConfig(r=0.3, teachers=default_ensemble(lr=0.01))
-CL_IL_EPOCHS = 600
-SEGMENT = 20
+# Settings of the directional_experiment fixture in tests/test_acceptance.py:
+# the `l2okit train` flags of its cl-il run (the README flagship; the other
+# run is `--mode vanilla`) and its eval.
+CL_IL_FLAGS = {"mode": "cl-il", "ladder": (20, 40, 100), "n_period": 3,
+               "t_period": 25, "epochs": 600}
 N_EVAL = 500
 EVAL_SEEDS = tuple(range(10))
 LOG_EVERY = 10
@@ -56,24 +46,14 @@ MIN_PAIRED_WINS = 7
 
 def directional(seed: int) -> dict:
     """The fixture's experiment and criterion 6's checks at one seed."""
-    inst = sample_instance(TINY, derive_seed(seed, "train-inst"))
-    phi_v = init_l2o(derive_seed(seed, "init-phi"))
-    tc_v = TrainConfig(master_seed=seed, epochs=VANILLA_EPOCHS)
-    train_fixed(phi_v, partial(train_epoch, inst=inst, tc=tc_v), tc_v,
-                MetaLossSpec(horizon=VANILLA_HORIZON, segment=VANILLA_HORIZON))
+    cfg_v = build_config(flag_values={"mode": "vanilla", "seed": seed})
+    vanilla = train(cfg_v)
+    cl_il = train(build_config(flag_values={**CL_IL_FLAGS, "seed": seed}))
+    result = cl_il.curriculum
 
-    inst2 = sample_instance(TINY, derive_seed(seed, "train-inst"))
-    phi_c = init_l2o(derive_seed(seed, "init-phi"))
-    tc_c = TrainConfig(master_seed=seed, epochs=CL_IL_EPOCHS)
-    result = train_curriculum(phi_c, partial(il_epoch, inst=inst2, tc=tc_c, ic=IMITATION),
-                              TINY, CURRICULUM, tc_c, segment=SEGMENT)
-
-    def eval_cfg(name):
-        return EvalConfig(optimizee=TINY, n_eval=N_EVAL, seeds=EVAL_SEEDS,
-                          log_every=LOG_EVERY, optimizer_name=name)
-
-    rv = run_eval(phi_v, eval_cfg("vanilla"))
-    rc = run_eval(result.best_phi, eval_cfg("cl-il"))
+    ec = EvalConfig(optimizee=cfg_v.optimizee_spec(), n_eval=N_EVAL,
+                    seeds=EVAL_SEEDS, log_every=LOG_EVERY)
+    rv, rc = run_eval(vanilla.phi, ec), run_eval(cl_il.phi, ec)
     fv, fc = rv.final_losses(), rc.final_losses()
     wins = sum(fc[s] < fv[s] for s in fv)
     return {

@@ -7,26 +7,21 @@ the sha256 of each artifact, so reruns can be verified byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
-from functools import partial
 
 from .config import (MODES, PROFILES, ConfigError, RunConfig, build_config,
                      config_hash, parse_config_file, serialize_config,
                      _parse_int_list)
-from .evaluation import (EvalConfig, EvalReport, compare, run_eval,
-                         write_curves_csv, write_summary_csv)
-from .experiments import (train_curriculum, train_fixed, write_epoch_csv,
-                          write_events_csv, write_trace_csv)
-from .imitation import (ImitationConfig, SelfImprovingSchedule, il_epoch,
-                        self_improving_epoch)
-from .metatrain import MetaLossSpec, TrainConfig, train_epoch
-from .model import init_l2o, load_checkpoint, save_checkpoint
-from .optimizees import sample_instance
-from .seeding import derive_seed
-from .teachers import TeacherKind, default_ensemble
+from .evaluation import (COMPARE_COLUMNS, EvalConfig, EvalReport, compare,
+                         run_eval, write_curves_csv, write_summary_csv)
+from .experiments import (train, write_epoch_csv, write_events_csv,
+                          write_trace_csv)
+from .model import load_checkpoint, save_checkpoint
+from .teachers import TeacherKind
 
 
 def _sha256(path) -> str:
@@ -55,38 +50,10 @@ def cmd_train(cfg: RunConfig) -> int:
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(serialize_config(cfg))
 
-    spec = cfg.optimizee_spec()
-    inst = sample_instance(spec, derive_seed(cfg.seed, "train-inst"))
-    phi = init_l2o(derive_seed(cfg.seed, "init-phi"), hidden=cfg.hidden,
-                   preprocess_p=cfg.preprocess_p, out_scale=cfg.out_scale)
-    tc = TrainConfig(master_seed=cfg.seed, epochs=cfg.resolved_epochs(),
-                     meta_lr=cfg.meta_lr, n_val_instances=cfg.n_val_instances,
-                     divergence_penalty=cfg.divergence_penalty)
-    n_train = cfg.resolved_n_train()
-    mls = MetaLossSpec(horizon=n_train, segment=min(cfg.segment, n_train))
-    teachers = default_ensemble(lr=cfg.teacher_lr)
-    epoch_log: list = []
-    events: list = []
+    run = train(cfg)
     artifacts = ["config.txt", "checkpoint.l2o", "epochs.csv", "events.csv"]
-
-    context = {"inst": inst, "tc": tc, "events": events}
-    if cfg.mode in ("il", "cl-il"):
-        body = partial(il_epoch, ic=ImitationConfig(r=cfg.r, teachers=teachers),
-                       **context)
-    elif cfg.mode == "self-improving":
-        sis = SelfImprovingSchedule(teachers=teachers,
-                                    anneal_epochs=cfg.anneal_epochs,
-                                    start_prob=cfg.si_start_prob)
-        body = partial(self_improving_epoch, sis=sis, **context)
-    else:
-        body = partial(train_epoch, **context)
-
-    if cfg.mode in ("cl", "cl-il"):
-        result = train_curriculum(phi, body, spec, cfg.curriculum(), tc,
-                                  segment=cfg.segment, epoch_log=epoch_log)
-        phi = result.best_phi
+    if (result := run.curriculum) is not None:
         write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
-        artifacts.append("trace.csv")
         with open(os.path.join(out_dir, "curriculum.json"), "w") as fh:
             json.dump({"stopped_by": result.stopped_by,
                        "best_stage": result.best_stage,
@@ -94,13 +61,11 @@ def cmd_train(cfg: RunConfig) -> int:
                        "train_iterations": result.train_iterations()},
                       fh, sort_keys=True)
             fh.write("\n")
-        artifacts.append("curriculum.json")
-    else:
-        train_fixed(phi, body, tc, mls, epoch_log=epoch_log)
+        artifacts += ["trace.csv", "curriculum.json"]
 
-    save_checkpoint(phi, os.path.join(out_dir, "checkpoint.l2o"))
-    write_epoch_csv(epoch_log, os.path.join(out_dir, "epochs.csv"))
-    write_events_csv(events, os.path.join(out_dir, "events.csv"))
+    save_checkpoint(run.phi, os.path.join(out_dir, "checkpoint.l2o"))
+    write_epoch_csv(run.epoch_log, os.path.join(out_dir, "epochs.csv"))
+    write_events_csv(run.events, os.path.join(out_dir, "events.csv"))
     _write_manifest(out_dir, cfg, artifacts)
     print(f"trained mode={cfg.mode} profile={cfg.profile} -> {out_dir}")
     return 0
@@ -144,17 +109,12 @@ def cmd_compare(report_paths: list[str], out_path: str) -> int:
         with open(path) as fh:
             reports.append(EvalReport.from_json(fh.read()))
     table = compare(reports)
-    import csv
-
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["optimizer", "median_final", "divergence_rate", "log_auc"])
+        w.writerow(["optimizer", *COMPARE_COLUMNS])
         for row in table["rows"]:
-            w.writerow([row["optimizer"], repr(row["median_final"]),
-                        repr(row["divergence_rate"]), repr(row["log_auc"])])
-        w.writerow(["winner", table["winners"]["median_final"],
-                    table["winners"]["divergence_rate"],
-                    table["winners"]["log_auc"]])
+            w.writerow([row["optimizer"], *(repr(row[c]) for c in COMPARE_COLUMNS)])
+        w.writerow(["winner", *(table["winners"][c] for c in COMPARE_COLUMNS)])
     for row in table["rows"]:
         print(f"{row['optimizer']}: median_final={row['median_final']:.6g} "
               f"divergence_rate={row['divergence_rate']:.2f} "

@@ -157,6 +157,16 @@ def eval_seed(optimizer, cfg: EvalConfig, seed: int):
     return pts, traj.diverged_at
 
 
+def _std(values) -> float:
+    """np.std, rescaled by the largest magnitude where the squares overflow."""
+    with np.errstate(over="ignore"):
+        std = float(np.std(values))
+    if np.isfinite(std):
+        return std
+    scale = float(np.max(np.abs(values)))
+    return float(np.std(np.asarray(values) / scale)) * scale
+
+
 def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
     """Fresh instance + theta0 per seed, evaluative rollout, aggregates.
     Fully deterministic given cfg, whatever the number of threads the
@@ -183,13 +193,13 @@ def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
             continue
         kept_steps.append(t)
         agg_mean.append(float(np.mean(alive)))
-        agg_std.append(float(np.std(alive)))
+        agg_std.append(_std(alive))
 
     finals = [curves[s][-1][1] for s in cfg.seeds if diverged[s] is None]
     n_div = sum(1 for s in cfg.seeds if diverged[s] is not None)
     if finals:
         fmed, fmean, fstd = (float(np.median(finals)), float(np.mean(finals)),
-                             float(np.std(finals)))
+                             _std(finals))
     else:
         fmed = fmean = fstd = float("inf")
     return EvalReport(

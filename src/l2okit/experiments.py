@@ -1,4 +1,5 @@
-"""Training schedules for every mode, and the CSV writers for their logs.
+"""train(cfg), the one recipe from a run config to a trained optimizer,
+the schedules it runs for every mode, and the CSV writers for their logs.
 
 A mode is an epoch body, called as body(phi, epoch, mls, adam) and
 returning (kind, loss): metatrain.train_epoch (vanilla, aug, cl),
@@ -16,11 +17,63 @@ same config produce byte-identical files.
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
+from functools import partial
 
+from .config import RunConfig
 from .curriculum import CurriculumConfig, CurriculumResult, curriculum_train
-from .metatrain import MetaAdam, MetaLossSpec, TrainConfig, ValidationSet, validate
-from .model import L2OParams
-from .optimizees import OptimizeeSpec
+from .imitation import (ImitationConfig, SelfImprovingSchedule, il_epoch,
+                        self_improving_epoch)
+from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, ValidationSet,
+                        train_epoch, validate)
+from .model import L2OParams, init_l2o
+from .optimizees import OptimizeeSpec, sample_instance
+from .seeding import derive_seed
+from .teachers import default_ensemble
+
+
+@dataclass
+class TrainResult:
+    """A trained run: phi, its epoch rows and events, and the curriculum's
+    result (None for the fixed-horizon modes)."""
+    phi: L2OParams
+    epoch_log: list
+    events: list
+    curriculum: CurriculumResult | None
+
+
+def train(cfg: RunConfig) -> TrainResult:
+    """Train cfg.mode from cfg.seed; writes and prints nothing. Invalid
+    mode settings raise ValueError before the first epoch."""
+    spec = cfg.optimizee_spec()
+    inst = sample_instance(spec, derive_seed(cfg.seed, "train-inst"))
+    phi = init_l2o(derive_seed(cfg.seed, "init-phi"), hidden=cfg.hidden,
+                   preprocess_p=cfg.preprocess_p, out_scale=cfg.out_scale)
+    tc = TrainConfig(master_seed=cfg.seed, epochs=cfg.resolved_epochs(),
+                     meta_lr=cfg.meta_lr, n_val_instances=cfg.n_val_instances,
+                     divergence_penalty=cfg.divergence_penalty)
+    teachers = default_ensemble(lr=cfg.teacher_lr)
+    epoch_log, events = [], []
+    context = {"inst": inst, "tc": tc, "events": events}
+    if cfg.mode in ("il", "cl-il"):
+        body = partial(il_epoch, ic=ImitationConfig(r=cfg.r, teachers=teachers),
+                       **context)
+    elif cfg.mode == "self-improving":
+        sis = SelfImprovingSchedule(teachers=teachers,
+                                    anneal_epochs=cfg.anneal_epochs,
+                                    start_prob=cfg.si_start_prob)
+        body = partial(self_improving_epoch, sis=sis, **context)
+    else:
+        body = partial(train_epoch, **context)
+
+    if cfg.mode in ("cl", "cl-il"):
+        result = train_curriculum(phi, body, spec, cfg.curriculum(), tc,
+                                  segment=cfg.segment, epoch_log=epoch_log)
+        return TrainResult(result.best_phi, epoch_log, events, result)
+    n_train = cfg.resolved_n_train()
+    mls = MetaLossSpec(horizon=n_train, segment=min(cfg.segment, n_train))
+    train_fixed(phi, body, tc, mls, epoch_log=epoch_log)
+    return TrainResult(phi, epoch_log, events, None)
 
 
 def train_fixed(phi: L2OParams, body, tc: TrainConfig, mls: MetaLossSpec,

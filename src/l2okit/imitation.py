@@ -41,6 +41,13 @@ class SelfImprovingSchedule:
     anneal_epochs: int = 100
     start_prob: float | None = None  # per-teacher start; default 1/(k+1)
 
+    def __post_init__(self):
+        if self.anneal_epochs < 1:
+            raise ValueError("anneal_epochs must be >= 1")
+        if self.start_prob is not None and (
+                self.start_prob < 0 or len(self.teachers) * self.start_prob > 1):
+            raise ValueError(f"si_start_prob must be in [0, 1/{len(self.teachers)}]")
+
     def probs(self, epoch: int) -> np.ndarray:
         """[p_L2O, p_teacher_1, ..., p_teacher_k] at the given epoch.
 

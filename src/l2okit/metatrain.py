@@ -21,6 +21,7 @@ from .model import (L2OParams, TENSOR_NAMES, l2o_step_np, l2o_step_tape,
                     zero_state)
 from .optimizees import OptimizeeInstance, OptimizeeSpec, sample_instance
 from .seeding import derive_seed
+from .teachers import adam_update
 
 
 @dataclass
@@ -75,12 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.meta_lr <= 0:
             raise ValueError("meta_lr must be > 0")
-
-
-# Adam's moment decay rates and denominator guard
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
+        if self.n_val_instances < 1:
+            raise ValueError("n_val_instances must be >= 1")
 
 
 class MetaAdam:
@@ -102,11 +99,9 @@ class MetaAdam:
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(arr)
-            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
-            m_hat = self.m[name] / (1 - BETA1 ** self.t)
-            v_hat = self.v[name] / (1 - BETA2 ** self.t)
-            arr -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            update, self.m[name], self.v[name] = adam_update(
+                self.m[name], self.v[name], g, self.t, self.lr)
+            arr += update
 
 
 def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int,

@@ -13,27 +13,34 @@ import numpy as np
 
 KINDS = ("sgd", "adam", "adagrad", "rmsprop")
 
+# Fixed hyperparameters; meta-Adam shares Adam's
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAGRAD_EPS = 1e-10
+RMS_DECAY = 0.9
+RMS_EPS = 1e-10
+
 
 @dataclass(frozen=True)
 class TeacherKind:
     kind: str
     lr: float = 0.01
-    beta1: float = 0.9      # adam
-    beta2: float = 0.999    # adam
-    eps: float = 1e-8       # adam
-    adagrad_eps: float = 1e-10
-    rms_decay: float = 0.9
-    rms_eps: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown teacher kind {self.kind!r}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
-        if self.eps <= 0 or self.adagrad_eps <= 0 or self.rms_eps <= 0:
-            raise ValueError("eps must be > 0")
+
+
+def adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float):
+    """Adam's step t >= 1 from moments (m, v): (additive update, m, v)."""
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    return -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 @dataclass(frozen=True)
@@ -57,19 +64,15 @@ def teacher_step(kind: TeacherKind, state: TeacherState, g: np.ndarray):
     if kind.kind == "sgd":
         return -kind.lr * g, replace(state, t=t)
     if kind.kind == "adam":
-        m = kind.beta1 * state.m + (1 - kind.beta1) * g
-        v = kind.beta2 * state.v + (1 - kind.beta2) * g * g
-        m_hat = m / (1 - kind.beta1 ** t)
-        v_hat = v / (1 - kind.beta2 ** t)
-        update = -kind.lr * m_hat / (np.sqrt(v_hat) + kind.eps)
+        update, m, v = adam_update(state.m, state.v, g, t, kind.lr)
         return update, replace(state, t=t, m=m, v=v)
     if kind.kind == "adagrad":
         acc = state.acc + g * g
-        update = -kind.lr * g / np.sqrt(acc + kind.adagrad_eps)
+        update = -kind.lr * g / np.sqrt(acc + ADAGRAD_EPS)
         return update, replace(state, t=t, acc=acc)
     if kind.kind == "rmsprop":
-        acc = kind.rms_decay * state.acc + (1 - kind.rms_decay) * g * g
-        update = -kind.lr * g / np.sqrt(acc + kind.rms_eps)
+        acc = RMS_DECAY * state.acc + (1 - RMS_DECAY) * g * g
+        update = -kind.lr * g / np.sqrt(acc + RMS_EPS)
         return update, replace(state, t=t, acc=acc)
     raise ValueError(f"unknown teacher kind {kind.kind!r}")
 

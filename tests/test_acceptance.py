@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from l2okit.cli import main
+from l2okit.config import build_config
 from l2okit.curriculum import CurriculumConfig, curriculum_train
 from l2okit.evaluation import EvalConfig, run_eval
-from l2okit.experiments import train_curriculum, train_fixed
+from l2okit.experiments import train, train_fixed
 from l2okit.gradchecks import (check_imitation_loss, check_meta_loss)
 from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
                               il_epoch, self_improving_epoch,
@@ -24,7 +25,7 @@ from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
                               train_epoch)
 from l2okit.model import TENSOR_NAMES, init_l2o, l2o_step_np, zero_state
 from l2okit.optimizees import OptimizeeSpec, sample_instance
-from l2okit.seeding import derive_seed, rng_for
+from l2okit.seeding import rng_for
 from l2okit.teachers import TeacherKind, default_ensemble, init_state, teacher_step
 
 QUAD = OptimizeeSpec(family="quadratic", dim=3)
@@ -82,9 +83,8 @@ def test_criterion_2_optimizer_oracles():
     aeps = 1e-10
     ada_u1 = -lr * g / np.sqrt(g * g + aeps)
     ada_u2 = -lr * g / np.sqrt(2 * g * g + aeps)
-    u1, st = teacher_step(TeacherKind("adagrad", lr=lr, adagrad_eps=aeps),
-                          init_state(3), g)
-    u2, _ = teacher_step(TeacherKind("adagrad", lr=lr, adagrad_eps=aeps), st, g)
+    u1, st = teacher_step(TeacherKind("adagrad", lr=lr), init_state(3), g)
+    u2, _ = teacher_step(TeacherKind("adagrad", lr=lr), st, g)
     err = max(err, np.abs(u1 - ada_u1).max(), np.abs(u2 - ada_u2).max())
 
     rng = np.random.default_rng(0)
@@ -208,34 +208,21 @@ def test_criterion_5_self_improving_schedule():
 
 EXP_SEED = 6
 AUG_ITERATIONS = 500 * 100  # augmented-horizon baseline: epochs x horizon
+# `l2okit train` flags of the cl-il run: the README flagship
+CL_IL_FLAGS = {"mode": "cl-il", "ladder": (20, 40, 100), "n_period": 3,
+               "t_period": 25, "epochs": 600}
 
 
 @pytest.fixture(scope="module")
 def directional_experiment():
-    seed = EXP_SEED
     t0 = time.time()
-    inst = sample_instance(TINY, derive_seed(seed, "train-inst"))
-    phi_v = init_l2o(derive_seed(seed, "init-phi"))
-    tc_v = TrainConfig(master_seed=seed, epochs=300)
-    train_fixed(phi_v, partial(train_epoch, inst=inst, tc=tc_v), tc_v,
-                MetaLossSpec(horizon=20, segment=20))
+    vanilla = train(build_config(flag_values={"mode": "vanilla", "seed": EXP_SEED}))
+    cl_il = train(build_config(flag_values={**CL_IL_FLAGS, "seed": EXP_SEED}))
 
-    inst2 = sample_instance(TINY, derive_seed(seed, "train-inst"))
-    phi_c = init_l2o(derive_seed(seed, "init-phi"))
-    cc = CurriculumConfig(ladder=(20, 40, 100), n_period=3, t_period=25)
-    ic = ImitationConfig(r=0.3, teachers=default_ensemble(lr=0.01))
-    tc_c = TrainConfig(master_seed=seed, epochs=600)
-    result = train_curriculum(phi_c, partial(il_epoch, inst=inst2, tc=tc_c, ic=ic),
-                              TINY, cc, tc_c, segment=20)
-
-    def eval_cfg(name):
-        return EvalConfig(optimizee=TINY, n_eval=500, seeds=tuple(range(10)),
-                          log_every=10, optimizer_name=name)
-
-    rep_v = run_eval(phi_v, eval_cfg("vanilla"))
-    rep_c = run_eval(result.best_phi, eval_cfg("cl-il"))
-    return {"result": result, "vanilla": rep_v, "cl_il": rep_c,
-            "elapsed": time.time() - t0}
+    ec = EvalConfig(optimizee=TINY, n_eval=500, seeds=tuple(range(10)),
+                    log_every=10)
+    return {"result": cl_il.curriculum, "vanilla": run_eval(vanilla.phi, ec),
+            "cl_il": run_eval(cl_il.phi, ec), "elapsed": time.time() - t0}
 
 
 def test_criterion_6_directional_reproduction(directional_experiment):

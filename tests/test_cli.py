@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from l2okit import experiments
 from l2okit.cli import main
 from l2okit.config import (ConfigError, PAPER_LADDER, RunConfig, build_config,
                            config_hash, parse_config_file, serialize_config)
@@ -185,6 +186,30 @@ def test_imitation_mode_at_r_zero_writes_base_mode_bytes(tmp_path, mode, base,
     assert main([*common, "--mode", base, "--out", str(b)]) == 0
     for name in artifacts:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flags, config_line, message", [
+    (["--mode", "self-improving", "--anneal-epochs", "0"], "",
+     "anneal_epochs must be >= 1"),
+    (["--mode", "self-improving"], "si_start_prob = 0.5\n",
+     "si_start_prob must be in"),
+    (["--mode", "cl", "--ladder", "4,8"], "n_val_instances = 0\n",
+     "n_val_instances must be >= 1"),
+], ids=["anneal-epochs-0", "si-start-prob-0.5", "n-val-instances-0"])
+def test_invalid_training_settings_exit_1_before_any_epoch(tmp_path, capsys,
+                                                           monkeypatch, flags,
+                                                           config_line, message):
+    def no_schedule(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(experiments, "train_fixed", no_schedule)
+    monkeypatch.setattr(experiments, "train_curriculum", no_schedule)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line)
+    rc = main(["train", "--config", str(cfg), "--family", "quadratic", *flags,
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_eval_requires_checkpoint(tmp_path, capsys):

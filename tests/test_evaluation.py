@@ -206,6 +206,13 @@ def test_csv_losses_roundtrip_exactly(tmp_path):
         assert float(loss) == dict(report.curves[int(seed)])[int(step)]
 
 
+def test_std_stays_finite_where_squaring_overflows():
+    small = [0.1, 0.25, 3.0]
+    assert evaluation._std(small) == float(np.std(small))
+    huge = [1e200, 3e200, -2e200]   # squared deviations overflow
+    assert evaluation._std(huge) == pytest.approx(np.std([1.0, 3.0, -2.0]) * 1e200)
+
+
 # dim 200 reaches POOL_MIN_DIM; one row makes SGD's stable step size differ
 # enough across seeds that seed 2 diverges mid-run and seeds 0 and 3 converge
 WIDE_QUAD = OptimizeeSpec(family="quadratic", dim=200, n_rows=1)
@@ -223,7 +230,6 @@ def wide_l2o_checkpoint(tmp_path):
     return load_checkpoint(tmp_path / "phi.l2o")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", ["l2o-checkpoint", "teacher", "one-seed-diverges"])
 def test_report_bytes_do_not_depend_on_the_number_of_threads(monkeypatch, tmp_path,
                                                              case):
@@ -260,6 +266,9 @@ def test_report_bytes_do_not_depend_on_the_number_of_threads(monkeypatch, tmp_pa
     assert out[1] == out[3]
     if case == "one-seed-diverges":
         assert report.diverged_at == {0: None, 2: 3572, 3: None}
+        # seed 2's losses pass 1e154 before it diverges
+        assert max(report.agg_mean) > 1e154
+        assert all(np.isfinite(report.agg_std))
 
 
 def test_run_eval_leaves_no_thread_running(monkeypatch):

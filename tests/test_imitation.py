@@ -185,6 +185,19 @@ def test_si_default_start_is_uniform():
     np.testing.assert_allclose(p, 0.25)
 
 
+@pytest.mark.parametrize("settings, match", [
+    ({"anneal_epochs": 0}, "anneal_epochs must be >= 1"),
+    ({"start_prob": -0.1}, "si_start_prob must be in"),
+    ({"start_prob": 0.34}, "si_start_prob must be in"),   # 3 * 0.34 > 1
+], ids=["anneal-epochs-0", "negative-start", "start-above-1/3"])
+def test_si_schedule_rejects_settings_that_break_probs(settings, match):
+    with pytest.raises(ValueError, match=match):
+        SelfImprovingSchedule(**settings)
+    # the largest valid start gives the teachers all the mass at epoch 0
+    np.testing.assert_allclose(SelfImprovingSchedule(start_prob=1 / 3).probs(0),
+                               [0.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+
+
 def test_si_anneal_hand_values():
     sis = SelfImprovingSchedule(anneal_epochs=100, start_prob=0.33)
     p = sis.probs(50)

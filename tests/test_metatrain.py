@@ -251,6 +251,11 @@ def test_validate_penalty_on_divergence():
     assert validate(init_l2o(0, hidden=4), 5, vs, penalty=123.0) == 123.0
 
 
+def test_train_config_rejects_an_empty_validation_set():
+    with pytest.raises(ValueError, match="n_val_instances must be >= 1"):
+        TrainConfig(master_seed=0, epochs=1, n_val_instances=0)
+
+
 def test_validate_rejects_empty_set():
     with pytest.raises(ValueError):
         validate(init_l2o(0, hidden=4), 5, ValidationSet([], [], []))

@@ -11,10 +11,6 @@ def test_kind_validation():
         TeacherKind("nope")
     with pytest.raises(ValueError):
         TeacherKind("sgd", lr=0.0)
-    with pytest.raises(ValueError):
-        TeacherKind("adam", beta1=1.0)
-    with pytest.raises(ValueError):
-        TeacherKind("adam", eps=0.0)
 
 
 def test_sgd_step():
@@ -25,13 +21,13 @@ def test_sgd_step():
 
 
 def test_adam_first_step_bias_correction():
-    kind = TeacherKind("adam", lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    kind = TeacherKind("adam", lr=0.01)
     update, _ = teacher_step(kind, init_state(2), np.array([1.0, -1.0]))
     np.testing.assert_allclose(update, [-0.01, 0.01], atol=1e-6)
 
 
 def test_adagrad_first_step():
-    kind = TeacherKind("adagrad", lr=0.01, adagrad_eps=1e-10)
+    kind = TeacherKind("adagrad", lr=0.01)
     update, _ = teacher_step(kind, init_state(1), np.array([4.0]))
     np.testing.assert_allclose(update, [-0.01], atol=1e-6)
 
@@ -64,7 +60,7 @@ def test_sgd_adagrad_two_step_closed_forms():
     np.testing.assert_allclose(u1, -0.01 * g, atol=1e-15)
     np.testing.assert_allclose(u2, -0.01 * g, atol=1e-15)
 
-    ada = TeacherKind("adagrad", lr=0.01, adagrad_eps=1e-10)
+    ada = TeacherKind("adagrad", lr=0.01)
     u1, st = teacher_step(ada, init_state(2), g)
     u2, _ = teacher_step(ada, st, g)
     np.testing.assert_allclose(u1, -0.01 * g / np.sqrt(g * g + 1e-10), atol=1e-12)
@@ -72,7 +68,7 @@ def test_sgd_adagrad_two_step_closed_forms():
 
 
 def test_rmsprop_step():
-    kind = TeacherKind("rmsprop", lr=0.01, rms_decay=0.9, rms_eps=1e-10)
+    kind = TeacherKind("rmsprop", lr=0.01)
     g = np.array([3.0])
     update, state = teacher_step(kind, init_state(1), g)
     np.testing.assert_allclose(update, -0.01 * g / np.sqrt(0.1 * g * g + 1e-10))
