@@ -9,8 +9,8 @@ A Value keeps a vjp only for the parents that lead to a trainable leaf,
 so backward never computes gradients into batch data, labels or other
 constants. Callers build their own fused nodes by passing (parent, vjp)
 pairs to Value; model.py does so for the LSTM cell and optimizees.py for
-each loss. Meta-training uses add, scale and those fused nodes, and
-imitation adds sub, square and vsum.
+each loss. Meta-training uses add and those fused nodes, imitation adds
+sub, square and vsum; only the gradient checks and tests use scale.
 """
 
 from __future__ import annotations

@@ -45,12 +45,11 @@ def _write_manifest(out_dir, cfg: RunConfig, artifacts: list[str]) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    run = train(cfg)
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(serialize_config(cfg))
-
-    run = train(cfg)
     artifacts = ["config.txt", "checkpoint.l2o", "epochs.csv", "events.csv"]
     if (result := run.curriculum) is not None:
         write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))

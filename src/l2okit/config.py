@@ -1,8 +1,8 @@
 """Run configuration: flat `key = value` files, flag overrides, profiles.
 
 The `paper` profile carries the full-scale experiment constants (ladder
-100..3000, N_period=3, T_period=100, r=0.3, teacher lrs 0.01, unit
-omega weights); `desk` scales everything to minutes on one CPU core.
+100..3000, N_period=3, T_period=100, r=0.3, teacher lrs 0.01); `desk`
+scales everything to minutes on one CPU core.
 """
 
 from __future__ import annotations

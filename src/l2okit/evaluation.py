@@ -150,8 +150,7 @@ def eval_seed(optimizer, cfg: EvalConfig, seed: int):
     inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
     theta0 = inst.init_params(derive_seed(seed, "eval-theta0"))
     inst.reseed_batches(derive_seed(seed, "eval-batches"))
-    traj = rollout(make_stepper(optimizer, inst.dim), inst, theta0, cfg.n_eval,
-                   produced_by=cfg.optimizer_name)
+    traj = rollout(make_stepper(optimizer, inst.dim), inst, theta0, cfg.n_eval)
     pts = [(t, float(loss)) for t, loss in enumerate(traj.losses)
            if t % cfg.log_every == 0 or t == cfg.n_eval - 1]
     return pts, traj.diverged_at

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .imitation import imitation_loss_and_grads, teacher_trajectory
-from .metatrain import MetaLossSpec, segment_loss_and_grads
+from .metatrain import segment_loss_and_grads
 from .model import (TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape,
                     leaf_grads, phi_leaves, state_constants, zero_state)
 from .optimizees import MnistMLPInstance, OptimizeeSpec, sample_instance
@@ -108,11 +108,10 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
     spec = OptimizeeSpec(family="quadratic", dim=3)
     inst = sample_instance(spec, seed)
     theta0 = inst.init_params(seed + 1)
-    mls = MetaLossSpec(horizon=horizon, segment=horizon)
     state = zero_state(inst.dim, phi.hidden)
 
     loss, grads, _, _, diverged = segment_loss_and_grads(
-        phi, inst, theta0, state, mls.weights())
+        phi, inst, theta0, state, horizon)
     assert not diverged
     analytic = _grads_to_vec(grads)
 
@@ -150,9 +149,8 @@ def check_imitation_loss(seed: int = 3) -> float:
     inst = sample_instance(spec, seed)
     theta0 = inst.init_params(seed + 1)
     traj = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 5)
-    omega = np.ones(5)
     state = zero_state(inst.dim, phi.hidden)
-    _, grads, _ = imitation_loss_and_grads(phi, traj.steps, omega, state)
+    _, grads, _ = imitation_loss_and_grads(phi, traj.steps, state)
     analytic = _grads_to_vec(grads)
 
     def loss_at(vec):
@@ -160,9 +158,9 @@ def check_imitation_loss(seed: int = 3) -> float:
         _unflatten_into(probe, vec)
         st = zero_state(inst.dim, probe.hidden)
         total = 0.0
-        for rec, w in zip(traj.steps, omega):
+        for rec in traj.steps:
             upd, st = l2o_step_np(probe, st, rec.g)
-            total += w * float(np.sum((upd - rec.update) ** 2))
+            total += float(np.sum((upd - rec.update) ** 2))
         return total
 
     return ad.fd_error(analytic, loss_at, _flatten(phi))

@@ -1,4 +1,4 @@
-"""Reader (and test-fixture writer) for MNIST-style IDX files.
+"""Reader for MNIST-style IDX files.
 
 All integers are 32-bit big-endian unsigned. Image files carry magic
 0x00000803 and pixel bytes are scaled to [0, 1] by /255; label files
@@ -37,18 +37,3 @@ def read_idx_labels(path) -> np.ndarray:
         raise ValueError(f"{path}: truncated label data")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Writes uint8 images (n, rows, cols); values must already be bytes."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())

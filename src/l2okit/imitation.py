@@ -3,7 +3,7 @@ mixed-trajectory baseline.
 
 Imitation episodes replay a teacher-generated (gradient, update) sequence
 through the learned optimizer and regress its updates onto the teacher's
-with a weighted squared error, using the same 20-step segmenting and
+with a squared error, using the same 20-step segmenting and
 per-segment meta-updates as ordinary meta-training.
 """
 
@@ -73,44 +73,39 @@ def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
         steps.append(TrajStep(g, update))
         return update
 
-    traj = rollout(recorded_step, inst, theta0, n, produced_by=f"teacher:{kind.kind}")
+    traj = rollout(recorded_step, inst, theta0, n)
     traj.steps = steps
     return traj
 
 
-def imitation_loss_and_grads(phi: L2OParams, steps, omega_seg, state):
+def imitation_loss_and_grads(phi: L2OParams, steps, state):
     """One segment of the imitation loss: squared-error regression of the
     L2O's updates onto the teacher's, gradients flowing to phi only."""
     tape = ad.Tape()
     leaves = phi_leaves(tape, phi)
     st = state_constants(tape, state)
     loss_acc = None
-    for rec, w in zip(steps, omega_seg):
+    for rec in steps:
         update, st = l2o_step_tape(tape, leaves, phi, st, rec.g)
         diff = ad.sub(update, tape.constant(rec.update))
-        term = ad.scale(ad.vsum(ad.square(diff)), float(w))
+        term = ad.vsum(ad.square(diff))
         loss_acc = term if loss_acc is None else ad.add(loss_acc, term)
     ad.backward(tape, loss_acc)
     return float(loss_acc.data), leaf_grads(leaves), state_from_values(st)
 
 
-def imitation_update(phi: L2OParams, traj: Trajectory, omega: np.ndarray,
-                     adam: MetaAdam, segment: int = 20) -> float:
+def imitation_update(phi: L2OParams, traj: Trajectory, adam: MetaAdam,
+                     segment: int = 20) -> float:
     """Replay the teacher trajectory through phi with the usual truncated
     segmenting, one meta step per segment; mutates phi, returns L_O."""
     if not traj.steps:
         raise ValueError("imitation_update: trajectory is empty")
-    n = len(traj.steps)
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (n,):
-        raise ValueError("imitation_update: omega length must match trajectory")
     dim = traj.steps[0].g.shape[0]
     state = zero_state(dim, phi.hidden)
     total = 0.0
-    for seg_start in range(0, n, segment):
-        seg = traj.steps[seg_start: seg_start + segment]
+    for seg_start in range(0, len(traj.steps), segment):
         loss, grads, state = imitation_loss_and_grads(
-            phi, seg, omega[seg_start: seg_start + segment], state)
+            phi, traj.steps[seg_start: seg_start + segment], state)
         adam.step(phi, grads)
         total += loss
     return total
@@ -136,7 +131,7 @@ def il_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
         if events is not None:
             events.append(("teacher-divergence", epoch, kind.kind))
         return f"IL:{kind.kind}", float("nan")
-    loss = imitation_update(phi, traj, mls.weights(), adam, segment=mls.segment)
+    loss = imitation_update(phi, traj, adam, segment=mls.segment)
     return f"IL:{kind.kind}", loss
 
 

@@ -36,7 +36,6 @@ class Trajectory:
     each step's (g, update) in ``steps``, for imitation; other rollouts
     keep nothing per step that grows with the optimizee dimension."""
     losses: list[float]
-    produced_by: str
     diverged_at: int | None = None
     final_loss: float | None = None
     steps: list[TrajStep] = field(default_factory=list)
@@ -46,17 +45,6 @@ class Trajectory:
 class MetaLossSpec:
     horizon: int
     segment: int = 20
-    omega: np.ndarray | None = None  # defaults to all-ones
-
-    def weights(self) -> np.ndarray:
-        if self.omega is None:
-            return np.ones(self.horizon)
-        w = np.asarray(self.omega, dtype=np.float64)
-        if w.shape != (self.horizon,):
-            raise ValueError("omega length must equal horizon")
-        if np.any(w < 0):
-            raise ValueError("omega weights must be non-negative")
-        return w
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -105,7 +93,7 @@ class MetaAdam:
 
 
 def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int,
-            produced_by: str = "l2o", record_final: bool = False) -> Trajectory:
+            record_final: bool = False) -> Trajectory:
     """Evaluative rollout: iterate loss/grad -> step_fn -> theta update.
 
     Divergence (non-finite loss or parameters) truncates the trajectory
@@ -119,10 +107,10 @@ def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int,
         batch = inst.next_batch()
         loss, g = inst.loss_and_grad(theta, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(theta)):
-            return Trajectory(losses, produced_by, diverged_at=t)
+            return Trajectory(losses, diverged_at=t)
         losses.append(loss)
         theta = theta + step_fn(g)
-    traj = Trajectory(losses, produced_by)
+    traj = Trajectory(losses)
     if record_final:
         batch = inst.next_batch()
         loss, _ = inst.loss_and_grad(theta, batch)
@@ -145,16 +133,11 @@ def l2o_stepper(phi: L2OParams, dim: int):
     return step
 
 
-def rollout_l2o(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
-                n: int, record_final: bool = False) -> Trajectory:
-    return rollout(l2o_stepper(phi, inst.dim), inst, theta0, n,
-                   produced_by="l2o", record_final=record_final)
-
-
 def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
-                           theta: np.ndarray, state, omega_seg,
+                           theta: np.ndarray, state, n_steps: int,
                            step_override=None, t_base: int = 0):
-    """Build the tape for one truncated segment and backpropagate.
+    """Build the tape for one truncated segment of n_steps optimizee steps
+    and backpropagate the sum of their losses.
 
     Returns (loss, grads, theta_next, state_next, diverged). grads is a
     name -> array dict over phi tensors (zeros where unreachable).
@@ -164,7 +147,7 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
     th = tape.constant(np.asarray(theta, dtype=np.float64))
     st = state_constants(tape, state)
     loss_acc = None
-    for k, w in enumerate(omega_seg):
+    for k in range(n_steps):
         batch = inst.next_batch()
         loss_t, g = inst.loss_and_grad(th.data, batch)
         if not np.isfinite(loss_t) or not np.all(np.isfinite(th.data)):
@@ -178,8 +161,7 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
         fv = inst.loss_on_tape(tape, th, batch)
         if not np.isfinite(fv.data):
             return None, None, th.data, state_from_values(st), True
-        term = ad.scale(fv, float(w))
-        loss_acc = term if loss_acc is None else ad.add(loss_acc, term)
+        loss_acc = fv if loss_acc is None else ad.add(loss_acc, fv)
     ad.backward(tape, loss_acc)
     return (float(loss_acc.data), leaf_grads(leaves), th.data,
             state_from_values(st), False)
@@ -195,14 +177,12 @@ def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
     the event is recorded as ("divergence", epoch, the segment's first
     step). Returns the summed meta-loss over the segments that completed.
     """
-    omega = mls.weights()
     theta = np.asarray(theta0, dtype=np.float64)
     state = zero_state(inst.dim, phi.hidden)
     total = 0.0
     for seg_start in range(0, mls.horizon, mls.segment):
-        omega_seg = omega[seg_start: seg_start + mls.segment]
         loss, grads, theta, state, diverged = segment_loss_and_grads(
-            phi, inst, theta, state, omega_seg,
+            phi, inst, theta, state, min(mls.segment, mls.horizon - seg_start),
             step_override=step_override, t_base=seg_start)
         if diverged:
             if events is not None:
@@ -261,7 +241,8 @@ def validate(phi: L2OParams, n_valid: int, vs: ValidationSet,
     scores = []
     for inst, theta0, bseed in zip(vs.instances, vs.theta0s, vs.batch_seeds):
         inst.reseed_batches(bseed)
-        traj = rollout_l2o(phi, inst, theta0, n_valid, record_final=True)
+        traj = rollout(l2o_stepper(phi, inst.dim), inst, theta0, n_valid,
+                       record_final=True)
         if traj.diverged_at is not None:
             scores.append(penalty)
         else:

@@ -52,6 +52,11 @@ class OptimizeeSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown optimizee family {self.family!r}")
+        for name in ("dim", "features", "hidden", "n_points"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"optimizee {name} must be >= 1")
+        if self.n_rows is not None and self.n_rows < 1:
+            raise ValueError("optimizee n_rows must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.init_std <= 0:

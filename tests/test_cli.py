@@ -188,6 +188,10 @@ def test_imitation_mode_at_r_zero_writes_base_mode_bytes(tmp_path, mode, base,
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def _training_started(*args, **kwargs):
+    raise AssertionError("training started")
+
+
 @pytest.mark.parametrize("flags, config_line, message", [
     (["--mode", "self-improving", "--anneal-epochs", "0"], "",
      "anneal_epochs must be >= 1"),
@@ -199,17 +203,36 @@ def test_imitation_mode_at_r_zero_writes_base_mode_bytes(tmp_path, mode, base,
 def test_invalid_training_settings_exit_1_before_any_epoch(tmp_path, capsys,
                                                            monkeypatch, flags,
                                                            config_line, message):
-    def no_schedule(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(experiments, "train_fixed", no_schedule)
-    monkeypatch.setattr(experiments, "train_curriculum", no_schedule)
+    monkeypatch.setattr(experiments, "train_fixed", _training_started)
+    monkeypatch.setattr(experiments, "train_curriculum", _training_started)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_line)
+    out = tmp_path / "run"
     rc = main(["train", "--config", str(cfg), "--family", "quadratic", *flags,
-               "--out", str(tmp_path / "run")])
+               "--out", str(out)])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("family, config_line, message", [
+    ("quadratic", "dim = 0", "optimizee dim must be >= 1"),
+    ("logistic_blobs", "features = 0", "optimizee features must be >= 1"),
+    ("tiny_mlp", "mlp_hidden = 0", "optimizee hidden must be >= 1"),
+    ("tiny_mlp", "n_points = 0", "optimizee n_points must be >= 1"),
+], ids=["dim-0", "features-0", "mlp-hidden-0", "n-points-0"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_optimizee_sizes_below_1_exit_1(tmp_path, capsys, monkeypatch, command,
+                                        family, config_line, message):
+    monkeypatch.setattr(experiments, "train_fixed", _training_started)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line + "\n")
+    out = tmp_path / "run"
+    rc = main([command, "--config", str(cfg), "--family", family, "--optimizer",
+               "adam", "--n-eval", "5", "--eval-seeds", "0", "--out", str(out)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_eval_requires_checkpoint(tmp_path, capsys):

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from l2okit import autodiff as ad
 from l2okit.gradchecks import check_meta_loss
 from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
                               ValidationSet, l2o_stepper, meta_update,
-                              rollout, rollout_l2o, segment_loss_and_grads,
+                              rollout, segment_loss_and_grads,
                               train_epoch, validate)
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
@@ -32,13 +33,6 @@ def test_meta_loss_spec_validation():
         MetaLossSpec(horizon=0)
     with pytest.raises(ValueError):
         MetaLossSpec(horizon=5, segment=6)
-    with pytest.raises(ValueError):
-        MetaLossSpec(horizon=3, segment=3, omega=np.ones(4)).weights()
-    with pytest.raises(ValueError):
-        MetaLossSpec(horizon=3, segment=3,
-                     omega=np.array([1.0, -1.0, 1.0])).weights()
-    np.testing.assert_array_equal(MetaLossSpec(horizon=4, segment=4).weights(),
-                                  np.ones(4))
 
 
 def test_train_config_validation():
@@ -80,7 +74,8 @@ def test_rollout_rejects_bad_horizon():
 
 def test_rollout_divergence_is_data():
     inst = quad_instance(3)
-    traj = rollout_l2o(init_l2o(0, hidden=4), inst, np.full(3, np.inf), 5)
+    traj = rollout(l2o_stepper(init_l2o(0, hidden=4), inst.dim), inst,
+                   np.full(3, np.inf), 5)
     assert traj.diverged_at == 0
     assert traj.losses == []
 
@@ -104,7 +99,8 @@ def test_rollout_memory_does_not_grow_with_dimension_times_steps():
 def test_rollout_record_final():
     inst = quad_instance(4)
     theta0 = inst.init_params(0)
-    traj = rollout_l2o(init_l2o(0, hidden=4), inst, theta0, 3, record_final=True)
+    traj = rollout(l2o_stepper(init_l2o(0, hidden=4), inst.dim), inst, theta0, 3,
+                   record_final=True)
     assert traj.final_loss is not None
     # identity policy keeps theta fixed, so the final loss matches step 0
     assert traj.final_loss == pytest.approx(traj.losses[0])
@@ -130,24 +126,29 @@ def test_meta_gradient_fd_horizon_5():
     assert check_meta_loss(horizon=5) < 1e-4
 
 
-def test_segments_are_truncated():
-    # scaling segment-1 weights must not change segment-2 gradients,
-    # because neither theta nor the LSTM state carries gradient across
-    # the boundary
+def test_segments_are_truncated(monkeypatch):
+    # scaling segment 1's loss nodes must not change segment 2's
+    # gradients, because neither theta nor the LSTM state carries
+    # gradient across the boundary
     phi = perturbed_phi(7)
     inst = quad_instance(8)
     theta0 = inst.init_params(2)
+    loss_node = inst.loss_on_tape
 
-    def run(seg1_omega):
+    def run(seg1_scale):
+        monkeypatch.setattr(inst, "loss_on_tape", lambda tape, th, batch: ad.scale(
+            loss_node(tape, th, batch), seg1_scale))
         state = zero_state(inst.dim, phi.hidden)
-        _, _, theta, state, _ = segment_loss_and_grads(
-            phi, inst, theta0, state, seg1_omega)
+        loss1, _, theta, state, _ = segment_loss_and_grads(
+            phi, inst, theta0, state, 4)
+        monkeypatch.setattr(inst, "loss_on_tape", loss_node)
         _, grads2, _, _, _ = segment_loss_and_grads(
-            phi, inst, theta, state, np.ones(4), t_base=4)
-        return grads2
+            phi, inst, theta, state, 4, t_base=4)
+        return loss1, grads2
 
-    g_a = run(np.ones(4))
-    g_b = run(3.0 * np.ones(4))
+    loss_a, g_a = run(1.0)
+    loss_b, g_b = run(3.0)
+    assert loss_b == pytest.approx(3.0 * loss_a, rel=1e-12)
     for name in TENSOR_NAMES:
         assert np.array_equal(g_a[name], g_b[name])
 

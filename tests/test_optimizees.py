@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import idxwrite
 import refchain as rc
 from l2okit import autodiff as ad
 from l2okit import idx, metatrain
@@ -31,6 +32,8 @@ def test_spec_validation():
         OptimizeeSpec(batch_size=0)
     with pytest.raises(ValueError):
         OptimizeeSpec(init_std=0.0)
+    with pytest.raises(ValueError, match="n_rows"):
+        OptimizeeSpec(n_rows=0)
 
 
 def test_sample_instance_deterministic():
@@ -179,8 +182,8 @@ def test_idx_roundtrip(tmp_path):
     images = rng.integers(0, 256, size=(6, 4, 3), dtype=np.uint8)
     labels = rng.integers(0, 10, size=6, dtype=np.uint8)
     ipath, lpath = tmp_path / "imgs", tmp_path / "labels"
-    idx.write_idx_images(ipath, images)
-    idx.write_idx_labels(lpath, labels)
+    idxwrite.write_idx_images(ipath, images)
+    idxwrite.write_idx_labels(lpath, labels)
     got = idx.read_idx_images(ipath)
     assert got.shape == (6, 4, 3)
     np.testing.assert_allclose(got, images / 255.0)
@@ -199,8 +202,8 @@ def test_mnist_mlp_from_synthetic_idx(tmp_path):
     rng = np.random.default_rng(1)
     images = rng.integers(0, 256, size=(40, 6, 6), dtype=np.uint8)
     labels = rng.integers(0, 10, size=40, dtype=np.uint8)
-    idx.write_idx_images(tmp_path / "train-images-idx3-ubyte", images)
-    idx.write_idx_labels(tmp_path / "train-labels-idx1-ubyte", labels)
+    idxwrite.write_idx_images(tmp_path / "train-images-idx3-ubyte", images)
+    idxwrite.write_idx_labels(tmp_path / "train-labels-idx1-ubyte", labels)
     spec = OptimizeeSpec(family="mnist_mlp", batch_size=16,
                          dataset_root=str(tmp_path))
     inst = sample_instance(spec, 0)
@@ -261,12 +264,6 @@ _REFERENCE = {"quadratic": _quadratic_ref, "logistic_blobs": _logistic_ref,
               "tiny_mlp": _mlp_ref, "mnist_mlp": _mlp_ref}
 
 
-def _use_reference_loss(monkeypatch, inst):
-    ref = _REFERENCE[inst.spec.family]
-    monkeypatch.setattr(inst, "loss_on_tape",
-                        lambda tape, theta, batch: ref(inst, tape, theta, batch))
-
-
 def _ref_loss_and_grad(inst, theta, batch):
     tape = ad.Tape()
     th = tape.leaf(theta, trainable=True)
@@ -284,9 +281,9 @@ def _same_bits(a, b):
 def family_specs(tmp_path_factory):
     root = tmp_path_factory.mktemp("idx")
     rng = np.random.default_rng(3)
-    idx.write_idx_images(root / "train-images-idx3-ubyte",
+    idxwrite.write_idx_images(root / "train-images-idx3-ubyte",
                          rng.integers(0, 256, size=(48, 5, 5), dtype=np.uint8))
-    idx.write_idx_labels(root / "train-labels-idx1-ubyte",
+    idxwrite.write_idx_labels(root / "train-labels-idx1-ubyte",
                          rng.integers(0, 10, size=48, dtype=np.uint8))
     return {
         "quadratic": OptimizeeSpec(family="quadratic", dim=6, n_rows=9),
@@ -369,8 +366,9 @@ def test_loss_node_matches_primitive_chain_for_any_seed(family_specs, family,
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_specs,
                                                            family, omega):
-    # three steps with non-unit weights: each loss node gets a seed other
-    # than 1, and its theta a gradient from the next step as well
+    # three steps whose loss nodes the test scales by non-unit weights:
+    # each node gets a seed other than 1, and its theta a gradient from
+    # the next step as well
     inst = sample_instance(family_specs[family], 5)
     phi = init_l2o(6, hidden=5)
     rng = np.random.default_rng(6)
@@ -379,16 +377,18 @@ def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_
     state = L2OState(*(rng.normal(0.0, 0.5, (inst.dim, phi.hidden)) for _ in range(4)))
     theta0 = rng.normal(0.0, 1.0, inst.dim)
 
-    def run():
+    def run(loss_node):
         inst.reseed_batches(7)
+        weights = iter(omega)
+        monkeypatch.setattr(inst, "loss_on_tape", lambda tape, th, batch: ad.scale(
+            loss_node(tape, th, batch), next(weights)))
         loss, grads, theta, st, diverged = metatrain.segment_loss_and_grads(
-            phi, inst, theta0, state, np.array(omega))
+            phi, inst, theta0, state, len(omega))
         assert not diverged
         return loss, grads, theta, st
 
-    fused = run()
-    _use_reference_loss(monkeypatch, inst)
-    ref = run()
+    fused = run(inst.loss_on_tape)
+    ref = run(lambda tape, th, batch: _REFERENCE[family](inst, tape, th, batch))
     assert _same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
         assert _same_bits(fused[1][name], ref[1][name]), name
