@@ -79,8 +79,6 @@ def _eval_optimizer(cfg: RunConfig):
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
     optimizer, name = _eval_optimizer(cfg)
     if cfg.name:
         name = cfg.name
@@ -88,6 +86,8 @@ def cmd_eval(cfg: RunConfig) -> int:
                     seeds=cfg.eval_seeds, log_every=cfg.log_every,
                     optimizer_name=name)
     report = run_eval(optimizer, ec)
+    out_dir = cfg.out
+    os.makedirs(out_dir, exist_ok=True)
     write_curves_csv(report, os.path.join(out_dir, "curves.csv"))
     write_summary_csv([report], os.path.join(out_dir, "summary.csv"))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:

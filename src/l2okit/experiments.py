@@ -31,6 +31,11 @@ from .optimizees import OptimizeeSpec, sample_instance
 from .seeding import derive_seed
 from .teachers import default_ensemble
 
+# The curriculum flags of the README flagship `cl-il` run (ladder, periods
+# and epoch budget); the other modes train with profile defaults.
+FLAGSHIP_FLAGS = {"ladder": (20, 40, 100), "n_period": 3, "t_period": 25,
+                  "epochs": 600}
+
 
 @dataclass
 class TrainResult:

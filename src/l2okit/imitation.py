@@ -148,7 +148,7 @@ def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
     sampler = rng_for(tc.master_seed, "si-choice", epoch)
     steppers = [teacher_stepper(kind, inst.dim) for kind in sis.teachers]
 
-    def override(t, theta, g):
+    def override(g):
         j = int(sampler.choice(len(probs), p=probs))
         if j == 0:
             return None

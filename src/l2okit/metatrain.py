@@ -135,7 +135,7 @@ def l2o_stepper(phi: L2OParams, dim: int):
 
 def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
                            theta: np.ndarray, state, n_steps: int,
-                           step_override=None, t_base: int = 0):
+                           step_override=None):
     """Build the tape for one truncated segment of n_steps optimizee steps
     and backpropagate the sum of their losses.
 
@@ -147,12 +147,12 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
     th = tape.constant(np.asarray(theta, dtype=np.float64))
     st = state_constants(tape, state)
     loss_acc = None
-    for k in range(n_steps):
+    for _ in range(n_steps):
         batch = inst.next_batch()
         loss_t, g = inst.loss_and_grad(th.data, batch)
         if not np.isfinite(loss_t) or not np.all(np.isfinite(th.data)):
             return None, None, th.data, state_from_values(st), True
-        ext = None if step_override is None else step_override(t_base + k, th.data, g)
+        ext = None if step_override is None else step_override(g)
         if ext is not None:
             th = ad.add(th, tape.constant(ext))
         else:
@@ -183,7 +183,7 @@ def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
     for seg_start in range(0, mls.horizon, mls.segment):
         loss, grads, theta, state, diverged = segment_loss_and_grads(
             phi, inst, theta, state, min(mls.segment, mls.horizon - seg_start),
-            step_override=step_override, t_base=seg_start)
+            step_override=step_override)
         if diverged:
             if events is not None:
                 events.append(("divergence", epoch, seg_start))

@@ -16,7 +16,7 @@ from l2okit.cli import main
 from l2okit.config import build_config
 from l2okit.curriculum import CurriculumConfig, curriculum_train
 from l2okit.evaluation import EvalConfig, run_eval
-from l2okit.experiments import train, train_fixed
+from l2okit.experiments import FLAGSHIP_FLAGS, train, train_fixed
 from l2okit.gradchecks import (check_imitation_loss, check_meta_loss)
 from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
                               il_epoch, self_improving_epoch,
@@ -208,16 +208,14 @@ def test_criterion_5_self_improving_schedule():
 
 EXP_SEED = 6
 AUG_ITERATIONS = 500 * 100  # augmented-horizon baseline: epochs x horizon
-# `l2okit train` flags of the cl-il run: the README flagship
-CL_IL_FLAGS = {"mode": "cl-il", "ladder": (20, 40, 100), "n_period": 3,
-               "t_period": 25, "epochs": 600}
 
 
 @pytest.fixture(scope="module")
 def directional_experiment():
     t0 = time.time()
     vanilla = train(build_config(flag_values={"mode": "vanilla", "seed": EXP_SEED}))
-    cl_il = train(build_config(flag_values={**CL_IL_FLAGS, "seed": EXP_SEED}))
+    cl_il = train(build_config(flag_values={"mode": "cl-il", **FLAGSHIP_FLAGS,
+                                            "seed": EXP_SEED}))
 
     ec = EvalConfig(optimizee=TINY, n_eval=500, seeds=tuple(range(10)),
                     log_every=10)

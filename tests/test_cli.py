@@ -212,7 +212,7 @@ def test_invalid_training_settings_exit_1_before_any_epoch(tmp_path, capsys,
                "--out", str(out)])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family, config_line, message", [
@@ -232,13 +232,14 @@ def test_optimizee_sizes_below_1_exit_1(tmp_path, capsys, monkeypatch, command,
                "adam", "--n-eval", "5", "--eval-seeds", "0", "--out", str(out)])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 def test_eval_requires_checkpoint(tmp_path, capsys):
     rc = main(["eval", "--family", "quadratic", "--out", str(tmp_path / "e")])
     assert rc == 1
     assert "checkpoint required" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_and_compare_roundtrip(tmp_path, capsys):
