@@ -12,10 +12,11 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
-from .config import (MODES, PROFILES, ConfigError, RunConfig, build_config,
-                     config_hash, parse_config_file, serialize_config,
-                     _parse_int_list)
+from .config import (MODES, PARSERS, PROFILES, ConfigError, RunConfig,
+                     build_config, config_hash, parse_config_file,
+                     serialize_config)
 from .evaluation import (COMPARE_COLUMNS, EvalConfig, EvalReport, compare,
                          run_eval, write_curves_csv, write_summary_csv)
 from .experiments import (train, write_epoch_csv, write_events_csv,
@@ -32,41 +33,44 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, cfg: RunConfig, artifacts: list[str]) -> None:
+def _write_text(text: str, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_run(cfg: RunConfig, artifacts: dict) -> None:
+    """Create cfg.out and write config.txt and each artifact, given as
+    {file name: write(path)}; manifest.json hashes exactly those files."""
+    artifacts = {"config.txt": partial(_write_text, serialize_config(cfg)),
+                 **artifacts}
+    os.makedirs(cfg.out, exist_ok=True)
+    for name, write in artifacts.items():
+        write(os.path.join(cfg.out, name))
     manifest = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "artifacts": {name: _sha256(os.path.join(out_dir, name))
+        "artifacts": {name: _sha256(os.path.join(cfg.out, name))
                       for name in sorted(artifacts)},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                os.path.join(cfg.out, "manifest.json"))
 
 
 def cmd_train(cfg: RunConfig) -> int:
     run = train(cfg)
-    out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        fh.write(serialize_config(cfg))
-    artifacts = ["config.txt", "checkpoint.l2o", "epochs.csv", "events.csv"]
+    artifacts = {"checkpoint.l2o": partial(save_checkpoint, run.phi),
+                 "epochs.csv": partial(write_epoch_csv, run.epoch_log),
+                 "events.csv": partial(write_events_csv, run.events)}
     if (result := run.curriculum) is not None:
-        write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
-        with open(os.path.join(out_dir, "curriculum.json"), "w") as fh:
-            json.dump({"stopped_by": result.stopped_by,
-                       "best_stage": result.best_stage,
-                       "total_epochs": result.total_epochs,
-                       "train_iterations": result.train_iterations()},
-                      fh, sort_keys=True)
-            fh.write("\n")
-        artifacts += ["trace.csv", "curriculum.json"]
-
-    save_checkpoint(run.phi, os.path.join(out_dir, "checkpoint.l2o"))
-    write_epoch_csv(run.epoch_log, os.path.join(out_dir, "epochs.csv"))
-    write_events_csv(run.events, os.path.join(out_dir, "events.csv"))
-    _write_manifest(out_dir, cfg, artifacts)
-    print(f"trained mode={cfg.mode} profile={cfg.profile} -> {out_dir}")
+        summary = {"stopped_by": result.stopped_by,
+                   "best_stage": result.best_stage,
+                   "total_epochs": result.total_epochs,
+                   "train_iterations": result.train_iterations()}
+        artifacts["trace.csv"] = partial(write_trace_csv, result.trace)
+        artifacts["curriculum.json"] = partial(
+            _write_text, json.dumps(summary, sort_keys=True) + "\n")
+    _write_run(cfg, artifacts)
+    print(f"trained mode={cfg.mode} profile={cfg.profile} -> {cfg.out}")
     return 0
 
 
@@ -86,17 +90,9 @@ def cmd_eval(cfg: RunConfig) -> int:
                     seeds=cfg.eval_seeds, log_every=cfg.log_every,
                     optimizer_name=name)
     report = run_eval(optimizer, ec)
-    out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-    write_curves_csv(report, os.path.join(out_dir, "curves.csv"))
-    write_summary_csv([report], os.path.join(out_dir, "summary.csv"))
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        fh.write(serialize_config(cfg))
-    _write_manifest(out_dir, cfg,
-                    ["config.txt", "curves.csv", "summary.csv", "report.json"])
+    _write_run(cfg, {"curves.csv": partial(write_curves_csv, report),
+                     "summary.csv": partial(write_summary_csv, [report]),
+                     "report.json": partial(_write_text, report.to_json() + "\n")})
     print(f"evaluated {name}: median final loss {report.final_median:.6g}, "
           f"divergence rate {report.divergence_rate:.2f}")
     return 0
@@ -139,36 +135,14 @@ def cmd_gradcheck() -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--profile", choices=PROFILES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--family")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--meta-lr", dest="meta_lr", type=float)
-    p.add_argument("--segment", type=int)
-    p.add_argument("--ladder", type=_parse_int_list)
-    p.add_argument("--n-period", dest="n_period", type=int)
-    p.add_argument("--t-period", dest="t_period", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--teacher-lr", dest="teacher_lr", type=float)
-    p.add_argument("--anneal-epochs", dest="anneal_epochs", type=int)
-    p.add_argument("--n-eval", dest="n_eval", type=int)
-    p.add_argument("--eval-seeds", dest="eval_seeds", type=_parse_int_list)
-    p.add_argument("--log-every", dest="log_every", type=int)
-    p.add_argument("--checkpoint")
-    p.add_argument("--optimizer")
-    p.add_argument("--name", help="report label for eval runs")
-    p.add_argument("--dataset-root", dest="dataset_root")
+    for name, parse in PARSERS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+                       choices={"mode": MODES, "profile": PROFILES}.get(name))
 
 
 def _config_from_args(args) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = {k: v for k, v in vars(args).items()
-                   if k not in ("command", "config", "reports", "table_out")}
-    return build_config(file_values, flag_values)
+    return build_config(file_values, {k: getattr(args, k) for k in PARSERS})
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .curriculum import CurriculumConfig
 from .optimizees import FAMILIES, OptimizeeSpec
@@ -80,6 +82,8 @@ class RunConfig:
     name: str | None = None  # report label; defaults to the optimizer kind
 
     def validate(self) -> None:
+        """Membership checks here; every range is checked once, by the
+        optimizee spec and curriculum this config builds."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.profile not in PROFILES:
@@ -89,20 +93,17 @@ class RunConfig:
         if self.optimizer not in EVAL_OPTIMIZERS:
             raise ConfigError(
                 f"optimizer must be one of {EVAL_OPTIMIZERS}, got {self.optimizer!r}")
-        if self.n_period is not None and self.n_period < 1:
-            raise ConfigError("n_period must be >= 1")
-        if self.t_period is not None and self.t_period < 1:
-            raise ConfigError("t_period must be >= 1")
         if not 0 <= self.r <= 1:
             raise ConfigError("r must be in [0, 1]")
         if self.meta_lr <= 0:
             raise ConfigError("meta_lr must be > 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.init_std <= 0:
-            raise ConfigError("init_std must be > 0")
         if self.segment < 1:
             raise ConfigError("segment must be >= 1")
+        try:
+            self.optimizee_spec()
+            self.curriculum()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # profile-resolved views -------------------------------------------------
 
@@ -151,28 +152,22 @@ class RunConfig:
             dataset_root=self.dataset_root)
 
 
-_INT_KEYS = {"seed", "hidden", "n_train", "epochs", "segment", "n_val_instances",
-             "n_period", "t_period", "anneal_epochs", "dim", "features",
-             "mlp_hidden", "n_points", "batch_size", "n_eval", "log_every"}
-_FLOAT_KEYS = {"preprocess_p", "out_scale", "meta_lr", "divergence_penalty", "r",
-               "teacher_lr", "si_start_prob", "init_std"}
-_STR_KEYS = {"mode", "profile", "out", "family", "dataset_root", "checkpoint",
-             "optimizer", "name"}
-_LIST_KEYS = {"ladder", "eval_seeds"}
+def _parser(hint):
+    """The text parser for a field annotated hint: int, float or str, or
+    _parse_int_list for a tuple; an optional field parses as its type."""
+    if get_origin(hint) is UnionType:
+        hint = next(t for t in get_args(hint) if t is not NoneType)
+    return _parse_int_list if get_origin(hint) is tuple else hint
 
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
+
+# Every RunConfig field is a config key and a CLI flag, parsed by its type.
+PARSERS = {name: _parser(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
 def _convert(key: str, raw: str, where: str):
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_KEYS:
-            return _parse_int_list(raw)
-        return raw
+        return PARSERS[key](raw)
     except ValueError:
         raise ConfigError(f"{where}: bad value {raw!r} for key {key!r}") from None
 
@@ -189,7 +184,7 @@ def parse_config_file(path) -> dict:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in KNOWN_KEYS:
+            if key not in PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _convert(key, raw, f"{path}:{lineno}")
     return values
@@ -201,7 +196,7 @@ def build_config(file_values: dict | None = None,
     merged = dict(file_values or {})
     for key, val in (flag_values or {}).items():
         if val is not None:
-            if key not in KNOWN_KEYS:
+            if key not in PARSERS:
                 raise ConfigError(f"unknown key {key!r}")
             merged[key] = val
     cfg = RunConfig(**merged)

@@ -19,6 +19,8 @@ class CurriculumConfig:
     t_period: int = 25
 
     def __post_init__(self):
+        if not self.ladder:
+            raise ValueError("ladder must be non-empty")
         if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("ladder must be strictly increasing")
         if any(n < 1 for n in self.ladder):

@@ -81,38 +81,21 @@ class EvalReport:
         return float(trapezoid(y, np.asarray(self.agg_steps, dtype=np.float64)))
 
     def to_json(self) -> str:
-        payload = {
-            "optimizer_name": self.optimizer_name,
-            "optimizee": asdict(self.optimizee),
-            "n_eval": self.n_eval,
-            "log_every": self.log_every,
-            "seeds": list(self.seeds),
-            "curves": {str(s): self.curves[s] for s in self.seeds},
-            "diverged_at": {str(s): self.diverged_at[s] for s in self.seeds},
-            "agg_steps": self.agg_steps,
-            "agg_mean": self.agg_mean,
-            "agg_std": self.agg_std,
-            "final_median": self.final_median,
-            "final_mean": self.final_mean,
-            "final_std": self.final_std,
-            "divergence_rate": self.divergence_rate,
-        }
-        return json.dumps(payload, sort_keys=True)
+        # seed keys become strings before sort_keys, which puts "10" before
+        # "2"; int keys would sort numerically and change the bytes
+        d = asdict(self)
+        for key in ("curves", "diverged_at"):
+            d[key] = {str(s): v for s, v in d[key].items()}
+        return json.dumps(d, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         d = json.loads(text)
-        seeds = tuple(d["seeds"])
-        return cls(
-            optimizer_name=d["optimizer_name"],
-            optimizee=OptimizeeSpec(**d["optimizee"]),
-            n_eval=d["n_eval"], log_every=d["log_every"], seeds=seeds,
-            curves={s: [tuple(p) for p in d["curves"][str(s)]] for s in seeds},
-            diverged_at={s: d["diverged_at"][str(s)] for s in seeds},
-            agg_steps=d["agg_steps"], agg_mean=d["agg_mean"], agg_std=d["agg_std"],
-            final_median=d["final_median"], final_mean=d["final_mean"],
-            final_std=d["final_std"], divergence_rate=d["divergence_rate"],
-        )
+        d["optimizee"] = OptimizeeSpec(**d["optimizee"])
+        d["seeds"] = seeds = tuple(d["seeds"])
+        d["curves"] = {s: [tuple(p) for p in d["curves"][str(s)]] for s in seeds}
+        d["diverged_at"] = {s: d["diverged_at"][str(s)] for s in seeds}
+        return cls(**d)
 
 
 def _check_optimizer(optimizer) -> None:

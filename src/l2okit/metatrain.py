@@ -62,6 +62,8 @@ class TrainConfig:
     divergence_penalty: float = 1e6
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.meta_lr <= 0:
             raise ValueError("meta_lr must be > 0")
         if self.n_val_instances < 1:

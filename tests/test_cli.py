@@ -1,10 +1,12 @@
+import argparse
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
 from l2okit import experiments
-from l2okit.cli import main
+from l2okit.cli import _add_config_flags, _config_from_args, main
 from l2okit.config import (ConfigError, PAPER_LADDER, RunConfig, build_config,
                            config_hash, parse_config_file, serialize_config)
 
@@ -63,6 +65,8 @@ def test_build_rejects_invalid_values():
         build_config({"mode": "nope"})
     with pytest.raises(ConfigError, match="r must be in"):
         build_config({"r": 1.5})
+    with pytest.raises(ConfigError, match="ladder must be non-empty"):
+        build_config({"ladder": ()})
 
 
 def test_profile_defaults():
@@ -89,6 +93,38 @@ def test_serialize_roundtrip(tmp_path):
     back = build_config(parse_config_file(path))
     assert back == cfg
     assert config_hash(back) == config_hash(cfg)
+
+
+# every field away from its default, and valid together
+NON_DEFAULT = RunConfig(
+    mode="cl-il", profile="paper", seed=7, out="elsewhere",
+    family="logistic_blobs", hidden=12, preprocess_p=5.0, out_scale=0.02,
+    n_train=30, epochs=9, meta_lr=0.002, segment=10, n_val_instances=3,
+    divergence_penalty=1e5, ladder=(10, 30), n_period=2, t_period=4, r=0.5,
+    teacher_lr=0.05, anneal_epochs=7, si_start_prob=0.25, dim=6, features=3,
+    mlp_hidden=4, n_points=64, batch_size=16, init_std=0.05,
+    dataset_root="data", n_eval=40, eval_seeds=(3, 4), log_every=5,
+    checkpoint="ck.l2o", optimizer="adam", name="label")
+
+
+def test_every_config_key_is_a_flag(tmp_path, capsys):
+    assert all(getattr(NON_DEFAULT, f.name) != f.default for f in fields(RunConfig))
+    lines = serialize_config(NON_DEFAULT).splitlines() + [f"out = {NON_DEFAULT.out}"]
+    argv = []
+    for line in lines:
+        key, value = line.split(" = ")
+        argv += [f"--{key.replace('_', '-')}", value]
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    assert build_config(parse_config_file(path)) == NON_DEFAULT
+    assert _config_from_args(parser.parse_args(argv)) == NON_DEFAULT
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    help_text = capsys.readouterr().out
+    for f in fields(RunConfig):
+        assert f"--{f.name.replace('_', '-')} " in help_text, f.name
 
 
 def test_config_hash_sensitivity():
@@ -199,7 +235,11 @@ def _training_started(*args, **kwargs):
      "si_start_prob must be in"),
     (["--mode", "cl", "--ladder", "4,8"], "n_val_instances = 0\n",
      "n_val_instances must be >= 1"),
-], ids=["anneal-epochs-0", "si-start-prob-0.5", "n-val-instances-0"])
+    (["--epochs", "0"], "", "epochs must be >= 1"),
+    (["--epochs", "-5"], "", "epochs must be >= 1"),
+    (["--mode", "cl"], "ladder =\n", "ladder must be non-empty"),
+], ids=["anneal-epochs-0", "si-start-prob-0.5", "n-val-instances-0",
+        "epochs-0", "epochs-negative", "ladder-empty"])
 def test_invalid_training_settings_exit_1_before_any_epoch(tmp_path, capsys,
                                                            monkeypatch, flags,
                                                            config_line, message):
@@ -240,6 +280,15 @@ def test_eval_requires_checkpoint(tmp_path, capsys):
     assert rc == 1
     assert "checkpoint required" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+def test_eval_rejects_empty_ladder(tmp_path, capsys):
+    out = tmp_path / "e"
+    rc = main(["eval", "--family", "quadratic", "--optimizer", "adam",
+               "--ladder", "", "--out", str(out)])
+    assert rc == 1
+    assert "error: ladder must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_and_compare_roundtrip(tmp_path, capsys):
