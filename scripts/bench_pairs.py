@@ -17,8 +17,16 @@ BENCHMARK.json.
 For every end-to-end metric of BENCHMARK.json the summary gives each
 side's [q1, median, q3] (linear interpolation), the number of pairs in
 which the change is better, the change median over the parent median,
-and the parent's interquartile range. ``--trace`` adds one traced run per
-side, with the per-layer metrics.
+the parent's interquartile range, and a verdict:
+
+- ``gain``: the change is better in at least 9 of 10 pairs (a tie counts
+  for neither side), and its median is better than the parent's by more
+  than the parent's interquartile range;
+- ``worse``: the change median is worse than the parent median by more
+  than the metric's relative ``bound``;
+- ``within bound`` otherwise.
+
+``--trace`` adds one traced run per side, with the per-layer metrics.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS_DIR = ROOT / ".bench_build" / "pairs"
 WORKTREE = "."
 PAIRS = 10
+GAIN_WIN_SHARE = 0.9
 
 
 def git(*args: str) -> str:
@@ -93,9 +102,20 @@ def quartiles(values) -> list[float]:
     return [float(q) for q in np.percentile(values, [25, 50, 75])]
 
 
+def verdict(wins: int, pairs: int, parent_q: list[float], change_median: float,
+            sign: float, bound: float) -> str:
+    """"gain", "worse" or "within bound"; see the module docstring."""
+    better_by = sign * (change_median - parent_q[1])
+    if wins >= GAIN_WIN_SHARE * pairs and better_by > parent_q[2] - parent_q[0]:
+        return "gain"
+    if -better_by > bound * abs(parent_q[1]):
+        return "worse"
+    return "within bound"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, paired wins and the median ratio,
-    over the pairs in which both sides ran."""
+    """Per metric: both sides' quartiles, paired wins, the median ratio
+    and the verdict, over the pairs in which both sides ran."""
     by_pair: dict[int, dict] = {}
     for r in runs:
         if r["result"] is not None:
@@ -108,13 +128,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         change = [p["change"][name]["value"] for p in pairs]
         sign = 1.0 if m["better"] == "higher" else -1.0
         pq, cq = quartiles(parent), quartiles(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         out[name] = {
             "parent_q1_median_q3": pq,
             "change_q1_median_q3": cq,
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_wins": wins,
             "median_ratio_change_over_parent": cq[1] / pq[1],
             "pairs": len(pairs),
             "parent_iqr": pq[2] - pq[0],
+            "verdict": verdict(wins, len(pairs), pq, cq[1], sign, m["bound"]),
         }
     return out
 
@@ -155,7 +177,10 @@ def main(argv=None) -> int:
                   "from fresh checkouts, alternating which side runs first. Timing "
                   "figures are [q1, median, q3] over the runs of one side; "
                   "change_wins counts pairs in which the change is better. ratios "
-                  "are change median / parent median.",
+                  "are change median / parent median. verdict is gain (better in "
+                  ">= 9 of 10 pairs, and the median better by more than the "
+                  "parent's IQR), worse (the median worse by more than the "
+                  "metric's bound) or within bound.",
         "build": None,
         "workloads": {},
     }
@@ -190,7 +215,8 @@ def main(argv=None) -> int:
             print(f"{key} {name}: parent {s['parent_q1_median_q3'][1]:.4g} -> change "
                   f"{s['change_q1_median_q3'][1]:.4g} (ratio "
                   f"{s['median_ratio_change_over_parent']:.3f}, change wins "
-                  f"{s['change_wins']}/{s['pairs']}, parent IQR {s['parent_iqr']:.3g})")
+                  f"{s['change_wins']}/{s['pairs']}, parent IQR {s['parent_iqr']:.3g}): "
+                  f"{s['verdict']}")
     print(f"wrote {out_path}")
     return 0
 

@@ -102,7 +102,7 @@ def cmd_compare(report_paths: list[str], out_path: str) -> int:
     reports = []
     for path in report_paths:
         with open(path) as fh:
-            reports.append(EvalReport.from_json(fh.read()))
+            reports.append(EvalReport.from_json(fh.read(), path))
     table = compare(reports)
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -16,11 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .metatrain import l2o_stepper, rollout
-from .model import L2OParams
+from .metatrain import rollout, stepper
 from .optimizees import OptimizeeSpec, sample_instance
 from .seeding import derive_seed
-from .teachers import TeacherKind, teacher_stepper
 
 _LOG_FLOOR = 1e-300
 
@@ -89,25 +87,18 @@ class EvalReport:
         return json.dumps(d, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
+    def from_json(cls, text: str, source: str = "document") -> "EvalReport":
+        """The report that to_json wrote; ValueError naming source for
+        JSON that is not one (a missing or extra key, or not an object)."""
         d = json.loads(text)
-        d["optimizee"] = OptimizeeSpec(**d["optimizee"])
-        d["seeds"] = seeds = tuple(d["seeds"])
-        d["curves"] = {s: [tuple(p) for p in d["curves"][str(s)]] for s in seeds}
-        d["diverged_at"] = {s: d["diverged_at"][str(s)] for s in seeds}
-        return cls(**d)
-
-
-def _check_optimizer(optimizer) -> None:
-    if not isinstance(optimizer, (L2OParams, TeacherKind)):
-        raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
-
-
-def make_stepper(optimizer, dim: int):
-    _check_optimizer(optimizer)
-    if isinstance(optimizer, L2OParams):
-        return l2o_stepper(optimizer, dim)
-    return teacher_stepper(optimizer, dim)
+        try:
+            d["optimizee"] = OptimizeeSpec(**d["optimizee"])
+            d["seeds"] = seeds = tuple(d["seeds"])
+            d["curves"] = {s: [tuple(p) for p in d["curves"][str(s)]] for s in seeds}
+            d["diverged_at"] = {s: d["diverged_at"][str(s)] for s in seeds}
+            return cls(**d)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{source} is not an eval report ({exc!r})") from None
 
 
 # Seeds run on threads, which overlap only the numpy kernels that release
@@ -131,12 +122,12 @@ def eval_seed(optimizer, cfg: EvalConfig, seed: int):
     """One seed's rollout on a fresh instance and theta0: its logged
     (step, loss) points and the step it diverged at, or None."""
     inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
-    theta0 = inst.init_params(derive_seed(seed, "eval-theta0"))
-    inst.reseed_batches(derive_seed(seed, "eval-batches"))
-    traj = rollout(make_stepper(optimizer, inst.dim), inst, theta0, cfg.n_eval)
-    pts = [(t, float(loss)) for t, loss in enumerate(traj.losses)
+    theta0 = inst.start(seed, "eval")
+    losses, diverged_at = rollout(stepper(optimizer, inst.dim), inst, theta0,
+                                  cfg.n_eval)
+    pts = [(t, float(loss)) for t, loss in enumerate(losses)
            if t % cfg.log_every == 0 or t == cfg.n_eval - 1]
-    return pts, traj.diverged_at
+    return pts, diverged_at
 
 
 def _std(values) -> float:
@@ -153,7 +144,7 @@ def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
     """Fresh instance + theta0 per seed, evaluative rollout, aggregates.
     Fully deterministic given cfg, whatever the number of threads the
     seeds run on; never mutates the optimizer."""
-    _check_optimizer(optimizer)
+    stepper(optimizer, 1)  # an unsupported optimizer fails before any thread
     run = partial(eval_seed, optimizer, cfg)
     workers = _pool_size(cfg)
     if workers == 1:

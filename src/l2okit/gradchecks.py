@@ -148,9 +148,9 @@ def check_imitation_loss(seed: int = 3) -> float:
     spec = OptimizeeSpec(family="quadratic", dim=3)
     inst = sample_instance(spec, seed)
     theta0 = inst.init_params(seed + 1)
-    traj = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 5)
+    steps, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 5)
     state = zero_state(inst.dim, phi.hidden)
-    _, grads, _ = imitation_loss_and_grads(phi, traj.steps, state)
+    _, grads, _ = imitation_loss_and_grads(phi, steps, state)
     analytic = _grads_to_vec(grads)
 
     def loss_at(vec):
@@ -158,9 +158,9 @@ def check_imitation_loss(seed: int = 3) -> float:
         _unflatten_into(probe, vec)
         st = zero_state(inst.dim, probe.hidden)
         total = 0.0
-        for rec in traj.steps:
-            upd, st = l2o_step_np(probe, st, rec.g)
-            total += float(np.sum((upd - rec.update) ** 2))
+        for g, target in steps:
+            upd, st = l2o_step_np(probe, st, g)
+            total += float(np.sum((upd - target) ** 2))
         return total
 
     return ad.fd_error(analytic, loss_at, _flatten(phi))

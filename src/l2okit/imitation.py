@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, Trajectory,
-                        TrajStep, exploring_start, rollout, train_epoch)
+from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, rollout, stepper,
+                        train_epoch)
 from .model import (L2OParams, l2o_step_tape, leaf_grads, phi_leaves,
                     state_constants, state_from_values, zero_state)
 from .optimizees import OptimizeeInstance
 from .seeding import rng_for
-from .teachers import TeacherKind, default_ensemble, teacher_stepper
+from .teachers import TeacherKind, default_ensemble
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,20 @@ class SelfImprovingSchedule:
 
 
 def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
-                       theta0: np.ndarray, n: int) -> Trajectory:
-    """Roll the analytical optimizer for n steps, keeping each step's
-    (g, update) for replay; independent of phi."""
-    step = teacher_stepper(kind, inst.dim)
-    steps: list[TrajStep] = []
+                       theta0: np.ndarray, n: int):
+    """Roll the analytical optimizer for n steps; independent of phi.
+    Returns (steps, diverged_at), steps being each step's (g, update)
+    pair for replay."""
+    step = stepper(kind, inst.dim)
+    steps = []
 
     def recorded_step(g):
         update = step(g)
-        steps.append(TrajStep(g, update))
+        steps.append((g, update))
         return update
 
-    traj = rollout(recorded_step, inst, theta0, n)
-    traj.steps = steps
-    return traj
+    _, diverged_at = rollout(recorded_step, inst, theta0, n)
+    return steps, diverged_at
 
 
 def imitation_loss_and_grads(phi: L2OParams, steps, state):
@@ -85,27 +85,27 @@ def imitation_loss_and_grads(phi: L2OParams, steps, state):
     leaves = phi_leaves(tape, phi)
     st = state_constants(tape, state)
     loss_acc = None
-    for rec in steps:
-        update, st = l2o_step_tape(tape, leaves, phi, st, rec.g)
-        diff = ad.sub(update, tape.constant(rec.update))
+    for g, target in steps:
+        update, st = l2o_step_tape(tape, leaves, phi, st, g)
+        diff = ad.sub(update, tape.constant(target))
         term = ad.vsum(ad.square(diff))
         loss_acc = term if loss_acc is None else ad.add(loss_acc, term)
     ad.backward(tape, loss_acc)
     return float(loss_acc.data), leaf_grads(leaves), state_from_values(st)
 
 
-def imitation_update(phi: L2OParams, traj: Trajectory, adam: MetaAdam,
+def imitation_update(phi: L2OParams, steps, adam: MetaAdam,
                      segment: int = 20) -> float:
-    """Replay the teacher trajectory through phi with the usual truncated
-    segmenting, one meta step per segment; mutates phi, returns L_O."""
-    if not traj.steps:
+    """Replay a teacher trajectory's (g, update) steps through phi with the
+    usual truncated segmenting, one meta step per segment; mutates phi,
+    returns L_O."""
+    if not steps:
         raise ValueError("imitation_update: trajectory is empty")
-    dim = traj.steps[0].g.shape[0]
-    state = zero_state(dim, phi.hidden)
+    state = zero_state(steps[0][0].shape[0], phi.hidden)
     total = 0.0
-    for seg_start in range(0, len(traj.steps), segment):
+    for seg_start in range(0, len(steps), segment):
         loss, grads, state = imitation_loss_and_grads(
-            phi, traj.steps[seg_start: seg_start + segment], state)
+            phi, steps[seg_start: seg_start + segment], state)
         adam.step(phi, grads)
         total += loss
     return total
@@ -125,13 +125,13 @@ def il_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
         return train_epoch(phi, epoch, mls, adam, inst=inst, tc=tc, events=events)
     idx = int(rng_for(tc.master_seed, "il-teacher", epoch).integers(len(ic.teachers)))
     kind = ic.teachers[idx]
-    theta0 = exploring_start(inst, tc, epoch)
-    traj = teacher_trajectory(kind, inst, theta0, mls.horizon)
-    if traj.diverged_at is not None:
+    theta0 = inst.start(tc.master_seed, "epoch", epoch)
+    steps, diverged_at = teacher_trajectory(kind, inst, theta0, mls.horizon)
+    if diverged_at is not None:
         if events is not None:
             events.append(("teacher-divergence", epoch, kind.kind))
         return f"IL:{kind.kind}", float("nan")
-    loss = imitation_update(phi, traj, adam, segment=mls.segment)
+    loss = imitation_update(phi, steps, adam, segment=mls.segment)
     return f"IL:{kind.kind}", loss
 
 
@@ -146,7 +146,7 @@ def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
     where that teacher is sampled. Returns ("SI:mixed", meta-loss)."""
     probs = sis.probs(epoch)
     sampler = rng_for(tc.master_seed, "si-choice", epoch)
-    steppers = [teacher_stepper(kind, inst.dim) for kind in sis.teachers]
+    steppers = [stepper(kind, inst.dim) for kind in sis.teachers]
 
     def override(g):
         j = int(sampler.choice(len(probs), p=probs))

@@ -11,7 +11,7 @@ boundary, so gradients never flow across segments. One meta-optimizer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,24 +21,7 @@ from .model import (L2OParams, TENSOR_NAMES, l2o_step_np, l2o_step_tape,
                     zero_state)
 from .optimizees import OptimizeeInstance, OptimizeeSpec, sample_instance
 from .seeding import derive_seed
-from .teachers import adam_update
-
-
-@dataclass
-class TrajStep:
-    g: np.ndarray
-    update: np.ndarray
-
-
-@dataclass
-class Trajectory:
-    """A rollout's loss at every step. Only teacher trajectories also keep
-    each step's (g, update) in ``steps``, for imitation; other rollouts
-    keep nothing per step that grows with the optimizee dimension."""
-    losses: list[float]
-    diverged_at: int | None = None
-    final_loss: float | None = None
-    steps: list[TrajStep] = field(default_factory=list)
+from .teachers import TeacherKind, adam_update, init_state, teacher_step
 
 
 @dataclass
@@ -94,12 +77,13 @@ class MetaAdam:
             arr += update
 
 
-def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int,
-            record_final: bool = False) -> Trajectory:
+def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int):
     """Evaluative rollout: iterate loss/grad -> step_fn -> theta update.
+    Returns (losses, diverged_at): one loss per step, nothing per step
+    that grows with the optimizee dimension.
 
-    Divergence (non-finite loss or parameters) truncates the trajectory
-    and sets diverged_at; it is data, not an error.
+    Divergence (non-finite loss or parameters) truncates the losses and
+    sets diverged_at; it is data, not an error.
     """
     if n < 1:
         raise ValueError("rollout: n must be >= 1")
@@ -109,30 +93,29 @@ def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int,
         batch = inst.next_batch()
         loss, g = inst.loss_and_grad(theta, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(theta)):
-            return Trajectory(losses, diverged_at=t)
+            return losses, t
         losses.append(loss)
         theta = theta + step_fn(g)
-    traj = Trajectory(losses)
-    if record_final:
-        batch = inst.next_batch()
-        loss, _ = inst.loss_and_grad(theta, batch)
-        if not np.isfinite(loss) or not np.all(np.isfinite(theta)):
-            traj.diverged_at = n
-        else:
-            traj.final_loss = loss
-    return traj
+    return losses, None
 
 
-def l2o_stepper(phi: L2OParams, dim: int):
-    """Closure over recurrent state; never mutates phi."""
-    state = zero_state(dim, phi.hidden)
+def stepper(optimizer, dim: int):
+    """g -> update for a rollout, from an L2OParams or a TeacherKind. The
+    closure carries the optimizer's state from one step to the next and
+    never mutates the optimizer."""
+    if isinstance(optimizer, L2OParams):
+        state, step = zero_state(dim, optimizer.hidden), l2o_step_np
+    elif isinstance(optimizer, TeacherKind):
+        state, step = init_state(dim), teacher_step
+    else:
+        raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
 
-    def step(g):
+    def run(g):
         nonlocal state
-        update, state = l2o_step_np(phi, state, g)
+        update, state = step(optimizer, state, g)
         return update
 
-    return step
+    return run
 
 
 def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
@@ -195,13 +178,6 @@ def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
     return total
 
 
-def exploring_start(inst: OptimizeeInstance, tc: TrainConfig, epoch: int) -> np.ndarray:
-    """The epoch's fresh theta0; also reseeds the instance's batch stream."""
-    theta0 = inst.init_params(derive_seed(tc.master_seed, "epoch-theta0", epoch))
-    inst.reseed_batches(derive_seed(tc.master_seed, "epoch-batches", epoch))
-    return theta0
-
-
 def train_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
                 inst: OptimizeeInstance, tc: TrainConfig,
                 events: list | None = None, step_override=None):
@@ -210,28 +186,22 @@ def train_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *
 
     Every epoch body takes (phi, epoch, mls, adam) positionally and its
     mode's context by keyword, so a training loop can run any of them."""
-    theta0 = exploring_start(inst, tc, epoch)
+    theta0 = inst.start(tc.master_seed, "epoch", epoch)
     return "Lf", meta_update(phi, inst, theta0, mls, adam, epoch, events=events,
                              step_override=step_override)
 
 
 @dataclass
 class ValidationSet:
-    """Fixed instances, initializations and batch seeds, disjoint from the
-    training streams by seed-label construction."""
+    """Fixed instances, disjoint from the training streams by seed-label
+    construction; instance i starts from seed's "valid" start i."""
     instances: list
-    theta0s: list
-    batch_seeds: list
+    seed: int
 
     @classmethod
     def create(cls, spec: OptimizeeSpec, tc: TrainConfig) -> "ValidationSet":
-        insts, theta0s, seeds = [], [], []
-        for i in range(tc.n_val_instances):
-            inst = sample_instance(spec, derive_seed(tc.master_seed, "valid-inst", i))
-            insts.append(inst)
-            theta0s.append(inst.init_params(derive_seed(tc.master_seed, "valid-theta0", i)))
-            seeds.append(derive_seed(tc.master_seed, "valid-batches", i))
-        return cls(insts, theta0s, seeds)
+        return cls([sample_instance(spec, derive_seed(tc.master_seed, "valid-inst", i))
+                    for i in range(tc.n_val_instances)], tc.master_seed)
 
 
 def validate(phi: L2OParams, n_valid: int, vs: ValidationSet,
@@ -241,12 +211,14 @@ def validate(phi: L2OParams, n_valid: int, vs: ValidationSet,
     if not vs.instances:
         raise ValueError("validate: validation set is empty")
     scores = []
-    for inst, theta0, bseed in zip(vs.instances, vs.theta0s, vs.batch_seeds):
-        inst.reseed_batches(bseed)
-        traj = rollout(l2o_stepper(phi, inst.dim), inst, theta0, n_valid,
-                       record_final=True)
-        if traj.diverged_at is not None:
+    for i, inst in enumerate(vs.instances):
+        theta0 = inst.start(vs.seed, "valid", i)
+        # step n_valid's loss is f(theta_N); its update goes unused
+        losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
+                                      n_valid + 1)
+        if diverged_at is not None:
             scores.append(penalty)
         else:
-            scores.append(float(np.array(traj.losses)[1:].sum() + traj.final_loss))
+            # f(theta_N) added last, as a separate term, keeps the sum's bits
+            scores.append(float(np.array(losses[:-1])[1:].sum() + losses[-1]))
     return float(np.mean(scores))

@@ -29,7 +29,7 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from . import idx
-from .seeding import rng_for
+from .seeding import derive_seed, rng_for
 
 FAMILIES = ("quadratic", "logistic_blobs", "tiny_mlp", "mnist_mlp")
 
@@ -81,6 +81,12 @@ class OptimizeeInstance:
 
     def reseed_batches(self, seed: int) -> None:
         raise NotImplementedError
+
+    def start(self, seed: int, label: str, index: int = 0) -> np.ndarray:
+        """A rollout's fixed start, drawn from (seed, label, index): reseeds
+        the batch stream and returns theta0."""
+        self.reseed_batches(derive_seed(seed, f"{label}-batches", index))
+        return self.init_params(derive_seed(seed, f"{label}-theta0", index))
 
     def next_batch(self) -> Batch:
         raise NotImplementedError

@@ -77,19 +77,6 @@ def teacher_step(kind: TeacherKind, state: TeacherState, g: np.ndarray):
     raise ValueError(f"unknown teacher kind {kind.kind!r}")
 
 
-def teacher_stepper(kind: TeacherKind, dim: int):
-    """g -> update for a rollout; the closure carries the teacher's state
-    from one step to the next."""
-    state = init_state(dim)
-
-    def step(g):
-        nonlocal state
-        update, state = teacher_step(kind, state, g)
-        return update
-
-    return step
-
-
 def default_ensemble(lr: float = 0.01) -> tuple[TeacherKind, ...]:
     """Adam / SGD / Adagrad, each at the grid-searched learning rate 0.01."""
     return (TeacherKind("adam", lr=lr), TeacherKind("sgd", lr=lr),

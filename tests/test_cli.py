@@ -309,6 +309,28 @@ def test_eval_and_compare_roundtrip(tmp_path, capsys):
     assert lines[-1].startswith("winner,")
 
 
+@pytest.mark.parametrize("case", ["run-manifest", "json-list", "extra-key"])
+def test_compare_rejects_json_that_is_not_an_eval_report(tmp_path, capsys, case):
+    run = tmp_path / "adam"
+    assert main(["eval", "--family", "quadratic", "--optimizer", "adam",
+                 "--n-eval", "10", "--eval-seeds", "0", "--out", str(run)]) == 0
+    bad = tmp_path / "bad.json"
+    if case == "run-manifest":
+        bad = run / "manifest.json"
+    elif case == "json-list":
+        bad.write_text("[1]")
+    else:
+        report = json.loads((run / "report.json").read_text())
+        bad.write_text(json.dumps({**report, "extra": 1}))
+    capsys.readouterr()
+    table = tmp_path / "cmp.csv"
+    rc = main(["compare", str(run / "report.json"), str(bad),
+               "--table-out", str(table)])
+    assert rc == 1
+    assert f"error: {bad} is not an eval report" in capsys.readouterr().err
+    assert not table.exists()
+
+
 def test_eval_trained_checkpoint(tmp_path):
     out = tmp_path / "train"
     run_train(out)

@@ -9,12 +9,13 @@ import pytest
 
 from l2okit import evaluation
 from l2okit.evaluation import (COMPARE_COLUMNS, EvalConfig, EvalReport,
-                               compare, make_stepper, run_eval,
-                               write_curves_csv, write_summary_csv)
+                               compare, run_eval, write_curves_csv,
+                               write_summary_csv)
+from l2okit.metatrain import stepper
 from l2okit.model import init_l2o, load_checkpoint, save_checkpoint
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import derive_seed
-from l2okit.teachers import TeacherKind, teacher_stepper
+from l2okit.teachers import TeacherKind
 
 QUAD = OptimizeeSpec(family="quadratic", dim=4)
 
@@ -36,9 +37,9 @@ def test_config_validation():
         quad_cfg(log_every=0)
 
 
-def test_make_stepper_rejects_unknown():
+def test_stepper_rejects_unknown():
     with pytest.raises(TypeError):
-        make_stepper(object(), 3)
+        stepper(object(), 3)
 
 
 def test_identity_policy_curves_are_constant():
@@ -122,16 +123,19 @@ def test_aggregate_drops_a_seed_only_after_it_diverges(monkeypatch):
     sgd = TeacherKind("sgd", lr=0.01)
 
     def blows_up_at_step_12():
-        step, calls = teacher_stepper(sgd, QUAD.dim), []
+        step, calls = stepper(sgd, QUAD.dim), []
 
         def run(g):
             calls.append(g)
             return np.full_like(g, np.inf) if len(calls) == 13 else step(g)
         return run
 
-    steppers = iter([blows_up_at_step_12(), teacher_stepper(sgd, QUAD.dim),
-                     teacher_stepper(sgd, QUAD.dim)])
-    monkeypatch.setattr(evaluation, "make_stepper", lambda opt, dim: next(steppers))
+    steppers = iter([blows_up_at_step_12(), stepper(sgd, QUAD.dim),
+                     stepper(sgd, QUAD.dim)])
+    # run_eval's up-front check of the optimizer builds a stepper of
+    # dimension 1; the seeds' rollouts take the three above in order
+    monkeypatch.setattr(evaluation, "stepper", lambda opt, dim: (
+        next(steppers) if dim == QUAD.dim else stepper(opt, dim)))
     report = run_eval(sgd, quad_cfg(log_every=3))
     assert report.diverged_at == {0: 13, 1: None, 2: None}
     assert report.divergence_rate == pytest.approx(1 / 3)

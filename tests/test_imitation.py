@@ -9,8 +9,7 @@ from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
                               il_epoch, imitation_loss_and_grads,
                               imitation_update, self_improving_epoch,
                               teacher_trajectory)
-from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig, TrajStep,
-                              Trajectory, train_epoch)
+from l2okit.metatrain import MetaAdam, MetaLossSpec, TrainConfig, train_epoch
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
 from l2okit.seeding import rng_for
@@ -35,10 +34,10 @@ def test_sgd_teacher_trajectory_hand_values():
     # f(theta) = (2 theta - 4)^2, so g = 8 theta - 16; from theta = 0 with
     # lr 0.01: update_0 = 0.16, theta_1 = 0.16, update_1 = 0.1472
     inst = fixture_quadratic()
-    traj = teacher_trajectory(TeacherKind("sgd", lr=0.01), inst,
-                              np.array([0.0]), 2)
-    np.testing.assert_allclose(traj.steps[0].update, [0.16], atol=1e-14)
-    np.testing.assert_allclose(traj.steps[1].update, [0.1472], atol=1e-14)
+    steps, _ = teacher_trajectory(TeacherKind("sgd", lr=0.01), inst,
+                                  np.array([0.0]), 2)
+    np.testing.assert_allclose(steps[0][1], [0.16], atol=1e-14)
+    np.testing.assert_allclose(steps[1][1], [0.1472], atol=1e-14)
 
 
 def test_teacher_trajectory_is_off_policy():
@@ -47,19 +46,19 @@ def test_teacher_trajectory_is_off_policy():
     inst = sample_instance(QUAD, 5)
     theta0 = inst.init_params(1)
     inst.reseed_batches(9)
-    a = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 6)
+    a, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 6)
     inst.reseed_batches(9)
-    b = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 6)
-    for sa, sb in zip(a.steps, b.steps):
-        assert np.array_equal(sa.g, sb.g)
-        assert np.array_equal(sa.update, sb.update)
+    b, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 6)
+    for (ga, ua), (gb, ub) in zip(a, b):
+        assert np.array_equal(ga, gb)
+        assert np.array_equal(ua, ub)
 
 
 def test_imitation_loss_single_step_value():
     # zero-initialized phi emits zero updates, so the loss is just the
     # squared norm of the teacher update: 0.2^2 = 0.04
     phi = init_l2o(0, hidden=6)
-    steps = [TrajStep(g=np.array([1.0]), update=np.array([0.2]))]
+    steps = [(np.array([1.0]), np.array([0.2]))]
     loss, grads, _ = imitation_loss_and_grads(phi, steps, zero_state(1, phi.hidden))
     assert loss == pytest.approx(0.04, abs=1e-15)
     assert set(grads) == set(TENSOR_NAMES)
@@ -69,10 +68,10 @@ def test_imitation_loss_zero_at_minimizer():
     # at the minimizer the gradient vanishes, the SGD teacher emits zero
     # updates, and the zero-initialized phi matches them exactly
     inst = fixture_quadratic()
-    traj = teacher_trajectory(TeacherKind("sgd", lr=0.01), inst,
-                              inst.minimizer(), 3)
+    steps, _ = teacher_trajectory(TeacherKind("sgd", lr=0.01), inst,
+                                  inst.minimizer(), 3)
     phi = init_l2o(0, hidden=6)
-    loss = imitation_update(phi, traj, MetaAdam(lr=1e-3))
+    loss = imitation_update(phi, steps, MetaAdam(lr=1e-3))
     assert loss == pytest.approx(0.0, abs=1e-20)
 
 
@@ -83,7 +82,7 @@ def test_imitation_gradient_fd():
 def test_imitation_update_validation():
     phi = init_l2o(0, hidden=4)
     with pytest.raises(ValueError):
-        imitation_update(phi, Trajectory([]), MetaAdam())
+        imitation_update(phi, [], MetaAdam())
 
 
 def rand_phi(seed, hidden=6):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from l2okit import autodiff as ad
+from l2okit.config import RunConfig
 from l2okit.gradchecks import check_meta_loss
 from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
-                              ValidationSet, l2o_stepper, meta_update,
-                              rollout, segment_loss_and_grads,
-                              train_epoch, validate)
+                              ValidationSet, meta_update, rollout,
+                              segment_loss_and_grads, stepper, train_epoch,
+                              validate)
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
 
@@ -45,15 +46,15 @@ def test_identity_policy_rollout_is_constant():
     phi = init_l2o(0, hidden=6)
     inst = quad_instance(1)
     theta0 = inst.init_params(2)
-    step, updates = l2o_stepper(phi, inst.dim), []
+    step, updates = stepper(phi, inst.dim), []
 
     def recorded_step(g):
         updates.append(step(g))
         return updates[-1]
 
-    traj = rollout(recorded_step, inst, theta0, 10)
-    assert len(traj.losses) == len(updates) == 10
-    assert all(v == traj.losses[0] for v in traj.losses)
+    losses, _ = rollout(recorded_step, inst, theta0, 10)
+    assert len(losses) == len(updates) == 10
+    assert all(v == losses[0] for v in losses)
     assert all(np.all(u == 0) for u in updates)
 
 
@@ -74,10 +75,10 @@ def test_rollout_rejects_bad_horizon():
 
 def test_rollout_divergence_is_data():
     inst = quad_instance(3)
-    traj = rollout(l2o_stepper(init_l2o(0, hidden=4), inst.dim), inst,
-                   np.full(3, np.inf), 5)
-    assert traj.diverged_at == 0
-    assert traj.losses == []
+    losses, diverged_at = rollout(stepper(init_l2o(0, hidden=4), inst.dim), inst,
+                                  np.full(3, np.inf), 5)
+    assert diverged_at == 0
+    assert losses == []
 
 
 def test_rollout_memory_does_not_grow_with_dimension_times_steps():
@@ -88,22 +89,53 @@ def test_rollout_memory_does_not_grow_with_dimension_times_steps():
     theta0 = inst.init_params(1)
     tracemalloc.start()
     try:
-        traj = rollout(lambda g: -1e-3 * g, inst, theta0, n)
+        losses, diverged_at = rollout(lambda g: -1e-3 * g, inst, theta0, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.losses) == n and traj.diverged_at is None
+    assert len(losses) == n and diverged_at is None
     assert peak < 2 * n * dim * 8 / 16
 
 
-def test_rollout_record_final():
-    inst = quad_instance(4)
-    theta0 = inst.init_params(0)
-    traj = rollout(l2o_stepper(init_l2o(0, hidden=4), inst.dim), inst, theta0, 3,
-                   record_final=True)
-    assert traj.final_loss is not None
+def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
+    # validate scores sum_{t=1..N} f(theta_t): the losses of steps 1..N
+    # of an (N + 1)-step rollout from each validation instance's start
+    phi = perturbed_phi(4)
+    tc = TrainConfig(master_seed=4, epochs=1, n_val_instances=3)
+    vs = ValidationSet.create(QUAD, tc)
+    n_valid, scores = 5, []
+    for i, inst in enumerate(vs.instances):
+        theta0 = inst.start(tc.master_seed, "valid", i)
+        losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
+                                      n_valid + 1)
+        assert diverged_at is None and len(losses) == n_valid + 1
+        scores.append(sum(losses[1:]))
+    assert validate(phi, n_valid, vs) == pytest.approx(np.mean(scores), rel=1e-12)
     # identity policy keeps theta fixed, so the final loss matches step 0
-    assert traj.final_loss == pytest.approx(traj.losses[0])
+    inst = quad_instance(4)
+    losses, _ = rollout(stepper(init_l2o(0, hidden=4), inst.dim), inst,
+                        inst.init_params(0), 4)
+    assert losses[-1] == pytest.approx(losses[0])
+
+
+def test_epoch_memory_is_bounded_by_the_segment_not_the_horizon():
+    # each segment's tape is freed before the next is built, so one
+    # paper-profile tiny_mlp epoch peaks the same at horizons 100 and 1,000
+    cfg = RunConfig(profile="paper")
+    tc = TrainConfig(master_seed=0, epochs=1)
+    peaks = {}
+    for horizon in (100, 1000):
+        phi = init_l2o(0, hidden=cfg.hidden, out_scale=cfg.out_scale)
+        inst = sample_instance(cfg.optimizee_spec(), 1)
+        tracemalloc.start()
+        try:
+            _, loss = train_epoch(phi, 0, MetaLossSpec(horizon=horizon), MetaAdam(),
+                                  inst=inst, tc=tc)
+            _, peaks[horizon] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss) and loss > 0
+    assert peaks[1000] <= 1.5 * peaks[100]
 
 
 def test_meta_loss_value_identity_policy():
@@ -252,7 +284,8 @@ def test_validate_deterministic_and_ordered():
 def test_validate_penalty_on_divergence():
     tc = TrainConfig(master_seed=7, epochs=1, n_val_instances=2)
     vs = ValidationSet.create(QUAD, tc)
-    vs.theta0s = [np.full(3, np.inf) for _ in vs.theta0s]
+    for inst in vs.instances:
+        inst.init_params = lambda seed: np.full(3, np.inf)
     assert validate(init_l2o(0, hidden=4), 5, vs, penalty=123.0) == 123.0
 
 
@@ -263,7 +296,7 @@ def test_train_config_rejects_an_empty_validation_set():
 
 def test_validate_rejects_empty_set():
     with pytest.raises(ValueError):
-        validate(init_l2o(0, hidden=4), 5, ValidationSet([], [], []))
+        validate(init_l2o(0, hidden=4), 5, ValidationSet([], 0))
 
 
 def test_short_training_run_improves_quadratic():

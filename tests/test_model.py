@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import refchain as rc
 from l2okit import autodiff as ad
 from l2okit import imitation, metatrain
-from l2okit.metatrain import TrajStep
 from l2okit.model import (L2OParams, L2OState, TENSOR_NAMES, init_l2o,
                           l2o_step_np, l2o_step_tape, load_checkpoint,
                           phi_leaves, preprocess, save_checkpoint,
@@ -172,8 +171,7 @@ def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_proj
     state = L2OState(*(rng.normal(0, 0.5, (dim, phi.hidden)) for _ in range(4)))
     inst = sample_instance(OptimizeeSpec(family="quadratic", dim=dim), 3)
     theta0 = inst.init_params(4)
-    steps = [TrajStep(rng.normal(size=dim), rng.normal(0, 0.01, dim))
-             for _ in range(3)]
+    steps = [(rng.normal(size=dim), rng.normal(0, 0.01, dim)) for _ in range(3)]
 
     def run():
         if path == "segment":

@@ -11,6 +11,7 @@ from l2okit.model import L2OState, TENSOR_NAMES, init_l2o
 from l2okit.optimizees import (FAMILIES, Batch, LogisticBlobsInstance,
                                OptimizeeSpec, QuadraticInstance, TinyMLPInstance,
                                sample_instance)
+from l2okit.seeding import derive_seed
 
 QUAD = OptimizeeSpec(family="quadratic", dim=4)
 BLOBS = OptimizeeSpec(family="logistic_blobs", features=2, n_points=64,
@@ -85,6 +86,21 @@ def test_init_params_deterministic():
     inst = sample_instance(QUAD, 5)
     assert np.array_equal(inst.init_params(9), inst.init_params(9))
     assert not np.array_equal(inst.init_params(9), inst.init_params(10))
+
+
+@pytest.mark.parametrize("label,index,theta_label,batch_label", [
+    ("eval", 0, "eval-theta0", "eval-batches"),
+    ("valid", 3, "valid-theta0", "valid-batches"),
+    ("epoch", 17, "epoch-theta0", "epoch-batches"),
+])
+def test_start_keeps_the_seed_labels_of_theta0_and_the_batches(
+        label, index, theta_label, batch_label):
+    a, b = sample_instance(TINY, 5), sample_instance(TINY, 5)
+    theta0 = a.start(11, label, index)
+    assert np.array_equal(theta0, b.init_params(derive_seed(11, theta_label, index)))
+    b.reseed_batches(derive_seed(11, batch_label, index))
+    for _ in range(6):  # 64 points in batches of 16: past one reshuffle
+        assert np.array_equal(a.next_batch().x, b.next_batch().x)
 
 
 def test_init_params_statistics():
