@@ -89,9 +89,16 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str, source: str = "document") -> "EvalReport":
         """The report that to_json wrote; ValueError naming source for
-        JSON that is not one (a missing or extra key, or not an object)."""
+        JSON that is not one (a missing or extra key, not an object, or a
+        value that compare and log_auc read that is not a real number)."""
         d = json.loads(text)
         try:
+            numbers = [d["final_median"], d["divergence_rate"], *d["agg_steps"],
+                       *d["agg_mean"]]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in numbers):
+                raise TypeError("final_median, divergence_rate, agg_steps and "
+                                "agg_mean must be real numbers")
             d["optimizee"] = OptimizeeSpec(**d["optimizee"])
             d["seeds"] = seeds = tuple(d["seeds"])
             d["curves"] = {s: [tuple(p) for p in d["curves"][str(s)]] for s in seeds}

@@ -22,8 +22,10 @@ def read_idx_images(path) -> np.ndarray:
         raw = fh.read(n * rows * cols)
     if len(raw) != n * rows * cols:
         raise ValueError(f"{path}: truncated image data")
+    # uint8 -> float64 is exact, so dividing the bytes directly gives the
+    # bits of astype(np.float64) / 255.0
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
-    return pixels.astype(np.float64) / 255.0
+    return pixels / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:

@@ -5,10 +5,12 @@ so the parameter count is independent of the optimizee dimension. The
 gradient is preprocessed into a (log-magnitude, sign) pair, fed through
 two LSTM layers, and projected to a single scaled update per coordinate.
 
-One cell function computes the forward pass. Evaluative rollouts call it
-on plain arrays; meta-training wraps each call in a single tape node whose
-vjp is written by hand, and the output projection likewise. On the tape a
-layer's state is one packed (2, dim, hidden) Value holding h and c.
+A layer's state is one packed (2, dim, hidden) array, h at index 0 and c
+at index 1, on both paths. One cell function computes the forward pass
+into a new packed array. Evaluative rollouts call it on plain arrays;
+meta-training wraps each call, and the output projection likewise, in a
+single tape node whose vjp is written by hand and whose data is that
+packed array.
 """
 
 from __future__ import annotations
@@ -56,18 +58,12 @@ class L2OParams:
 
 @dataclass
 class L2OState:
-    h1: np.ndarray
-    c1: np.ndarray
-    h2: np.ndarray
-    c2: np.ndarray
-
-    def copy(self) -> "L2OState":
-        return L2OState(self.h1.copy(), self.c1.copy(), self.h2.copy(), self.c2.copy())
+    hc1: np.ndarray  # (2, dim, h): layer 1's h, then its c
+    hc2: np.ndarray  # (2, dim, h): layer 2's h, then its c
 
 
 def zero_state(dim: int, hidden: int) -> L2OState:
-    z = lambda: np.zeros((dim, hidden))
-    return L2OState(z(), z(), z(), z())
+    return L2OState(np.zeros((2, dim, hidden)), np.zeros((2, dim, hidden)))
 
 
 def init_l2o(seed: int, hidden: int = 20, preprocess_p: float = 10.0,
@@ -127,17 +123,20 @@ def _mm_rows(a, b):
     return np.einsum("ik,k->i", a, b, optimize=False)
 
 
-def _cell(x, h, c, wx, wh, b, hidden):
-    """One LSTM cell. Returns the new h and c and the activations
-    (i, f, g, o, tanh c) that the cell's vjp reuses."""
+def _cell(x, hc, wx, wh, b, hidden):
+    """One LSTM cell on a packed state. Returns the new packed state and
+    the activations (i, f, g, o, tanh c) that the cell's vjp reuses."""
+    h, c = hc
     z = _mm_rows(x, wx) + _mm_rows(h, wh) + b
     i = expit(z[:, :hidden])
     f = expit(z[:, hidden:2 * hidden])
     g = np.tanh(z[:, 2 * hidden:3 * hidden])
     o = expit(z[:, 3 * hidden:])
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    return o * tc, c_new, (i, f, g, o, tc)
+    hc_new = np.empty((2,) + h.shape)
+    np.add(f * c, i * g, out=hc_new[1])
+    tc = np.tanh(hc_new[1])
+    np.multiply(o, tc, out=hc_new[0])
+    return hc_new, (i, f, g, o, tc)
 
 
 def _project(h, w_out, b_out, out_scale):
@@ -146,13 +145,13 @@ def _project(h, w_out, b_out, out_scale):
 
 def l2o_step_np(phi: L2OParams, state: L2OState, g: np.ndarray):
     """Evaluative forward pass; returns (update, new_state)."""
-    if state.h1.shape[0] != g.shape[0]:
+    if state.hc1.shape[1] != g.shape[0]:
         raise ValueError("l2o_step: state/gradient dimension mismatch")
     x = preprocess(g, phi.preprocess_p)
-    h1, c1, _ = _cell(x, state.h1, state.c1, phi.wx1, phi.wh1, phi.b1, phi.hidden)
-    h2, c2, _ = _cell(h1, state.h2, state.c2, phi.wx2, phi.wh2, phi.b2, phi.hidden)
-    update = _project(h2, phi.w_out, phi.b_out, phi.out_scale)
-    return update, L2OState(h1, c1, h2, c2)
+    hc1, _ = _cell(x, state.hc1, phi.wx1, phi.wh1, phi.b1, phi.hidden)
+    hc2, _ = _cell(hc1[0], state.hc2, phi.wx2, phi.wh2, phi.b2, phi.hidden)
+    update = _project(hc2[0], phi.w_out, phi.b_out, phi.out_scale)
+    return update, L2OState(hc1, hc2)
 
 
 def phi_leaves(tape: ad.Tape, phi: L2OParams) -> dict[str, ad.Value]:
@@ -209,7 +208,7 @@ def _cell_node(x: ad.Value, hc: ad.Value, wx: ad.Value, wh: ad.Value,
     xd = x.data[0] if below else x.data
     h, c = hc.data
     wxd, whd = wx.data, wh.data
-    h_new, c_new, (i, f, gg, o, tc) = _cell(xd, h, c, wxd, whd, b.data, hidden)
+    hc_new, (i, f, gg, o, tc) = _cell(xd, hc.data, wxd, whd, b.data, hidden)
 
     @_once
     def grads(g):
@@ -231,7 +230,7 @@ def _cell_node(x: ad.Value, hc: ad.Value, wx: ad.Value, wh: ad.Value,
                (hc, lambda g: np.stack((grads(g)[0] @ whd.T, grads(g)[1] * f)))]
     if below:
         parents.append((x, lambda g: _pad_h(grads(g)[0] @ wxd.T)))
-    return ad.Value(hc.tape, np.stack((h_new, c_new)), parents)
+    return ad.Value(hc.tape, hc_new, parents)
 
 
 def _projection_node(hc: ad.Value, w_out: ad.Value, b_out: ad.Value,
@@ -262,14 +261,11 @@ def l2o_step_tape(tape: ad.Tape, leaves: dict[str, ad.Value], phi: L2OParams,
 
 
 def state_constants(tape: ad.Tape, state: L2OState):
-    """The state as the packed tape constants (hc1, hc2)."""
-    return (tape.constant(np.stack((state.h1, state.c1))),
-            tape.constant(np.stack((state.h2, state.c2))))
+    return tape.constant(state.hc1), tape.constant(state.hc2)
 
 
 def state_from_values(state_vals) -> L2OState:
-    hc1, hc2 = (v.data for v in state_vals)
-    return L2OState(hc1[0], hc1[1], hc2[0], hc2[1])
+    return L2OState(*(v.data for v in state_vals))
 
 
 def save_checkpoint(phi: L2OParams, path) -> None:

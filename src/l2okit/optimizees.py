@@ -21,6 +21,7 @@ keeps the primitive chains as the reference.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -280,9 +281,18 @@ def _mnist_data(spec: OptimizeeSpec):
     if not root:
         raise ValueError(
             f"mnist_mlp requires a dataset root (spec.dataset_root or ${DATASET_ROOT_ENV})")
+    return _read_mnist(root)
+
+
+@functools.cache
+def _read_mnist(root: str):
+    """The flattened training images and labels under root, read once per
+    process and shared read-only by every instance."""
     images = idx.read_idx_images(os.path.join(root, "train-images-idx3-ubyte"))
     labels = idx.read_idx_labels(os.path.join(root, "train-labels-idx1-ubyte"))
-    return images.reshape(images.shape[0], -1), labels
+    x = images.reshape(images.shape[0], -1)
+    x.flags.writeable = labels.flags.writeable = False
+    return x, labels
 
 
 def sample_instance(spec: OptimizeeSpec, seed: int) -> OptimizeeInstance:

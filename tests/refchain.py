@@ -5,12 +5,26 @@ loss as a chain of these primitives; autodiff.backward through a chain is
 the oracle for the fused nodes and the closed-form gradients. Each
 primitive is one ad.Value with hand-written vjps, and its float
 operations must stay as they are, or the oracles stop meaning anything.
+The reference LSTM chain keeps the state as four arrays h1, c1, h2, c2;
+split_state and join_state convert to and from the packed L2OState.
 """
 
 import numpy as np
 from scipy.special import expit
 
 from l2okit import autodiff as ad
+from l2okit.model import L2OState
+
+STATE_PARTS = ("h1", "c1", "h2", "c2")
+
+
+def split_state(state):
+    """The packed state's four (dim, hidden) views h1, c1, h2, c2."""
+    return (*state.hc1, *state.hc2)
+
+
+def join_state(h1, c1, h2, c2):
+    return L2OState(np.stack((h1, c1)), np.stack((h2, c2)))
 
 
 def add_bias(a, b):

@@ -260,14 +260,15 @@ def test_criterion_8_permutation_equivariance():
         g = rng.normal(size=d)
         perm = rng.permutation(d)
         state = zero_state(d, phi.hidden)
-        for arr in (state.h1, state.c1, state.h2, state.c2):
+        h1, c1, h2, c2 = (*state.hc1, *state.hc2)
+        for arr in (h1, c1, h2, c2):
             arr[:] = rng.normal(size=arr.shape)
         u, _ = l2o_step_np(phi, state, g)
         pstate = zero_state(d, phi.hidden)
-        pstate.h1[:] = state.h1[perm]
-        pstate.c1[:] = state.c1[perm]
-        pstate.h2[:] = state.h2[perm]
-        pstate.c2[:] = state.c2[perm]
+        pstate.hc1[0] = h1[perm]
+        pstate.hc1[1] = c1[perm]
+        pstate.hc2[0] = h2[perm]
+        pstate.hc2[1] = c2[perm]
         pu, _ = l2o_step_np(phi, pstate, g[perm])
         if not np.array_equal(pu, u[perm]):
             failures += 1

@@ -309,7 +309,8 @@ def test_eval_and_compare_roundtrip(tmp_path, capsys):
     assert lines[-1].startswith("winner,")
 
 
-@pytest.mark.parametrize("case", ["run-manifest", "json-list", "extra-key"])
+@pytest.mark.parametrize("case", ["run-manifest", "json-list", "extra-key",
+                                  "string-median", "bool-rate"])
 def test_compare_rejects_json_that_is_not_an_eval_report(tmp_path, capsys, case):
     run = tmp_path / "adam"
     assert main(["eval", "--family", "quadratic", "--optimizer", "adam",
@@ -321,7 +322,9 @@ def test_compare_rejects_json_that_is_not_an_eval_report(tmp_path, capsys, case)
         bad.write_text("[1]")
     else:
         report = json.loads((run / "report.json").read_text())
-        bad.write_text(json.dumps({**report, "extra": 1}))
+        change = {"extra-key": {"extra": 1}, "string-median": {"final_median": "abc"},
+                  "bool-rate": {"divergence_rate": True}}[case]
+        bad.write_text(json.dumps({**report, **change}))
     capsys.readouterr()
     table = tmp_path / "cmp.csv"
     rc = main(["compare", str(run / "report.json"), str(bad),

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 import refchain as rc
 from l2okit import autodiff as ad
 from l2okit import imitation, metatrain
-from l2okit.model import (L2OParams, L2OState, TENSOR_NAMES, init_l2o,
-                          l2o_step_np, l2o_step_tape, load_checkpoint,
-                          phi_leaves, preprocess, save_checkpoint,
+from l2okit.model import (TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape,
+                          load_checkpoint, phi_leaves, preprocess, save_checkpoint,
                           state_constants, state_from_values, zero_state)
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
@@ -75,12 +74,13 @@ def test_permutation_equivariance_bitwise(seed, d):
     g = rng.normal(0, 1.0, d)
     perm = rng.permutation(d)
     state = zero_state(d, phi.hidden)
-    state.h1[:] = rng.normal(size=state.h1.shape)
-    state.c1[:] = rng.normal(size=state.c1.shape)
+    h1, c1 = state.hc1
+    h1[:] = rng.normal(size=h1.shape)
+    c1[:] = rng.normal(size=c1.shape)
     u, _ = l2o_step_np(phi, state, g)
     pstate = zero_state(d, phi.hidden)
-    pstate.h1[:] = state.h1[perm]
-    pstate.c1[:] = state.c1[perm]
+    pstate.hc1[0] = h1[perm]
+    pstate.hc1[1] = c1[perm]
     pu, _ = l2o_step_np(phi, pstate, g[perm])
     assert np.array_equal(pu, u[perm])
 
@@ -96,7 +96,21 @@ def test_dimension_independence():
     for d in (1, 3, 50):
         u, st = l2o_step_np(phi, zero_state(d, phi.hidden), np.linspace(-1, 1, d))
         assert u.shape == (d,)
-        assert st.h1.shape == (d, phi.hidden)
+        assert st.hc1[0].shape == (d, phi.hidden)
+
+
+@pytest.mark.parametrize("d", [1, 42])
+def test_step_returns_packed_layers_and_keeps_its_input_state(d):
+    phi = random_phi(10)
+    rng = np.random.default_rng(d)
+    state = rc.join_state(*(rng.normal(0, 0.5, (d, phi.hidden)) for _ in range(4)))
+    before = state.hc1.tobytes(), state.hc2.tobytes()
+    _, st = l2o_step_np(phi, state, rng.normal(size=d))
+    for new, old in ((st.hc1, state.hc1), (st.hc2, state.hc2)):
+        assert new.shape == (2, d, phi.hidden)
+        assert new.flags.c_contiguous
+        assert not np.shares_memory(new, old)
+    assert (state.hc1.tobytes(), state.hc2.tobytes()) == before
 
 
 def test_state_dimension_mismatch_rejected():
@@ -141,11 +155,11 @@ def _step_ref(tape, leaves, phi, state, g):
 
 
 def _state_constants_ref(tape, state):
-    return tuple(tape.constant(a) for a in (state.h1, state.c1, state.h2, state.c2))
+    return tuple(tape.constant(a) for a in rc.split_state(state))
 
 
 def _state_from_values_ref(vals):
-    return L2OState(*(v.data for v in vals))
+    return rc.join_state(*(v.data for v in vals))
 
 
 def _use_reference_step(monkeypatch, module):
@@ -168,7 +182,7 @@ def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_proj
     phi.out_scale = 0.3
     dim = 7
     rng = np.random.default_rng(8)
-    state = L2OState(*(rng.normal(0, 0.5, (dim, phi.hidden)) for _ in range(4)))
+    state = rc.join_state(*(rng.normal(0, 0.5, (dim, phi.hidden)) for _ in range(4)))
     inst = sample_instance(OptimizeeSpec(family="quadratic", dim=dim), 3)
     theta0 = inst.init_params(4)
     steps = [(rng.normal(size=dim), rng.normal(0, 0.01, dim)) for _ in range(3)]
@@ -187,8 +201,9 @@ def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_proj
     assert _same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
         assert _same_bits(fused[1][name], ref[1][name]), name
-    for part in ("h1", "c1", "h2", "c2"):
-        assert _same_bits(getattr(fused[2], part), getattr(ref[2], part)), part
+    for part, a, b in zip(rc.STATE_PARTS, rc.split_state(fused[2]),
+                          rc.split_state(ref[2])):
+        assert _same_bits(a, b), part
 
 
 def test_mm_rows_operands_are_c_contiguous(tmp_path):
@@ -210,8 +225,8 @@ def test_mm_rows_operands_are_c_contiguous(tmp_path):
     _, values = l2o_step_tape(tape, phi_leaves(tape, phi), phi,
                               state_constants(tape, state1), g)
     for state in (state0, state1, state_from_values(values)):
-        for part in ("h1", "c1", "h2", "c2"):
-            assert getattr(state, part).flags.c_contiguous, part
+        for part, arr in zip(rc.STATE_PARTS, rc.split_state(state)):
+            assert arr.flags.c_contiguous, part
 
 
 def test_gradient_flow_through_all_tensors():

@@ -7,7 +7,7 @@ import idxwrite
 import refchain as rc
 from l2okit import autodiff as ad
 from l2okit import idx, metatrain
-from l2okit.model import L2OState, TENSOR_NAMES, init_l2o
+from l2okit.model import TENSOR_NAMES, init_l2o
 from l2okit.optimizees import (FAMILIES, Batch, LogisticBlobsInstance,
                                OptimizeeSpec, QuadraticInstance, TinyMLPInstance,
                                sample_instance)
@@ -220,6 +220,24 @@ def test_mnist_mlp_from_synthetic_idx(tmp_path):
     assert g.shape == (inst.dim,)
 
 
+def test_mnist_data_is_read_once_per_root_and_shared_read_only(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    idxwrite.write_idx_images(tmp_path / "train-images-idx3-ubyte",
+                              rng.integers(0, 256, size=(20, 4, 4), dtype=np.uint8))
+    idxwrite.write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
+                              rng.integers(0, 10, size=20, dtype=np.uint8))
+    reads = []
+    real = idx.read_idx_images
+    monkeypatch.setattr(idx, "read_idx_images", lambda path: reads.append(path) or real(path))
+    spec = OptimizeeSpec(family="mnist_mlp", batch_size=8, dataset_root=str(tmp_path))
+    a, b = sample_instance(spec, 0), sample_instance(spec, 1)
+    assert len(reads) == 1
+    assert a.x is b.x and a.y is b.y
+    assert not a.x.flags.writeable and not a.y.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.x[0, 0] = 1.0
+
+
 def test_mnist_requires_dataset_root(monkeypatch):
     monkeypatch.delenv("L2OKIT_DATA", raising=False)
     with pytest.raises(ValueError, match="dataset root"):
@@ -381,7 +399,7 @@ def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_
     rng = np.random.default_rng(6)
     phi.w_out[:] = rng.normal(0.0, 0.5, phi.hidden)
     phi.out_scale = 0.3
-    state = L2OState(*(rng.normal(0.0, 0.5, (inst.dim, phi.hidden)) for _ in range(4)))
+    state = rc.join_state(*(rng.normal(0.0, 0.5, (inst.dim, phi.hidden)) for _ in range(4)))
     theta0 = rng.normal(0.0, 1.0, inst.dim)
 
     def run(loss_node):
@@ -400,5 +418,6 @@ def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_
     for name in TENSOR_NAMES:
         assert _same_bits(fused[1][name], ref[1][name]), name
     assert _same_bits(fused[2], ref[2])
-    for part in ("h1", "c1", "h2", "c2"):
-        assert _same_bits(getattr(fused[3], part), getattr(ref[3], part)), part
+    for part, a, b in zip(rc.STATE_PARTS, rc.split_state(fused[3]),
+                          rc.split_state(ref[3])):
+        assert _same_bits(a, b), part
