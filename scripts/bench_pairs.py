@@ -19,9 +19,10 @@ side's [q1, median, q3] (linear interpolation), the number of pairs in
 which the change is better, the change median over the parent median,
 the parent's interquartile range, and a verdict:
 
-- ``gain``: the change is better in at least 9 of 10 pairs (a tie counts
-  for neither side), and its median is better than the parent's by more
-  than the parent's interquartile range;
+- ``gain``: the change is better in at least 9 of 10 pairs run (a tie,
+  or a pair in which either side failed, counts for neither side), and
+  its median is better than the parent's by more than the parent's
+  interquartile range;
 - ``worse``: the change median is worse than the parent median by more
   than the metric's relative ``bound``;
 - ``within bound`` otherwise.
@@ -115,11 +116,12 @@ def verdict(wins: int, pairs: int, parent_q: list[float], change_median: float,
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: both sides' quartiles, paired wins, the median ratio
-    and the verdict, over the pairs in which both sides ran."""
-    by_pair: dict[int, dict] = {}
+    and the verdict, over the pairs in which both sides ran. The win
+    share of a gain counts against every pair run."""
+    by_pair: dict[int, dict] = {r["pair"]: {} for r in runs}
     for r in runs:
         if r["result"] is not None:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+            by_pair[r["pair"]][r["side"]] = r["result"]["metrics"]
     pairs = [p for p in by_pair.values() if len(p) == 2]
     out = {}
     for m in metrics if pairs else ():
@@ -134,9 +136,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "change_q1_median_q3": cq,
             "change_wins": wins,
             "median_ratio_change_over_parent": cq[1] / pq[1],
-            "pairs": len(pairs),
+            "pairs": len(by_pair),
             "parent_iqr": pq[2] - pq[0],
-            "verdict": verdict(wins, len(pairs), pq, cq[1], sign, m["bound"]),
+            "verdict": verdict(wins, len(by_pair), pq, cq[1], sign, m["bound"]),
         }
     return out
 

@@ -90,9 +90,10 @@ class EvalReport:
     def from_json(cls, text: str, source: str = "document") -> "EvalReport":
         """The report that to_json wrote; ValueError naming source for
         JSON that is not one (a missing or extra key, not an object, or a
-        value that compare and log_auc read that is not a real number)."""
-        d = json.loads(text)
+        value that compare and log_auc read that is not a real number), or
+        for text that is not JSON."""
         try:
+            d = json.loads(text)
             numbers = [d["final_median"], d["divergence_rate"], *d["agg_steps"],
                        *d["agg_mean"]]
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -104,7 +105,7 @@ class EvalReport:
             d["curves"] = {s: [tuple(p) for p in d["curves"][str(s)]] for s in seeds}
             d["diverged_at"] = {s: d["diverged_at"][str(s)] for s in seeds}
             return cls(**d)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{source} is not an eval report ({exc!r})") from None
 
 

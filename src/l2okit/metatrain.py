@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import (L2OParams, TENSOR_NAMES, l2o_step_np, l2o_step_tape,
                     leaf_grads, phi_leaves, state_constants, state_from_values,
-                    zero_state)
+                    workspace, zero_state)
 from .optimizees import OptimizeeInstance, OptimizeeSpec, sample_instance
 from .seeding import derive_seed
 from .teachers import TeacherKind, adam_update, init_state, teacher_step
@@ -102,17 +102,19 @@ def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int):
 def stepper(optimizer, dim: int):
     """g -> update for a rollout, from an L2OParams or a TeacherKind. The
     closure carries the optimizer's state from one step to the next and
-    never mutates the optimizer."""
+    never mutates the optimizer. An L2O stepper updates its own state in
+    place in one workspace; each update it returns is a fresh array."""
     if isinstance(optimizer, L2OParams):
-        state, step = zero_state(dim, optimizer.hidden), l2o_step_np
-    elif isinstance(optimizer, TeacherKind):
-        state, step = init_state(dim), teacher_step
-    else:
+        state = zero_state(dim, optimizer.hidden)
+        work = workspace(dim, optimizer.hidden)
+        return lambda g: l2o_step_np(optimizer, state, g, work)[0]
+    if not isinstance(optimizer, TeacherKind):
         raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
+    state = init_state(dim)
 
     def run(g):
         nonlocal state
-        update, state = step(optimizer, state, g)
+        update, state = teacher_step(optimizer, state, g)
         return update
 
     return run

@@ -7,10 +7,13 @@ two LSTM layers, and projected to a single scaled update per coordinate.
 
 A layer's state is one packed (2, dim, hidden) array, h at index 0 and c
 at index 1, on both paths. One cell function computes the forward pass
-into a new packed array. Evaluative rollouts call it on plain arrays;
-meta-training wraps each call, and the output projection likewise, in a
-single tape node whose vjp is written by hand and whose data is that
-packed array.
+into buffers that its caller passes in: the packed output state and a
+pair of (dim, 4 * hidden) buffers for the gate arithmetic. A rollout's
+stepper passes its own state as both input and output, with one
+workspace that it keeps for the whole rollout, so a step allocates no
+array of the state's size. Meta-training passes fresh buffers and wraps
+each call, and the output projection likewise, in a single tape node
+whose vjp is written by hand and whose data is the packed output.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def preprocess(g: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _mm_rows(a, b):
+def _mm_rows(a, b, out=None):
     """Matrix product evaluated with a fixed per-row accumulation order.
 
     BLAS matmul may compute different rows with differently ordered
@@ -119,39 +122,58 @@ def _mm_rows(a, b):
     that row's inputs. b may be a matrix or a vector.
     """
     if b.ndim == 2:
-        return np.einsum("ik,kj->ij", a, b, optimize=False)
-    return np.einsum("ik,k->i", a, b, optimize=False)
+        return np.einsum("ik,kj->ij", a, b, out=out, optimize=False)
+    return np.einsum("ik,k->i", a, b, out=out, optimize=False)
 
 
-def _cell(x, hc, wx, wh, b, hidden):
-    """One LSTM cell on a packed state. Returns the new packed state and
-    the activations (i, f, g, o, tanh c) that the cell's vjp reuses."""
+def workspace(dim: int, hidden: int) -> np.ndarray:
+    """The cell's two (dim, 4 * hidden) buffers, z and scratch, as one array."""
+    return np.empty((2, dim, 4 * hidden))
+
+
+def _cell(x, hc, wx, wh, b, hidden, out, z, scratch):
+    """One LSTM cell on a packed state. Writes the new packed state into
+    out, which may be hc itself, and the gates i, f, g, o into z's column
+    blocks; scratch takes the second matmul, then i * g and tanh of the new c.
+    Returns the activations (i, f, g, o, tanh c), views of z and scratch,
+    that the cell's vjp reuses."""
     h, c = hc
-    z = _mm_rows(x, wx) + _mm_rows(h, wh) + b
-    i = expit(z[:, :hidden])
-    f = expit(z[:, hidden:2 * hidden])
-    g = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o = expit(z[:, 3 * hidden:])
-    hc_new = np.empty((2,) + h.shape)
-    np.add(f * c, i * g, out=hc_new[1])
-    tc = np.tanh(hc_new[1])
-    np.multiply(o, tc, out=hc_new[0])
-    return hc_new, (i, f, g, o, tc)
+    _mm_rows(x, wx, out=z)
+    z += _mm_rows(h, wh, out=scratch)
+    z += b
+    i, f, g, o = (z[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    expit(z[:, :2 * hidden], out=z[:, :2 * hidden])
+    np.tanh(g, out=g)
+    expit(o, out=o)
+    tc = scratch[:, :hidden]
+    np.multiply(f, c, out=out[1])
+    out[1] += np.multiply(i, g, out=tc)
+    np.tanh(out[1], out=tc)
+    np.multiply(o, tc, out=out[0])
+    return i, f, g, o, tc
 
 
 def _project(h, w_out, b_out, out_scale):
     return out_scale * (_mm_rows(h, w_out) + b_out)
 
 
-def l2o_step_np(phi: L2OParams, state: L2OState, g: np.ndarray):
-    """Evaluative forward pass; returns (update, new_state)."""
+def l2o_step_np(phi: L2OParams, state: L2OState, g: np.ndarray, work=None):
+    """Evaluative forward pass; returns (update, new_state). Given work, a
+    workspace(dim, hidden), the step updates state in place and returns it
+    as new_state; without one, state is left unchanged and new_state is
+    fresh. The update is a fresh array either way."""
     if state.hc1.shape[1] != g.shape[0]:
         raise ValueError("l2o_step: state/gradient dimension mismatch")
     x = preprocess(g, phi.preprocess_p)
-    hc1, _ = _cell(x, state.hc1, phi.wx1, phi.wh1, phi.b1, phi.hidden)
-    hc2, _ = _cell(hc1[0], state.hc2, phi.wx2, phi.wh2, phi.b2, phi.hidden)
-    update = _project(hc2[0], phi.w_out, phi.b_out, phi.out_scale)
-    return update, L2OState(hc1, hc2)
+    if work is None:
+        new = L2OState(np.empty(state.hc1.shape), np.empty(state.hc2.shape))
+        work = workspace(g.shape[0], phi.hidden)
+    else:
+        new = state
+    _cell(x, state.hc1, phi.wx1, phi.wh1, phi.b1, phi.hidden, new.hc1, *work)
+    _cell(new.hc1[0], state.hc2, phi.wx2, phi.wh2, phi.b2, phi.hidden, new.hc2, *work)
+    update = _project(new.hc2[0], phi.w_out, phi.b_out, phi.out_scale)
+    return update, new
 
 
 def phi_leaves(tape: ad.Tape, phi: L2OParams) -> dict[str, ad.Value]:
@@ -208,7 +230,10 @@ def _cell_node(x: ad.Value, hc: ad.Value, wx: ad.Value, wh: ad.Value,
     xd = x.data[0] if below else x.data
     h, c = hc.data
     wxd, whd = wx.data, wh.data
-    hc_new, (i, f, gg, o, tc) = _cell(xd, hc.data, wxd, whd, b.data, hidden)
+    hc_new, z = np.empty(hc.data.shape), np.empty((h.shape[0], 4 * hidden))
+    i, f, gg, o, tc = _cell(xd, hc.data, wxd, whd, b.data, hidden, hc_new, z,
+                            np.empty_like(z))
+    tc = tc.copy()  # the vjp keeps z's gates and tanh c, not all of scratch
 
     @_once
     def grads(g):

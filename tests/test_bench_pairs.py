@@ -63,3 +63,14 @@ def test_a_median_worse_within_the_bound_is_within_bound(metric, factor):
     parent = [1000 * v for v in PARENT_WALL]
     assert summary(metric, parent, [factor * v for v in parent])["verdict"] == \
         "within bound"
+
+
+def test_a_failed_run_counts_against_the_gain_share():
+    # 8 wins in the 8 pairs where both sides ran are 8 of the 10 pairs run
+    paired = runs(WALL, PARENT_WALL, [v - 0.3 for v in PARENT_WALL])
+    for run in paired:
+        if run["side"] == "change" and run["pair"] in (3, 7):
+            run["result"] = None
+    s = bench_pairs.summarize(paired, [WALL])["wall_s"]
+    assert s["change_wins"] == 8 and s["pairs"] == 10
+    assert s["verdict"] == "within bound"

@@ -310,7 +310,7 @@ def test_eval_and_compare_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["run-manifest", "json-list", "extra-key",
-                                  "string-median", "bool-rate"])
+                                  "string-median", "bool-rate", "not-json"])
 def test_compare_rejects_json_that_is_not_an_eval_report(tmp_path, capsys, case):
     run = tmp_path / "adam"
     assert main(["eval", "--family", "quadratic", "--optimizer", "adam",
@@ -320,6 +320,8 @@ def test_compare_rejects_json_that_is_not_an_eval_report(tmp_path, capsys, case)
         bad = run / "manifest.json"
     elif case == "json-list":
         bad.write_text("[1]")
+    elif case == "not-json":
+        bad.write_text("not json")
     else:
         report = json.loads((run / "report.json").read_text())
         change = {"extra-key": {"extra": 1}, "string-median": {"final_median": "abc"},

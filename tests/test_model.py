@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,55 @@ def test_step_returns_packed_layers_and_keeps_its_input_state(d):
     assert (state.hc1.tobytes(), state.hc2.tobytes()) == before
 
 
+def recorded_stepper(monkeypatch, phi, dim):
+    """metatrain.stepper(phi, dim) and the (state, work) arguments of each
+    l2o_step_np call that it makes."""
+    calls = []
+
+    def recording(phi, state, g, work=None):
+        calls.append((state, work))
+        return l2o_step_np(phi, state, g, work)
+
+    monkeypatch.setattr(metatrain, "l2o_step_np", recording)
+    return metatrain.stepper(phi, dim), calls
+
+
+@pytest.mark.parametrize("d", [1, 42, 1002])
+def test_stepper_matches_chained_fresh_steps_and_keeps_earlier_updates(monkeypatch, d):
+    phi = random_phi(11)
+    rng = np.random.default_rng(d)
+    step, calls = recorded_stepper(monkeypatch, phi, d)
+    state, updates, kept = zero_state(d, phi.hidden), [], []
+    for _ in range(30):
+        g = rng.normal(size=d) * 10.0 ** rng.uniform(-6, 1)
+        update = step(g)
+        expected, state = l2o_step_np(phi, state, g)
+        assert update.tobytes() == expected.tobytes()
+        st = calls[-1][0]
+        assert (st.hc1.tobytes(), st.hc2.tobytes()) == (state.hc1.tobytes(),
+                                                        state.hc2.tobytes())
+        updates.append(update)
+        kept.append(update.tobytes())
+    # one state and one workspace for the whole rollout, and fresh updates
+    assert all(c[0] is calls[0][0] and c[1] is calls[0][1] for c in calls)
+    assert [u.tobytes() for u in updates] == kept
+
+
+def test_stepper_step_allocates_less_than_one_gate_array():
+    dim, hidden = 2000, 20
+    phi = random_phi(12, hidden=hidden)
+    step = metatrain.stepper(phi, dim)
+    g = np.random.default_rng(12).normal(size=dim)
+    step(g)
+    tracemalloc.start()
+    try:
+        step(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * 4 * hidden * 8
+
+
 def test_state_dimension_mismatch_rejected():
     phi = random_phi(7)
     with pytest.raises(ValueError, match="dimension"):
@@ -206,10 +257,11 @@ def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_proj
         assert _same_bits(a, b), part
 
 
-def test_mm_rows_operands_are_c_contiguous(tmp_path):
+def test_mm_rows_operands_are_c_contiguous(tmp_path, monkeypatch):
     # _mm_rows's bits depend on its operands' memory order (a
     # Fortran-ordered b gives other bits at k = 20), so byte identity and
-    # criterion 8 rest on every phi tensor and state array being C-ordered
+    # criterion 8 rest on every phi tensor, state array and workspace
+    # buffer being C-ordered
     phi = init_l2o(12, hidden=5)
     save_checkpoint(phi, tmp_path / "phi.l2o")
     stepped = phi.copy()
@@ -224,9 +276,14 @@ def test_mm_rows_operands_are_c_contiguous(tmp_path):
     tape = ad.Tape()
     _, values = l2o_step_tape(tape, phi_leaves(tape, phi), phi,
                               state_constants(tape, state1), g)
-    for state in (state0, state1, state_from_values(values)):
+    step, calls = recorded_stepper(monkeypatch, phi, 7)
+    step(g)
+    stepped_state, work = calls[0]
+    for state in (state0, state1, state_from_values(values), stepped_state):
         for part, arr in zip(rc.STATE_PARTS, rc.split_state(state)):
             assert arr.flags.c_contiguous, part
+    for buf in work:
+        assert buf.flags.c_contiguous
 
 
 def test_gradient_flow_through_all_tensors():
