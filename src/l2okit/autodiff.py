@@ -2,6 +2,8 @@
 
 A Tape records operations in insertion order; backward() walks the node
 list in exact reverse order, so gradients are deterministic bit-for-bit.
+A tape is backpropagated once: backward drops each node's vjps as soon
+as they have run, so its memory peaks at the forward tape.
 The primitives are add, sub, square, vsum and scale; add and sub take
 operands of one shape only, so no gradient rule has to undo a broadcast.
 
@@ -32,6 +34,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[Value] = []
         self._ref = weakref.ref(self)
+        self._consumed = False
 
     def _register(self, v: "Value") -> None:
         v.node_id = len(self._nodes)
@@ -113,19 +116,25 @@ def backward(tape: Tape, root: Value) -> None:
     a trainable leaf to root. Other nodes, constants included, keep grad
     None (root itself always gets 1).
 
-    Grads are reset first, so repeated calls are bit-identical.
+    backward consumes the tape: as soon as a node's parent vjps have run,
+    the node drops them, and with them the activations and memos they
+    hold, so a tape's memory peaks at its forward pass. Every Value keeps
+    its data and its grad, and the tape keeps its nodes; a second
+    backward on the same tape raises ValueError.
     """
     if root._tape_ref is not tape._ref:
         raise ValueError("backward: root is not on this tape")
     if root.data.ndim != 0:
         raise ValueError("backward: root must be a scalar")
-    for v in tape._nodes:
-        v.grad = None
+    if tape._consumed:
+        raise ValueError("backward: tape has already been backpropagated")
+    tape._consumed = True
     root.grad = np.ones_like(root.data)
     for v in reversed(tape._nodes[: root.node_id + 1]):
+        parents, v._parents = v._parents, ()
         if v.grad is None:
             continue
-        for parent, vjp in v._parents:
+        for parent, vjp in parents:
             contrib = vjp(v.grad)
             if parent.grad is None:
                 # equals zeros + contrib bit for bit, -0.0 -> +0.0 included

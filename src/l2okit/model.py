@@ -191,7 +191,9 @@ def leaf_grads(leaves: dict[str, ad.Value]) -> dict[str, np.ndarray]:
 def _once(fn):
     """Memoize fn on the identity of its argument. backward calls the vjps
     of one node's parents in a row with the same gradient array, so they
-    share one evaluation of the node's backward pass."""
+    share one evaluation of the node's backward pass. The memo lives in
+    those vjps, so it dies with them when backward drops the node's
+    parents."""
     memo = [None, None]
 
     def call(g):

@@ -64,16 +64,41 @@ def test_operation_on_freed_tape_rejected():
         ad.add(a, a)
 
 
-def test_backward_is_deterministic():
-    rng = np.random.default_rng(0)
+def _sigmoid_tanh_graph(x0, y0):
     tape = ad.Tape()
-    x = tape.leaf(rng.uniform(-2, 2, 5), trainable=True)
-    y = tape.leaf(rng.uniform(-2, 2, 5), trainable=True)
+    x = tape.leaf(x0, trainable=True)
+    y = tape.leaf(y0, trainable=True)
     root = ad.vsum(rc.mul(rc.sigmoid(x), rc.tanh(ad.add(x, y))))
+    return tape, (x, y), root
+
+
+def test_backward_is_deterministic():
+    # a tape is backpropagated once, so the same graph is built on two
+    # fresh tapes and its leaf gradients compared bit for bit
+    rng = np.random.default_rng(0)
+    x0, y0 = rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 5)
+    grads = []
+    for _ in range(2):
+        tape, leaves, root = _sigmoid_tanh_graph(x0, y0)
+        ad.backward(tape, root)
+        grads.append([leaf.grad.tobytes() for leaf in leaves])
+    assert grads[0] == grads[1]
+
+
+def test_second_backward_on_a_consumed_tape_is_rejected():
+    # backward keeps the tape's nodes, every Value's data and the leaf
+    # grads; only the vjps go, so the tape cannot be backpropagated again
+    rng = np.random.default_rng(1)
+    tape, (x, y), root = _sigmoid_tanh_graph(rng.uniform(-2, 2, 5),
+                                             rng.uniform(-2, 2, 5))
+    n_nodes, root_bytes = len(tape), root.data.tobytes()
     ad.backward(tape, root)
-    gx1, gy1 = x.grad.copy(), y.grad.copy()
-    ad.backward(tape, root)
-    assert np.array_equal(gx1, x.grad) and np.array_equal(gy1, y.grad)
+    assert len(tape) == n_nodes and root.data.tobytes() == root_bytes
+    gx, gy = x.grad.tobytes(), y.grad.tobytes()
+    with pytest.raises(ValueError, match="already been backpropagated"):
+        ad.backward(tape, root)
+    assert len(tape) == n_nodes and root.data.tobytes() == root_bytes
+    assert x.grad.tobytes() == gx and y.grad.tobytes() == gy
 
 
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 10**6))

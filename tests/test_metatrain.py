@@ -7,12 +7,14 @@ import pytest
 from l2okit import autodiff as ad
 from l2okit.config import RunConfig
 from l2okit.gradchecks import check_meta_loss
+from l2okit.imitation import imitation_loss_and_grads, teacher_trajectory
 from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
                               ValidationSet, meta_update, rollout,
                               segment_loss_and_grads, stepper, train_epoch,
                               validate)
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
+from l2okit.teachers import TeacherKind
 
 QUAD = OptimizeeSpec(family="quadratic", dim=3)
 
@@ -136,6 +138,40 @@ def test_epoch_memory_is_bounded_by_the_segment_not_the_horizon():
             tracemalloc.stop()
         assert np.isfinite(loss) and loss > 0
     assert peaks[1000] <= 1.5 * peaks[100]
+
+
+@pytest.mark.parametrize("loss", ["meta", "imitation"])
+def test_segment_memory_peaks_at_its_forward_tape(monkeypatch, loss):
+    # backward drops each node's vjps, and the gates and memos they hold,
+    # as soon as they have run, so a 20-step segment at dim 1,002 peaks
+    # within 15% of the tape it has built when backward starts; keeping
+    # every vjp alive until the tape is dropped nearly doubles it
+    inst = sample_instance(OptimizeeSpec(family="tiny_mlp", hidden=200), 1)
+    phi = init_l2o(0, hidden=20)
+    phi.w_out[:] = 0.01
+    theta = inst.init_params(2)
+    steps, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta, 20)
+    at_entry = []
+    plain = ad.backward
+
+    def traced(tape, root):
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        plain(tape, root)
+
+    monkeypatch.setattr(ad, "backward", traced)
+    state = zero_state(inst.dim, phi.hidden)
+    tracemalloc.start()
+    try:
+        if loss == "meta":
+            out = segment_loss_and_grads(phi, inst, theta, state, 20)
+            assert not out[-1]
+        else:
+            out = imitation_loss_and_grads(phi, steps, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out[0]) and len(at_entry) == 1
+    assert peak < 1.15 * at_entry[0]
 
 
 def test_meta_loss_value_identity_policy():
