@@ -1,0 +1,112 @@
+"""Byte check of a change against its parent on a fixed set of l2okit runs.
+
+From the repository root:
+
+    python3 scripts/check_bytes.py --parent HEAD
+
+Both sides are exported as ``bench_pairs.py`` exports them: the parent
+with ``git archive``, the change as a copy of the working tree's tracked
+and unignored files. Each side runs the same commands, with BLAS pinned
+to one thread, into the same output directory ``.bench_build/bytes/out``
+(run configs record their paths), which is then moved to
+``.bench_build/bytes/<side>``:
+
+- ``l2okit train`` for each of the six modes on ``tiny_mlp`` at seed 3,
+  40 epochs, a 10,20,40 ladder and one 5-epoch period;
+- ``l2okit eval --family tiny_mlp --n-eval 500`` of
+  ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides) and
+  of ``--optimizer adam``.
+
+Each command's stdout is kept next to its artifacts. The script prints
+every file whose sha256 differs between the sides, or that only one side
+wrote, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BYTES_DIR = ROOT / ".bench_build" / "bytes"
+MODES = ("vanilla", "aug", "cl", "il", "cl-il", "self-improving")
+TRAIN_ARGS = ["--family", "tiny_mlp", "--seed", "3", "--epochs", "40", "--n-train", "20",
+              "--ladder", "10,20,40", "--n-period", "1", "--t-period", "5",
+              "--anneal-epochs", "20"]
+EVAL_ARGS = ["eval", "--family", "tiny_mlp", "--n-eval", "500"]
+CLI = "import sys; from l2okit.cli import main; sys.exit(main(sys.argv[1:]))"
+PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def commands(out: Path) -> dict[str, list[str]]:
+    """Run name -> l2okit arguments, writing under out."""
+    runs = {f"train-{mode}": ["train", "--mode", mode, *TRAIN_ARGS]
+            for mode in MODES}
+    runs["eval-checkpoint"] = [*EVAL_ARGS, "--checkpoint",
+                               str(ROOT / "benchmark" / "checkpoint.l2o")]
+    runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]
+    return {name: [*args, "--out", str(out / name)] for name, args in runs.items()}
+
+
+def run_side(checkout: Path, out: Path) -> None:
+    """Every command of the check from checkout's sources, into out."""
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
+           **dict.fromkeys(PINNED, "1")}
+    for name, args in commands(out).items():
+        done = subprocess.run([sys.executable, "-c", CLI, *args], cwd=checkout,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"{checkout.name}: {name} exited with "
+                               f"{done.returncode}:\n{done.stderr}")
+        (out / f"{name}.stdout").write_text(done.stdout)
+
+
+def sha256_tree(root: Path) -> dict[str, str]:
+    """Relative path -> sha256 of every file under root."""
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    """Sorted relative paths of the files whose sha256 differs between the
+    trees a and b, or that only one of them holds."""
+    ha, hb = sha256_tree(a), sha256_tree(b)
+    return sorted(name for name in ha.keys() | hb.keys() if ha.get(name) != hb.get(name))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", default="HEAD", help="git revision of the parent")
+    args = p.parse_args(argv)
+    from bench_pairs import WORKTREE, export
+
+    out = BYTES_DIR / "out"
+    results = {}
+    for side, rev in (("parent", args.parent), ("change", WORKTREE)):
+        checkout, label = export(rev, f"bytes-{side}")
+        try:
+            run_side(checkout, out)
+        except RuntimeError as err:
+            print(f"{side} ({label}): {err}", file=sys.stderr)
+            return 1
+        results[side] = BYTES_DIR / side
+        shutil.rmtree(results[side], ignore_errors=True)
+        out.rename(results[side])
+        print(f"{side} ({label}): {sum(1 for f in results[side].rglob('*') if f.is_file())} "
+              f"files in {results[side]}")
+    differ = differing_files(results["parent"], results["change"])
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,146 +1,60 @@
-"""Minimal reverse-mode autodiff over dense float64 arrays.
+"""The reverse pass of one truncated meta-training segment.
 
-A Tape records operations in insertion order; backward() walks the node
-list in exact reverse order, so gradients are deterministic bit-for-bit.
-A tape is backpropagated once: backward drops each node's vjps as soon
-as they have run, so its memory peaks at the forward tape.
-The primitives are add, sub, square, vsum and scale; add and sub take
-operands of one shape only, so no gradient rule has to undo a broadcast.
+Both losses that meta-training differentiates, the meta-loss and the
+imitation loss, are chains of optimizee steps whose vjps are written by
+hand, so a segment's tape is a plain list that its forward pass appends
+to, in step order. It holds three kinds of entries:
 
-A Value keeps a vjp only for the parents that lead to a trainable leaf,
-so backward never computes gradients into batch data, labels or other
-constants. Callers build their own fused nodes by passing (parent, vjp)
-pairs to Value; model.py does so for the LSTM cell and optimizees.py for
-each loss. Meta-training uses add and those fused nodes, imitation adds
-sub, square and vsum; only the gradient checks and tests use scale.
+- a step record (a tuple), from model.l2o_step_tape;
+- a loss vjp (a callable: seed -> seed * df/dtheta), from
+  OptimizeeInstance.loss_on_tape, for the loss at the parameters that
+  the steps before it reached. theta is the sum of the updates so far,
+  so an update's gradient is the sum of the vjps of the losses after it;
+- an update gradient (an array), from the imitation loss: the gradient
+  of the step just before it, and of no other step.
+
+backward walks the tape once, in reverse, carrying the theta gradient
+and the packed state gradients, and drops each entry once it has run, so
+a segment's memory peaks at its forward tape. It repeats the arithmetic
+of a generic reverse-mode tape over the same chain, which
+tests/reftape.py keeps as the bitwise reference: each gradient sums its
+contributions in reverse step order, and its first one gets `+ 0.0`.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Callable
-
 import numpy as np
 
+from .model import TENSOR_NAMES, L2OParams, accumulate, step_vjp
 
-class Tape:
-    """Ordered list of Values; topological order equals insertion order.
 
-    The tape holds its Values and each Value holds only a weak reference
-    back, so a tape and all its arrays are freed by reference counting as
-    soon as its last outside reference goes, not by the cyclic collector.
+def backward(tape: list, phi: L2OParams) -> dict[str, np.ndarray]:
+    """The gradient of a segment's summed loss with respect to each phi
+    tensor, name -> array, zeros where the loss does not reach it.
+
+    backward consumes the tape: it replaces each entry with None once it
+    has run, so the tape keeps its length, and a second backward on the
+    same tape raises ValueError.
     """
-
-    def __init__(self):
-        self._nodes: list[Value] = []
-        self._ref = weakref.ref(self)
-        self._consumed = False
-
-    def _register(self, v: "Value") -> None:
-        v.node_id = len(self._nodes)
-        self._nodes.append(v)
-
-    def leaf(self, data, trainable: bool = False) -> "Value":
-        v = Value(self, data)
-        v.trainable = trainable
-        return v
-
-    def constant(self, data) -> "Value":
-        return self.leaf(data, trainable=False)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-
-class Value:
-    """One tape node: a float64 array plus the vjp links to its parents."""
-
-    __slots__ = ("_tape_ref", "data", "grad", "node_id", "trainable", "_parents")
-
-    def __init__(self, tape: Tape, data, parents=()):
-        self._tape_ref = tape._ref
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.trainable = False
-        # a parent with neither parents nor trainability is a constant:
-        # its gradient is never read, so its vjp is not kept
-        self._parents: tuple[tuple[Value, Callable], ...] = tuple(
-            [(p, vjp) for p, vjp in parents if p.trainable or p._parents])
-        tape._register(self)
-
-    @property
-    def tape(self) -> Tape:
-        """The tape this Value is on; ValueError once that tape is freed."""
-        tape = self._tape_ref()
-        if tape is None:
-            raise ValueError("value's tape has been freed")
-        return tape
-
-
-def _operand_tape(a: Value, b: Value, op: str) -> Tape:
-    """The tape of a binary operation's operands, which must share their
-    tape and their shape."""
-    if b._tape_ref is not a._tape_ref:
-        raise ValueError("cross-tape operation: values belong to different tapes")
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shapes must match, got {a.data.shape} and {b.data.shape}")
-    return a.tape
-
-
-def add(a: Value, b: Value) -> Value:
-    tape = _operand_tape(a, b, "add")
-    return Value(tape, a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
-
-
-def sub(a: Value, b: Value) -> Value:
-    tape = _operand_tape(a, b, "sub")
-    return Value(tape, a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
-
-
-def square(a: Value) -> Value:
-    return Value(a.tape, a.data * a.data, [(a, lambda g: g * (2.0 * a.data))])
-
-
-def vsum(a: Value) -> Value:
-    """Sum of all elements; returns a scalar (0-d) Value."""
-    return Value(a.tape, a.data.sum(), [(a, lambda g: np.full_like(a.data, float(g)))])
-
-
-def scale(a: Value, c: float) -> Value:
-    c = float(c)
-    return Value(a.tape, a.data * c, [(a, lambda g: g * c)])
-
-
-def backward(tape: Tape, root: Value) -> None:
-    """Accumulate d(root)/d(node) into .grad of every node on a path from
-    a trainable leaf to root. Other nodes, constants included, keep grad
-    None (root itself always gets 1).
-
-    backward consumes the tape: as soon as a node's parent vjps have run,
-    the node drops them, and with them the activations and memos they
-    hold, so a tape's memory peaks at its forward pass. Every Value keeps
-    its data and its grad, and the tape keeps its nodes; a second
-    backward on the same tape raises ValueError.
-    """
-    if root._tape_ref is not tape._ref:
-        raise ValueError("backward: root is not on this tape")
-    if root.data.ndim != 0:
-        raise ValueError("backward: root must be a scalar")
-    if tape._consumed:
+    if tape and tape[-1] is None:
         raise ValueError("backward: tape has already been backpropagated")
-    tape._consumed = True
-    root.grad = np.ones_like(root.data)
-    for v in reversed(tape._nodes[: root.node_id + 1]):
-        parents, v._parents = v._parents, ()
-        if v.grad is None:
+    # theta and the state are constants up to the first L2O step, so no
+    # entry before it reaches phi
+    first = next((k for k, e in enumerate(tape) if isinstance(e, tuple)), len(tape))
+    grads = dict.fromkeys(TENSOR_NAMES)
+    g, ghc = None, [None, None]
+    for k in reversed(range(len(tape))):
+        entry, tape[k] = tape[k], None
+        if k < first:
             continue
-        for parent, vjp in parents:
-            contrib = vjp(v.grad)
-            if parent.grad is None:
-                # equals zeros + contrib bit for bit, -0.0 -> +0.0 included
-                parent.grad = contrib + 0.0
-            else:
-                parent.grad = parent.grad + contrib
+        if isinstance(entry, tuple):
+            ghc = step_vjp(entry, g, ghc, phi, grads, recurrent=k > first)
+        elif isinstance(entry, np.ndarray):
+            g = entry
+        else:
+            g = accumulate(g, entry(1.0))
+    return {name: np.zeros_like(getattr(phi, name)) if grad is None else grad
+            for name, grad in grads.items()}
 
 
 def fd_error(analytic: np.ndarray, loss_at, p0: np.ndarray,
@@ -158,29 +72,3 @@ def fd_error(analytic: np.ndarray, loss_at, p0: np.ndarray,
         lo = loss_at((flat - e).reshape(p0.shape))
         fd.ravel()[j] = (hi - lo) / (2.0 * eps)
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
-
-
-def grad_check(f, p0: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients
-    (see fd_error).
-
-    f(tape, p) must build and return a scalar Value from the parameter
-    vector leaf p.
-    """
-    if eps <= 0:
-        raise ValueError("grad_check: eps must be positive")
-    p0 = np.asarray(p0, dtype=np.float64)
-    tape = Tape()
-    p = tape.leaf(p0, trainable=True)
-    out = f(tape, p)
-    backward(tape, out)
-    analytic = p.grad if p.grad is not None else np.zeros_like(p0)
-
-    def eval_at(vec):
-        t = Tape()
-        val = f(t, t.leaf(vec)).data
-        if not np.isfinite(val):
-            raise FloatingPointError("grad_check: non-finite value at probe point")
-        return float(val)
-
-    return fd_error(analytic, eval_at, p0, eps)

@@ -16,8 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, rollout, stepper,
                         train_epoch)
-from .model import (L2OParams, l2o_step_tape, leaf_grads, phi_leaves,
-                    state_constants, state_from_values, zero_state)
+from .model import L2OParams, l2o_step_tape, zero_state
 from .optimizees import OptimizeeInstance
 from .seeding import rng_for
 from .teachers import TeacherKind, default_ensemble
@@ -81,17 +80,15 @@ def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
 def imitation_loss_and_grads(phi: L2OParams, steps, state):
     """One segment of the imitation loss: squared-error regression of the
     L2O's updates onto the teacher's, gradients flowing to phi only."""
-    tape = ad.Tape()
-    leaves = phi_leaves(tape, phi)
-    st = state_constants(tape, state)
-    loss_acc = None
+    tape = []
+    total = None
     for g, target in steps:
-        update, st = l2o_step_tape(tape, leaves, phi, st, g)
-        diff = ad.sub(update, tape.constant(target))
-        term = ad.vsum(ad.square(diff))
-        loss_acc = term if loss_acc is None else ad.add(loss_acc, term)
-    ad.backward(tape, loss_acc)
-    return float(loss_acc.data), leaf_grads(leaves), state_from_values(st)
+        update, state = l2o_step_tape(tape, phi, state, g)
+        diff = update - target
+        tape.append(2.0 * diff + 0.0)  # the gradient of this step's term
+        term = (diff * diff).sum()
+        total = term if total is None else total + term
+    return float(total), ad.backward(tape, phi), state
 
 
 def imitation_update(phi: L2OParams, steps, adam: MetaAdam,
@@ -141,8 +138,8 @@ def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
                          events: list | None = None):
     """One epoch on a single mixed trajectory: each step's applied update
     comes from an optimizer sampled from the annealed multinomial.
-    Teacher updates enter the tape as constants; the loss is still the
-    ordinary meta-loss. Teacher accumulators advance only on the steps
+    Teacher updates enter theta as constants, and the tape records no step
+    for them; the loss is still the ordinary meta-loss. Teacher accumulators advance only on the steps
     where that teacher is sampled. Returns ("SI:mixed", meta-loss)."""
     probs = sis.probs(epoch)
     sampler = rng_for(tc.master_seed, "si-choice", epoch)

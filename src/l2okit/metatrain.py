@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import (L2OParams, TENSOR_NAMES, l2o_step_np, l2o_step_tape,
-                    leaf_grads, phi_leaves, state_constants, state_from_values,
                     workspace, zero_state)
 from .optimizees import OptimizeeInstance, OptimizeeSpec, sample_instance
 from .seeding import derive_seed
@@ -123,35 +122,29 @@ def stepper(optimizer, dim: int):
 def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
                            theta: np.ndarray, state, n_steps: int,
                            step_override=None):
-    """Build the tape for one truncated segment of n_steps optimizee steps
+    """Record one truncated segment of n_steps optimizee steps on a tape
     and backpropagate the sum of their losses.
 
     Returns (loss, grads, theta_next, state_next, diverged). grads is a
     name -> array dict over phi tensors (zeros where unreachable).
     """
-    tape = ad.Tape()
-    leaves = phi_leaves(tape, phi)
-    th = tape.constant(np.asarray(theta, dtype=np.float64))
-    st = state_constants(tape, state)
-    loss_acc = None
+    tape = []
+    th = np.asarray(theta, dtype=np.float64)
+    total = None
     for _ in range(n_steps):
         batch = inst.next_batch()
-        loss_t, g = inst.loss_and_grad(th.data, batch)
-        if not np.isfinite(loss_t) or not np.all(np.isfinite(th.data)):
-            return None, None, th.data, state_from_values(st), True
-        ext = None if step_override is None else step_override(g)
-        if ext is not None:
-            th = ad.add(th, tape.constant(ext))
-        else:
-            update, st = l2o_step_tape(tape, leaves, phi, st, g)
-            th = ad.add(th, update)
+        loss_t, g = inst.loss_and_grad(th, batch)
+        if not np.isfinite(loss_t) or not np.all(np.isfinite(th)):
+            return None, None, th, state, True
+        update = None if step_override is None else step_override(g)
+        if update is None:
+            update, state = l2o_step_tape(tape, phi, state, g)
+        th = th + update
         fv = inst.loss_on_tape(tape, th, batch)
-        if not np.isfinite(fv.data):
-            return None, None, th.data, state_from_values(st), True
-        loss_acc = fv if loss_acc is None else ad.add(loss_acc, fv)
-    ad.backward(tape, loss_acc)
-    return (float(loss_acc.data), leaf_grads(leaves), th.data,
-            state_from_values(st), False)
+        if not np.isfinite(fv):
+            return None, None, th, state, True
+        total = fv if total is None else total + fv
+    return float(total), ad.backward(tape, phi), th, state, False
 
 
 def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,

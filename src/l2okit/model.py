@@ -11,9 +11,9 @@ into buffers that its caller passes in: the packed output state and a
 pair of (dim, 4 * hidden) buffers for the gate arithmetic. A rollout's
 stepper passes its own state as both input and output, with one
 workspace that it keeps for the whole rollout, so a step allocates no
-array of the state's size. Meta-training passes fresh buffers and wraps
-each call, and the output projection likewise, in a single tape node
-whose vjp is written by hand and whose data is the packed output.
+array of the state's size. Meta-training passes fresh buffers, and
+l2o_step_tape appends to a segment's tape what the hand-written backward
+of the step, step_vjp, reads back; autodiff.backward walks that tape.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import autodiff as ad
 from .seeding import rng_for
 
 TENSOR_NAMES = ("wx1", "wh1", "b1", "wx2", "wh2", "b2", "w_out", "b_out")
@@ -135,8 +134,7 @@ def _cell(x, hc, wx, wh, b, hidden, out, z, scratch):
     """One LSTM cell on a packed state. Writes the new packed state into
     out, which may be hc itself, and the gates i, f, g, o into z's column
     blocks; scratch takes the second matmul, then i * g and tanh of the new c.
-    Returns the activations (i, f, g, o, tanh c), views of z and scratch,
-    that the cell's vjp reuses."""
+    Returns tanh of the new c, a view of scratch."""
     h, c = hc
     _mm_rows(x, wx, out=z)
     z += _mm_rows(h, wh, out=scratch)
@@ -150,7 +148,7 @@ def _cell(x, hc, wx, wh, b, hidden, out, z, scratch):
     out[1] += np.multiply(i, g, out=tc)
     np.tanh(out[1], out=tc)
     np.multiply(o, tc, out=out[0])
-    return i, f, g, o, tc
+    return tc
 
 
 def _project(h, w_out, b_out, out_scale):
@@ -176,123 +174,93 @@ def l2o_step_np(phi: L2OParams, state: L2OState, g: np.ndarray, work=None):
     return update, new
 
 
-def phi_leaves(tape: ad.Tape, phi: L2OParams) -> dict[str, ad.Value]:
-    """Put every trainable tensor of phi on the tape as a leaf."""
-    return {name: tape.leaf(arr, trainable=True) for name, arr in phi.tensors().items()}
+def l2o_step_tape(tape: list, phi: L2OParams, state: L2OState, g: np.ndarray):
+    """Recording forward pass: l2o_step_np into fresh arrays, appending to
+    tape the step record that step_vjp reads back. The gradient g enters
+    as a constant (no second derivatives). Returns (update, new_state).
+
+    The record holds each cell's input, input state, gates and tanh of
+    its new c, then the upper layer's new h."""
+    x = preprocess(g, phi.preprocess_p)
+    new = L2OState(np.empty(state.hc1.shape), np.empty(state.hc2.shape))
+    cells = []
+    for inp, hc, out, n in ((x, state.hc1, new.hc1, 1), (new.hc1[0], state.hc2, new.hc2, 2)):
+        z = np.empty((g.shape[0], 4 * phi.hidden))
+        tc = _cell(inp, hc, getattr(phi, f"wx{n}"), getattr(phi, f"wh{n}"),
+                   getattr(phi, f"b{n}"), phi.hidden, out, z, np.empty_like(z))
+        # the record keeps z's gates and tanh c, not all of scratch
+        cells.append((inp, hc, z, tc.copy()))
+    update = _project(new.hc2[0], phi.w_out, phi.b_out, phi.out_scale)
+    tape.append((*cells, new.hc2[0]))
+    return update, new
 
 
-def leaf_grads(leaves: dict[str, ad.Value]) -> dict[str, np.ndarray]:
-    """name -> gradient of each phi leaf after backward; zeros for a leaf
-    the loss does not reach."""
-    return {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            for name, leaf in leaves.items()}
+def accumulate(total, contrib):
+    """total + contrib, or contrib + 0.0 for the first contribution: the
+    bits of adding it to zeros, which turns -0.0 into +0.0."""
+    return contrib + 0.0 if total is None else total + contrib
 
 
-def _once(fn):
-    """Memoize fn on the identity of its argument. backward calls the vjps
-    of one node's parents in a row with the same gradient array, so they
-    share one evaluation of the node's backward pass. The memo lives in
-    those vjps, so it dies with them when backward drops the node's
-    parents."""
-    memo = [None, None]
-
-    def call(g):
-        if memo[0] is not g:
-            memo[0], memo[1] = g, fn(g)
-        return memo[1]
-
-    return call
+def _add_h(ghc, gh):
+    """A packed-state gradient plus gh on its h part, or, for ghc None,
+    gh on zeros. A ghc that is not None holds no -0.0 and belongs to the
+    caller, so its c part is kept and its h part updated in place."""
+    if ghc is None:
+        ghc = np.zeros((2,) + gh.shape)
+        ghc[0] = gh + 0.0
+    else:
+        ghc[0] += gh
+    return ghc
 
 
-def _pad_h(gh):
-    """A packed-state gradient whose c part is zero."""
-    out = np.zeros((2,) + gh.shape)
-    out[0] = gh
-    return out
+def step_vjp(step, g, ghc, phi: L2OParams, grads: dict, recurrent: bool):
+    """Backward of one step that l2o_step_tape recorded. g is the gradient
+    of its update and ghc = [ghc1, ghc2] the gradients of its packed output
+    states, None where no later step reads them. Adds each phi tensor's
+    contribution into grads (name -> array, None before the first) and
+    returns the gradients of the input states; not recurrent, the input is
+    the segment's constant start, and they are [None, None].
 
-
-def _cell_node(x: ad.Value, hc: ad.Value, wx: ad.Value, wh: ad.Value,
-               b: ad.Value, hidden: int) -> ad.Value:
-    """The LSTM cell as one tape node over packed states. x is the layer
-    below's packed state, whose h part is the input, or for the bottom layer
-    the preprocessed gradient, a (dim, 2) constant.
-
-    The vjp repeats, operation for operation, the backward pass of the same
-    cell written as 17 tape primitives (two einsum matmuls, two adds, four
-    column takes, the gate nonlinearities, the c and h products), so the
-    gradients are the same bits; tests/test_model.py keeps that chain as
+    The vjps repeat, operation for operation, the backward pass of the
+    same step written as tape primitives (two einsum matmuls, two adds,
+    four column takes, the gate nonlinearities, the c and h products per
+    cell; a matmul, bias add and scale for the projection), so the
+    gradients are the same bits; tests/refchain.py keeps that chain as
     the reference. The chain added each first gradient contribution to
-    zeros, which turns -0.0 into +0.0; `+ 0.0` on the gate gradient gz
-    repeats that. The chain's other such steps cannot change a bit here:
-    their values are only multiplied by non-negative gate factors before
-    gz, or added to the incoming c gradient, which backward has already
-    seeded the same way.
+    zeros, which turns -0.0 into +0.0; `+ 0.0` on the projection's and
+    the gates' gradients, and accumulate, repeat that. The chain's other
+    such steps cannot change a bit here: their values are only multiplied
+    by non-negative gate factors before the gates' gradient, or added to
+    the incoming c gradient, which is seeded the same way.
     """
-    below = x.data.ndim == 3
-    xd = x.data[0] if below else x.data
-    h, c = hc.data
-    wxd, whd = wx.data, wh.data
-    hc_new, z = np.empty(hc.data.shape), np.empty((h.shape[0], 4 * hidden))
-    i, f, gg, o, tc = _cell(xd, hc.data, wxd, whd, b.data, hidden, hc_new, z,
-                            np.empty_like(z))
-    tc = tc.copy()  # the vjp keeps z's gates and tanh c, not all of scratch
-
-    @_once
-    def grads(g):
-        gh, gc = g
+    *cells, h2 = step
+    hidden = phi.hidden
+    gp = g * phi.out_scale + 0.0
+    grads["w_out"] = accumulate(grads["w_out"], h2.T @ gp)
+    grads["b_out"] = accumulate(grads["b_out"], gp.sum())
+    gin = np.outer(gp, phi.w_out)  # the gradient of the layer's new h from above
+    prev = [None, None]
+    for n in (2, 1):
+        x, (h, c), z, tc = cells[n - 1]
+        gh, gc = _add_h(ghc[n - 1], gin)
+        i, f, gg, o = (z[:, j * hidden:(j + 1) * hidden] for j in range(4))
         # the new c's gradient: from outside, plus through h = o * tanh(c)
         gcn = gc + gh * o * (1.0 - tc * tc)
         # the pre-activation gradient, gate blocks i, f, g, o
-        gz = np.empty((h.shape[0], 4 * hidden))
+        gz = np.empty_like(z)
         np.multiply(gcn * gg * i, 1.0 - i, out=gz[:, :hidden])
         np.multiply(gcn * c * f, 1.0 - f, out=gz[:, hidden:2 * hidden])
         np.multiply(gcn * i, 1.0 - gg * gg, out=gz[:, 2 * hidden:3 * hidden])
         np.multiply(gh * tc * o, 1.0 - o, out=gz[:, 3 * hidden:])
         gz += 0.0
-        return gz, gcn
-
-    parents = [(wx, lambda g: xd.T @ grads(g)[0]),
-               (wh, lambda g: h.T @ grads(g)[0]),
-               (b, lambda g: grads(g)[0].sum(axis=0)),
-               (hc, lambda g: np.stack((grads(g)[0] @ whd.T, grads(g)[1] * f)))]
-    if below:
-        parents.append((x, lambda g: _pad_h(grads(g)[0] @ wxd.T)))
-    return ad.Value(hc.tape, hc_new, parents)
-
-
-def _projection_node(hc: ad.Value, w_out: ad.Value, b_out: ad.Value,
-                     out_scale: float) -> ad.Value:
-    """The update from the upper layer's h as one tape node. The vjp
-    repeats the backward of the einsum matmul, bias add and scale it
-    replaces; `+ 0.0` repeats the scale's zero-seeded first contribution."""
-    h = hc.data[0]
-    w = w_out.data
-    grad_pre = _once(lambda g: g * out_scale + 0.0)
-    return ad.Value(hc.tape, _project(h, w, b_out.data, out_scale),
-                    [(w_out, lambda g: h.T @ grad_pre(g)),
-                     (b_out, lambda g: grad_pre(g).sum()),
-                     (hc, lambda g: _pad_h(np.outer(grad_pre(g), w)))])
-
-
-def l2o_step_tape(tape: ad.Tape, leaves: dict[str, ad.Value], phi: L2OParams,
-                  state: tuple[ad.Value, ad.Value], g: np.ndarray):
-    """Differentiable forward pass over the packed states (hc1, hc2). The
-    gradient g enters as a constant (no second derivatives). Returns
-    (update Value, new state Values)."""
-    x = tape.constant(preprocess(g, phi.preprocess_p))
-    hc1, hc2 = state
-    hc1 = _cell_node(x, hc1, leaves["wx1"], leaves["wh1"], leaves["b1"], phi.hidden)
-    hc2 = _cell_node(hc1, hc2, leaves["wx2"], leaves["wh2"], leaves["b2"], phi.hidden)
-    update = _projection_node(hc2, leaves["w_out"], leaves["b_out"], phi.out_scale)
-    return update, (hc1, hc2)
-
-
-def state_constants(tape: ad.Tape, state: L2OState):
-    return tape.constant(state.hc1), tape.constant(state.hc2)
-
-
-def state_from_values(state_vals) -> L2OState:
-    return L2OState(*(v.data for v in state_vals))
+        grads[f"wx{n}"] = accumulate(grads[f"wx{n}"], x.T @ gz)
+        grads[f"wh{n}"] = accumulate(grads[f"wh{n}"], h.T @ gz)
+        grads[f"b{n}"] = accumulate(grads[f"b{n}"], gz.sum(axis=0))
+        if recurrent:
+            prev[n - 1] = np.stack((gz @ getattr(phi, f"wh{n}").T, gcn * f)) + 0.0
+        if n == 2:
+            gin = gz @ phi.wx2.T  # into the layer below's new h
+    return prev
 
 
 def save_checkpoint(phi: L2OParams, path) -> None:

@@ -6,17 +6,18 @@ the sampling seed); the only mutable state is the mini-batch stream.
 Each family writes its loss and gradient once, in closed form, as
 loss_vjp: the loss at theta and a function from the loss's incoming
 gradient (the seed) to the gradient at theta. loss_and_grad calls it
-with seed 1; loss_on_tape makes it one tape node for the meta-trainer,
-whose vjp passes the node's incoming gradient as the seed.
+with seed 1; loss_on_tape records the vjp on a meta-training segment's
+tape, and autodiff.backward calls it with seed 1.
 
 The gradients are the bits that the same losses, written as chains of
-autodiff primitives, give under autodiff.backward: the same products and
-sums in the same order, with the seed entering where the loss's final
-1/n scale does. The chain seeds every first gradient contribution as
-`x + 0.0`, which turns -0.0 into +0.0. Between sums and products the sign
-of a zero can change only the sign of a zero result, so one `+ 0.0` on
-each returned gradient repeats all of them. tests/test_optimizees.py
-keeps the primitive chains as the reference.
+primitives on the generic reverse-mode tape in tests/reftape.py, give
+under its backward: the same products and sums in the same order, with
+the seed entering where the loss's final 1/n scale does. The chain seeds
+every first gradient contribution as `x + 0.0`, which turns -0.0 into
++0.0. Between sums and products the sign of a zero can change only the
+sign of a zero result, so one `+ 0.0` on each returned gradient repeats
+all of them. tests/test_optimizees.py keeps the primitive chains as the
+reference.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import autodiff as ad
 from . import idx
 from .seeding import derive_seed, rng_for
 
@@ -106,12 +106,14 @@ class OptimizeeInstance:
             return loss, np.zeros(self.dim)
         return loss, vjp(1.0)
 
-    def loss_on_tape(self, tape: ad.Tape, theta: ad.Value, batch: Batch) -> ad.Value:
-        """The loss at theta as one tape node. A non-finite value is
-        divergence data for the caller, not a warning."""
+    def loss_on_tape(self, tape: list, theta: np.ndarray, batch: Batch) -> float:
+        """The loss at theta; appends its vjp to a segment's tape for
+        autodiff.backward. A non-finite value is divergence data for the
+        caller, not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, vjp = self.loss_vjp(theta.data, batch)
-        return ad.Value(tape, loss, [(theta, vjp)])
+            loss, vjp = self.loss_vjp(theta, batch)
+        tape.append(vjp)
+        return loss
 
 
 class _DatasetInstance(OptimizeeInstance):

@@ -1,3 +1,6 @@
+"""l2okit.autodiff's reverse pass, and the generic tape in reftape.py that
+the tests keep as its bitwise reference."""
+
 import gc
 import weakref
 
@@ -7,68 +10,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refchain as rc
+import reftape as rt
 from l2okit import autodiff as ad
-from l2okit import gradchecks, metatrain
-from l2okit.model import init_l2o, zero_state
+from l2okit import metatrain
+from l2okit.model import init_l2o, l2o_step_tape, zero_state
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 
 
 def scalar_quadratic(tape, p):
-    return ad.vsum(ad.square(p))
+    return rt.vsum(rt.square(p))
 
 
 def test_sum_of_squares_gradient():
-    tape = ad.Tape()
+    tape = rt.Tape()
     x = tape.leaf(np.array([1.0, 2.0]), trainable=True)
-    root = ad.vsum(ad.square(x))
-    ad.backward(tape, root)
+    root = rt.vsum(rt.square(x))
+    rt.backward(tape, root)
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_sigmoid_chain_hand_value():
     # d/dw sigmoid(w*x) at w=0, x=3 is 3 * sigma'(0) = 0.75
-    tape = ad.Tape()
+    tape = rt.Tape()
     w = tape.leaf(np.array(0.0), trainable=True)
-    root = rc.sigmoid(ad.scale(w, 3.0))
-    ad.backward(tape, root)
+    root = rc.sigmoid(rt.scale(w, 3.0))
+    rt.backward(tape, root)
     assert w.grad == pytest.approx(0.75, abs=1e-15)
 
 
 def test_backward_rejects_nonscalar_root():
-    tape = ad.Tape()
+    tape = rt.Tape()
     x = tape.leaf(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="scalar"):
-        ad.backward(tape, ad.square(x))
+        rt.backward(tape, rt.square(x))
 
 
 def test_backward_rejects_foreign_root():
-    tape = ad.Tape()
-    other = ad.Tape()
+    tape = rt.Tape()
+    other = rt.Tape()
     y = other.leaf(np.array(1.0))
     with pytest.raises(ValueError, match="not on this tape"):
-        ad.backward(tape, y)
+        rt.backward(tape, y)
 
 
 def test_cross_tape_operation_rejected():
-    a = ad.Tape().leaf(np.array([1.0]))
-    b = ad.Tape().leaf(np.array([1.0]))
+    a = rt.Tape().leaf(np.array([1.0]))
+    b = rt.Tape().leaf(np.array([1.0]))
     with pytest.raises(ValueError, match="cross-tape"):
-        ad.add(a, b)
+        rt.add(a, b)
 
 
 def test_operation_on_freed_tape_rejected():
-    a = ad.Tape().leaf(np.array([1.0]))
+    a = rt.Tape().leaf(np.array([1.0]))
     with pytest.raises(ValueError, match="tape has been freed"):
-        ad.square(a)
+        rt.square(a)
     with pytest.raises(ValueError, match="tape has been freed"):
-        ad.add(a, a)
+        rt.add(a, a)
 
 
 def _sigmoid_tanh_graph(x0, y0):
-    tape = ad.Tape()
+    tape = rt.Tape()
     x = tape.leaf(x0, trainable=True)
     y = tape.leaf(y0, trainable=True)
-    root = ad.vsum(rc.mul(rc.sigmoid(x), rc.tanh(ad.add(x, y))))
+    root = rt.vsum(rc.mul(rc.sigmoid(x), rc.tanh(rt.add(x, y))))
     return tape, (x, y), root
 
 
@@ -80,25 +84,30 @@ def test_backward_is_deterministic():
     grads = []
     for _ in range(2):
         tape, leaves, root = _sigmoid_tanh_graph(x0, y0)
-        ad.backward(tape, root)
+        rt.backward(tape, root)
         grads.append([leaf.grad.tobytes() for leaf in leaves])
     assert grads[0] == grads[1]
 
 
 def test_second_backward_on_a_consumed_tape_is_rejected():
-    # backward keeps the tape's nodes, every Value's data and the leaf
-    # grads; only the vjps go, so the tape cannot be backpropagated again
+    # backward replaces each entry with None once it has run: the tape
+    # keeps its length, and cannot be backpropagated again
+    phi = init_l2o(1, hidden=4)
+    phi.w_out[:] = 0.5
     rng = np.random.default_rng(1)
-    tape, (x, y), root = _sigmoid_tanh_graph(rng.uniform(-2, 2, 5),
-                                             rng.uniform(-2, 2, 5))
-    n_nodes, root_bytes = len(tape), root.data.tobytes()
-    ad.backward(tape, root)
-    assert len(tape) == n_nodes and root.data.tobytes() == root_bytes
-    gx, gy = x.grad.tobytes(), y.grad.tobytes()
+    tape, state = [], zero_state(5, 4)
+    for _ in range(3):
+        _, state = l2o_step_tape(tape, phi, state, rng.uniform(-2, 2, 5))
+        tape.append(rng.uniform(-1, 1, 5))
+    n_entries = len(tape)
+    grads = ad.backward(tape, phi)
+    assert len(tape) == n_entries and all(entry is None for entry in tape)
+    kept = [g.tobytes() for g in grads.values()]
     with pytest.raises(ValueError, match="already been backpropagated"):
-        ad.backward(tape, root)
-    assert len(tape) == n_nodes and root.data.tobytes() == root_bytes
-    assert x.grad.tobytes() == gx and y.grad.tobytes() == gy
+        ad.backward(tape, phi)
+    assert len(tape) == n_entries
+    assert [g.tobytes() for g in grads.values()] == kept
+    assert np.any(grads["wx1"] != 0)
 
 
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 10**6))
@@ -108,44 +117,44 @@ def test_backward_linearity(a, b, seed):
     x0 = rng.uniform(-2, 2, 4)
 
     def grad_of(combine):
-        tape = ad.Tape()
+        tape = rt.Tape()
         x = tape.leaf(x0, trainable=True)
-        f = ad.vsum(ad.square(x))
-        g = ad.vsum(rc.sigmoid(x))
-        ad.backward(tape, combine(f, g))
+        f = rt.vsum(rt.square(x))
+        g = rt.vsum(rc.sigmoid(x))
+        rt.backward(tape, combine(f, g))
         return x.grad if x.grad is not None else np.zeros_like(x0)
 
-    combined = grad_of(lambda f, g: ad.add(ad.scale(f, a), ad.scale(g, b)))
+    combined = grad_of(lambda f, g: rt.add(rt.scale(f, a), rt.scale(g, b)))
     separate = a * grad_of(lambda f, g: f) + b * grad_of(lambda f, g: g)
     np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-12)
 
 
 def test_add_and_sub_require_matching_shapes():
-    tape = ad.Tape()
+    tape = rt.Tape()
     mat = tape.leaf(np.ones((3, 4)))
     row = tape.leaf(np.ones(4))
     scalar = tape.leaf(np.array(2.0))
-    for op in (ad.add, ad.sub):
+    for op in (rt.add, rt.sub):
         with pytest.raises(ValueError, match="shapes must match"):
             op(mat, row)
         with pytest.raises(ValueError, match="shapes must match"):
             op(row, scalar)
 
 
-# the refchain primitives; the autodiff ones are gradchecks.primitive_cases
+# the refchain primitives; reftape's own are rt.primitive_cases
 PRIMITIVE_CASES = {
-    "mul": lambda t, p, c: ad.vsum(rc.mul(p, t.constant(c + 3.0))),
-    "sigmoid": lambda t, p, c: ad.vsum(rc.sigmoid(p)),
-    "tanh": lambda t, p, c: ad.vsum(rc.tanh(p)),
-    "softplus": lambda t, p, c: ad.vsum(rc.softplus(p)),
-    "take": lambda t, p, c: ad.vsum(ad.square(rc.take(p, slice(1, 4)))),
-    "reshape_matmul": lambda t, p, c: ad.vsum(
+    "mul": lambda t, p, c: rt.vsum(rc.mul(p, t.constant(c + 3.0))),
+    "sigmoid": lambda t, p, c: rt.vsum(rc.sigmoid(p)),
+    "tanh": lambda t, p, c: rt.vsum(rc.tanh(p)),
+    "softplus": lambda t, p, c: rt.vsum(rc.softplus(p)),
+    "take": lambda t, p, c: rt.vsum(rt.square(rc.take(p, slice(1, 4)))),
+    "reshape_matmul": lambda t, p, c: rt.vsum(
         rc.matmul(rc.reshape(p, (2, 3)), t.constant(c[:3]))),
 }
 
 
 @pytest.mark.parametrize(
-    "name", sorted(PRIMITIVE_CASES) + sorted(gradchecks.primitive_cases()))
+    "name", sorted(PRIMITIVE_CASES) + sorted(rt.primitive_cases()))
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_primitive_fd_agreement(name, seed):
@@ -155,15 +164,15 @@ def test_primitive_fd_agreement(name, seed):
         c = rng.uniform(-2, 2, 6)
         f = lambda t, p: PRIMITIVE_CASES[name](t, p, c)
     else:
-        f, p0 = gradchecks.primitive_cases(seed)[name]
-    assert ad.grad_check(f, p0) < 1e-6
+        f, p0 = rt.primitive_cases(seed)[name]
+    assert rt.grad_check(f, p0) < 1e-6
 
 
 def test_logsumexp_rows_fd():
     rng = np.random.default_rng(3)
     p0 = rng.uniform(-2, 2, 8)
-    err = ad.grad_check(
-        lambda t, p: ad.vsum(rc.logsumexp_rows(rc.reshape(p, (2, 4)))), p0)
+    err = rt.grad_check(
+        lambda t, p: rt.vsum(rc.logsumexp_rows(rc.reshape(p, (2, 4)))), p0)
     assert err < 1e-6
 
 
@@ -171,45 +180,45 @@ def test_matmul_all_rank_combinations_fd():
     # refchain's matmul takes a 2-d left operand only, as the chains do
     rng = np.random.default_rng(5)
     m = rng.uniform(-1, 1, (3, 4))
-    assert ad.grad_check(
-        lambda t, p: ad.vsum(rc.matmul(rc.reshape(p, (3, 4)), t.constant(m.T))),
+    assert rt.grad_check(
+        lambda t, p: rt.vsum(rc.matmul(rc.reshape(p, (3, 4)), t.constant(m.T))),
         m.ravel().copy()) < 1e-6
-    assert ad.grad_check(
-        lambda t, p: ad.vsum(rc.matmul(t.constant(m), rc.take(p, slice(0, 4)))),
+    assert rt.grad_check(
+        lambda t, p: rt.vsum(rc.matmul(t.constant(m), rc.take(p, slice(0, 4)))),
         rng.uniform(-1, 1, 12)) < 1e-6
 
 
 def test_bias_broadcast_gradients():
     rng = np.random.default_rng(6)
     mat = rng.uniform(-1, 1, (3, 4))
-    err = ad.grad_check(
-        lambda t, p: ad.vsum(ad.square(rc.add_bias(t.constant(mat), p))),
+    err = rt.grad_check(
+        lambda t, p: rt.vsum(rt.square(rc.add_bias(t.constant(mat), p))),
         rng.uniform(-1, 1, 4))
     assert err < 1e-6
-    err = ad.grad_check(
-        lambda t, p: ad.vsum(ad.square(rc.add_bias(t.constant(mat[0]), ad.vsum(p)))),
+    err = rt.grad_check(
+        lambda t, p: rt.vsum(rt.square(rc.add_bias(t.constant(mat[0]), rt.vsum(p)))),
         rng.uniform(-1, 1, 3))
     assert err < 1e-6
 
 
 def test_grad_check_quadratic_exact():
-    err = ad.grad_check(scalar_quadratic, np.array([1.0, -1.0]), eps=1e-5)
+    err = rt.grad_check(scalar_quadratic, np.array([1.0, -1.0]), eps=1e-5)
     assert err < 1e-8
 
 
 def test_grad_check_rejects_bad_eps():
     with pytest.raises(ValueError):
-        ad.grad_check(scalar_quadratic, np.array([1.0]), eps=0.0)
+        rt.grad_check(scalar_quadratic, np.array([1.0]), eps=0.0)
 
 
 def test_grad_check_nonfinite_probe():
     def f(tape, p):
         with np.errstate(invalid="ignore"):
             out = np.log(p.data)
-        return ad.vsum(ad.Value(tape, out, [(p, lambda g: g / p.data)]))
+        return rt.vsum(rt.Value(tape, out, [(p, lambda g: g / p.data)]))
 
     with pytest.raises(FloatingPointError):
-        ad.grad_check(f, np.array([1e-9]), eps=1e-5)
+        rt.grad_check(f, np.array([1e-9]), eps=1e-5)
 
 
 
@@ -245,21 +254,21 @@ def _mixed_loss(tape, x0, w0, batch, labels, keep_all):
     w = tape.leaf(w0, trainable=True)
     u = tape.leaf(np.array([0.5, -2.0, 1.0]), trainable=True)
     hid = rc.tanh(rc.add_bias(rc.matmul(const(batch), rc.reshape(w, (3, 4))), x))
-    side = rc.mul(const(ad.square(hid).data), hid)
-    offset = ad.vsum(ad.square(const(labels)))
-    masked = ad.scale(ad.vsum(rc.mul(u, const(np.array([0.0, -0.0, 1.5])))), -1.0)
-    loss = ad.add(ad.vsum(rc.mul(ad.add(side, hid), const(labels))), offset)
-    return (x, w, u), consts, offset, ad.add(loss, masked)
+    side = rc.mul(const(rt.square(hid).data), hid)
+    offset = rt.vsum(rt.square(const(labels)))
+    masked = rt.scale(rt.vsum(rc.mul(u, const(np.array([0.0, -0.0, 1.5])))), -1.0)
+    loss = rt.add(rt.vsum(rc.mul(rt.add(side, hid), const(labels))), offset)
+    return (x, w, u), consts, offset, rt.add(loss, masked)
 
 
 def test_tape_is_freed_when_its_function_returns():
     # a Value refers to its tape weakly, so no reference cycle keeps a
     # finished tape and its arrays alive until the cyclic collector runs
     def run():
-        tape = ad.Tape()
+        tape = rt.Tape()
         x = tape.leaf(np.array([0.5, -1.0, 2.0]), trainable=True)
-        root = ad.vsum(rc.mul(rc.sigmoid(x), rc.tanh(x)))
-        ad.backward(tape, root)
+        root = rt.vsum(rc.mul(rc.sigmoid(x), rc.tanh(x)))
+        rt.backward(tape, root)
         return weakref.ref(tape), weakref.ref(root.data), x.grad
 
     gc.disable()
@@ -272,25 +281,37 @@ def test_tape_is_freed_when_its_function_returns():
 
 
 def test_segment_tapes_are_freed_without_the_cyclic_collector(monkeypatch):
-    # the fused LSTM cell and loss nodes keep no reference to their tape
+    # a segment's tape is a list of step records and loss vjps with no
+    # reference back to it, so each step's activations and each loss's
+    # vjp go when the segment returns
     refs = []
+    record_step = metatrain.l2o_step_tape
 
-    class RecordedTape(ad.Tape):
-        def __init__(self):
-            super().__init__()
-            refs.append(weakref.ref(self))
+    def recorded_step(tape, phi, state, g):
+        out = record_step(tape, phi, state, g)
+        (x, _, z1, tc1), (_, _, z2, tc2), _ = tape[-1]
+        refs.extend(weakref.ref(a) for a in (x, z1, tc1, z2, tc2))
+        return out
 
-    monkeypatch.setattr(ad, "Tape", RecordedTape)
     phi = init_l2o(3, hidden=4)
     phi.w_out[:] = 0.5
     inst = sample_instance(OptimizeeSpec(family="tiny_mlp", n_points=32,
                                          batch_size=8), 2)
+    record_loss = inst.loss_on_tape
+
+    def recorded_loss(tape, theta, batch):
+        loss = record_loss(tape, theta, batch)
+        refs.append(weakref.ref(tape[-1]))
+        return loss
+
+    monkeypatch.setattr(metatrain, "l2o_step_tape", recorded_step)
+    monkeypatch.setattr(inst, "loss_on_tape", recorded_loss)
     gc.disable()
     try:
         _, grads, _, _, diverged = metatrain.segment_loss_and_grads(
             phi, inst, inst.init_params(1), zero_state(inst.dim, 4), 3)
-        assert not diverged and len(refs) == 1
-        assert refs[0]() is None
+        assert not diverged and len(refs) == 3 * 6
+        assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
     assert np.any(grads["wx1"] != 0)
@@ -301,12 +322,12 @@ def test_backward_skips_constants_and_matches_unpruned(monkeypatch):
     args = (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 12),
             rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (5, 4)))
 
-    ref_tape = ad.Tape()
+    ref_tape = rt.Tape()
     ref_leaves, _, _, ref_loss = _mixed_loss(ref_tape, *args, keep_all=True)
     _unpruned_backward(ref_tape, ref_loss)
 
     called = []
-    plain_init = ad.Value.__init__
+    plain_init = rt.Value.__init__
 
     def counting_init(self, tape, data, parents=()):
         def count(parent, vjp):
@@ -316,10 +337,10 @@ def test_backward_skips_constants_and_matches_unpruned(monkeypatch):
             return counted
         plain_init(self, tape, data, [(p, count(p, vjp)) for p, vjp in parents])
 
-    monkeypatch.setattr(ad.Value, "__init__", counting_init)
-    tape = ad.Tape()
+    monkeypatch.setattr(rt.Value, "__init__", counting_init)
+    tape = rt.Tape()
     leaves, consts, offset, loss = _mixed_loss(tape, *args, keep_all=False)
-    ad.backward(tape, loss)
+    rt.backward(tape, loss)
 
     assert called
     assert all(c.grad is None for c in consts) and offset.grad is None

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import refchain as rc
 from l2okit import autodiff as ad
 from l2okit.config import RunConfig
 from l2okit.gradchecks import check_meta_loss
@@ -142,10 +144,10 @@ def test_epoch_memory_is_bounded_by_the_segment_not_the_horizon():
 
 @pytest.mark.parametrize("loss", ["meta", "imitation"])
 def test_segment_memory_peaks_at_its_forward_tape(monkeypatch, loss):
-    # backward drops each node's vjps, and the gates and memos they hold,
-    # as soon as they have run, so a 20-step segment at dim 1,002 peaks
-    # within 15% of the tape it has built when backward starts; keeping
-    # every vjp alive until the tape is dropped nearly doubles it
+    # backward drops each step's record, and the gates it holds, as soon
+    # as it has run, so a 20-step segment at dim 1,002 peaks within 15% of
+    # the tape it has built when backward starts; keeping every record
+    # alive until the tape is dropped nearly doubles it
     inst = sample_instance(OptimizeeSpec(family="tiny_mlp", hidden=200), 1)
     phi = init_l2o(0, hidden=20)
     phi.w_out[:] = 0.01
@@ -154,9 +156,9 @@ def test_segment_memory_peaks_at_its_forward_tape(monkeypatch, loss):
     at_entry = []
     plain = ad.backward
 
-    def traced(tape, root):
+    def traced(tape, phi):
         at_entry.append(tracemalloc.get_traced_memory()[0])
-        plain(tape, root)
+        return plain(tape, phi)
 
     monkeypatch.setattr(ad, "backward", traced)
     state = zero_state(inst.dim, phi.hidden)
@@ -201,15 +203,15 @@ def test_segments_are_truncated(monkeypatch):
     phi = perturbed_phi(7)
     inst = quad_instance(8)
     theta0 = inst.init_params(2)
-    loss_node = inst.loss_on_tape
+    loss_on_tape = inst.loss_on_tape
 
     def run(seg1_scale):
-        monkeypatch.setattr(inst, "loss_on_tape", lambda tape, th, batch: ad.scale(
-            loss_node(tape, th, batch), seg1_scale))
+        monkeypatch.setattr(inst, "loss_on_tape",
+                            rc.scaled_loss_on_tape(loss_on_tape, seg1_scale))
         state = zero_state(inst.dim, phi.hidden)
         loss1, _, theta, state, _ = segment_loss_and_grads(
             phi, inst, theta0, state, 4)
-        monkeypatch.setattr(inst, "loss_on_tape", loss_node)
+        monkeypatch.setattr(inst, "loss_on_tape", loss_on_tape)
         _, grads2, _, _, _ = segment_loss_and_grads(
             phi, inst, theta, state, 4)
         return loss1, grads2
@@ -219,6 +221,53 @@ def test_segments_are_truncated(monkeypatch):
     assert loss_b == pytest.approx(3.0 * loss_a, rel=1e-12)
     for name in TENSOR_NAMES:
         assert np.array_equal(g_a[name], g_b[name])
+
+
+def overriding(steps, dim):
+    """A step_override that takes over the given steps of a segment with a
+    fresh adam teacher, and leaves the others to the L2O."""
+    teacher = stepper(TeacherKind("adam", lr=0.05), dim)
+    step = itertools.count()
+    return lambda g: teacher(g) if next(step) in steps else None
+
+
+@pytest.mark.parametrize("overridden", [(0, 2, 5), (1, 3, 4), tuple(range(6))])
+def test_overridden_steps_match_the_reference_segment_bitwise(overridden):
+    # teacher updates enter as constants: the reverse loop skips their
+    # steps, and every loss before the first L2O step, whose theta and
+    # state do not depend on phi
+    phi = perturbed_phi(11, hidden=5)
+    inst = sample_instance(OptimizeeSpec(family="tiny_mlp", hidden=4, n_points=32,
+                                         batch_size=8), 3)
+    theta0 = inst.init_params(4)
+    rng = np.random.default_rng(11)
+    state = rc.join_state(*(rng.normal(0, 0.5, (inst.dim, phi.hidden)) for _ in range(4)))
+    runs = []
+    for segment in (segment_loss_and_grads, rc.segment):
+        inst.reseed_batches(5)
+        runs.append(segment(phi, inst, theta0, state, 6,
+                            step_override=overriding(overridden, inst.dim)))
+    (loss, grads, theta, st, diverged), ref = runs
+    assert not diverged and not ref[4]
+    assert np.asarray(loss).tobytes() == np.asarray(ref[0]).tobytes()
+    for name in TENSOR_NAMES:
+        assert grads[name].shape == getattr(phi, name).shape
+        assert np.asarray(grads[name]).tobytes() == np.asarray(ref[1][name]).tobytes(), name
+    assert theta.tobytes() == ref[2].tobytes()
+    assert (st.hc1.tobytes(), st.hc2.tobytes()) == (ref[3].hc1.tobytes(),
+                                                    ref[3].hc2.tobytes())
+    if len(overridden) == 6:
+        # no step reaches phi, so every gradient is zeros and meta-Adam
+        # still takes its step
+        assert not any(np.any(g) for g in grads.values())
+        adam = MetaAdam()
+        stepped = phi.copy()
+        adam.step(stepped, grads)
+        assert adam.t == 1
+        for name in TENSOR_NAMES:
+            assert getattr(stepped, name).tobytes() == getattr(phi, name).tobytes()
+    else:
+        assert np.any(grads["wx1"] != 0)
 
 
 def test_meta_adam_first_step_magnitude():

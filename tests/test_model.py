@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refchain as rc
-from l2okit import autodiff as ad
 from l2okit import imitation, metatrain
 from l2okit.model import (TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape,
-                          load_checkpoint, phi_leaves, preprocess, save_checkpoint,
-                          state_constants, state_from_values, zero_state)
+                          load_checkpoint, preprocess, save_checkpoint, zero_state)
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
 
@@ -170,55 +168,6 @@ def test_state_dimension_mismatch_rejected():
         l2o_step_np(phi, zero_state(3, phi.hidden), np.zeros(4))
 
 
-# -- reference: the LSTM step as a chain of tape primitives -----------------
-# Each cell is 17 nodes and the projection 3, with the state as four
-# separate (dim, hidden) Values. The fused cell node must reproduce its
-# gradients bit for bit.
-
-def _matmul_rows_ref(a, b):
-    A, B = a.data, b.data
-    if B.ndim == 2:
-        return ad.Value(a.tape, np.einsum("ik,kj->ij", A, B, optimize=False),
-                        [(a, lambda g: g @ B.T), (b, lambda g: A.T @ g)])
-    return ad.Value(a.tape, np.einsum("ik,k->i", A, B, optimize=False),
-                    [(a, lambda g: np.outer(g, B)), (b, lambda g: A.T @ g)])
-
-
-def _cell_ref(x, h, c, wx, wh, b, hidden):
-    z = rc.add_bias(ad.add(_matmul_rows_ref(x, wx), _matmul_rows_ref(h, wh)), b)
-    i = rc.sigmoid(rc.take(z, (slice(None), slice(0, hidden))))
-    f = rc.sigmoid(rc.take(z, (slice(None), slice(hidden, 2 * hidden))))
-    g = rc.tanh(rc.take(z, (slice(None), slice(2 * hidden, 3 * hidden))))
-    o = rc.sigmoid(rc.take(z, (slice(None), slice(3 * hidden, 4 * hidden))))
-    c_new = ad.add(rc.mul(f, c), rc.mul(i, g))
-    h_new = rc.mul(o, rc.tanh(c_new))
-    return h_new, c_new
-
-
-def _step_ref(tape, leaves, phi, state, g):
-    x = tape.constant(preprocess(g, phi.preprocess_p))
-    h1, c1, h2, c2 = state
-    h1, c1 = _cell_ref(x, h1, c1, leaves["wx1"], leaves["wh1"], leaves["b1"], phi.hidden)
-    h2, c2 = _cell_ref(h1, h2, c2, leaves["wx2"], leaves["wh2"], leaves["b2"], phi.hidden)
-    update = ad.scale(rc.add_bias(_matmul_rows_ref(h2, leaves["w_out"]), leaves["b_out"]),
-                      phi.out_scale)
-    return update, (h1, c1, h2, c2)
-
-
-def _state_constants_ref(tape, state):
-    return tuple(tape.constant(a) for a in rc.split_state(state))
-
-
-def _state_from_values_ref(vals):
-    return rc.join_state(*(v.data for v in vals))
-
-
-def _use_reference_step(monkeypatch, module):
-    monkeypatch.setattr(module, "l2o_step_tape", _step_ref)
-    monkeypatch.setattr(module, "state_constants", _state_constants_ref)
-    monkeypatch.setattr(module, "state_from_values", _state_from_values_ref)
-
-
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -226,9 +175,11 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("zero_projection", [False, True])
 @pytest.mark.parametrize("path", ["segment", "imitation"])
-def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_projection):
-    # a freshly initialized phi has w_out = 0, so every gradient into the
-    # cells is an exact zero and the sign of zero is exercised too
+def test_fused_cell_matches_primitive_chain_bitwise(path, zero_projection):
+    # the package's segment against the whole segment on the reference
+    # tape, whose LSTM step is refchain's chain of primitives; a freshly
+    # initialized phi has w_out = 0, so every gradient into the cells is
+    # an exact zero and the sign of zero is exercised too
     phi = init_l2o(8, hidden=5) if zero_projection else random_phi(8, hidden=5)
     phi.out_scale = 0.3
     dim = 7
@@ -238,17 +189,15 @@ def test_fused_cell_matches_primitive_chain_bitwise(monkeypatch, path, zero_proj
     theta0 = inst.init_params(4)
     steps = [(rng.normal(size=dim), rng.normal(0, 0.01, dim)) for _ in range(3)]
 
-    def run():
+    def run(segment, imitation_segment):
         if path == "segment":
-            loss, grads, _, st, diverged = metatrain.segment_loss_and_grads(
-                phi, inst, theta0, state, len(steps))
+            loss, grads, _, st, diverged = segment(phi, inst, theta0, state, len(steps))
             assert not diverged
             return loss, grads, st
-        return imitation.imitation_loss_and_grads(phi, steps, state)
+        return imitation_segment(phi, steps, state)
 
-    fused = run()
-    _use_reference_step(monkeypatch, metatrain if path == "segment" else imitation)
-    ref = run()
+    fused = run(metatrain.segment_loss_and_grads, imitation.imitation_loss_and_grads)
+    ref = run(rc.segment, rc.imitation_segment)
     assert _same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
         assert _same_bits(fused[1][name], ref[1][name]), name
@@ -273,13 +222,11 @@ def test_mm_rows_operands_are_c_contiguous(tmp_path, monkeypatch):
     g = np.random.default_rng(12).normal(size=7)
     state0 = zero_state(7, phi.hidden)
     _, state1 = l2o_step_np(phi, state0, g)
-    tape = ad.Tape()
-    _, values = l2o_step_tape(tape, phi_leaves(tape, phi), phi,
-                              state_constants(tape, state1), g)
+    _, recorded = l2o_step_tape([], phi, state1, g)
     step, calls = recorded_stepper(monkeypatch, phi, 7)
     step(g)
     stepped_state, work = calls[0]
-    for state in (state0, state1, state_from_values(values), stepped_state):
+    for state in (state0, state1, recorded, stepped_state):
         for part, arr in zip(rc.STATE_PARTS, rc.split_state(state)):
             assert arr.flags.c_contiguous, part
     for buf in work:

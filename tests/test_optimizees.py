@@ -5,6 +5,7 @@ import pytest
 
 import idxwrite
 import refchain as rc
+import reftape as rt
 from l2okit import autodiff as ad
 from l2okit import idx, metatrain
 from l2okit.model import TENSOR_NAMES, init_l2o
@@ -245,14 +246,15 @@ def test_mnist_requires_dataset_root(monkeypatch):
 
 
 # -- reference: each loss as a chain of tape primitives ---------------------
-# autodiff.backward through these chains is the bitwise oracle for each
-# family's closed-form loss_vjp, in loss_and_grad and in the fused node.
+# reftape's backward through these chains is the bitwise oracle for each
+# family's closed-form loss_vjp, in loss_and_grad, in the vjp that
+# loss_on_tape records and in a whole segment.
 
 def _quadratic_ref(inst, tape, theta, batch):
     w = tape.constant(batch.x)
     y = tape.constant(batch.y)
-    r = ad.sub(rc.matmul(w, theta), y)
-    return ad.scale(ad.vsum(ad.square(r)), 1.0 / batch.x.shape[0])
+    r = rt.sub(rc.matmul(w, theta), y)
+    return rt.scale(rt.vsum(rt.square(r)), 1.0 / batch.x.shape[0])
 
 
 def _logistic_ref(inst, tape, theta, batch):
@@ -260,8 +262,8 @@ def _logistic_ref(inst, tape, theta, batch):
     w = rc.take(theta, slice(0, f))
     b = rc.take(theta, f)
     z = rc.add_bias(rc.matmul(tape.constant(batch.x), w), b)
-    margins = ad.scale(rc.mul(z, tape.constant(batch.y)), -1.0)
-    return ad.scale(ad.vsum(rc.softplus(margins)), 1.0 / batch.x.shape[0])
+    margins = rt.scale(rc.mul(z, tape.constant(batch.y)), -1.0)
+    return rt.scale(rt.vsum(rc.softplus(margins)), 1.0 / batch.x.shape[0])
 
 
 def _mlp_ref(inst, tape, theta, batch):
@@ -280,9 +282,9 @@ def _mlp_ref(inst, tape, theta, batch):
     logits = rc.add_bias(rc.matmul(hid, w2), b2)
     onehot = np.zeros((batch.x.shape[0], c))
     onehot[np.arange(batch.x.shape[0]), batch.y.astype(np.int64)] = 1.0
-    lse = ad.vsum(rc.logsumexp_rows(logits))
-    picked = ad.vsum(rc.mul(logits, tape.constant(onehot)))
-    return ad.scale(ad.sub(lse, picked), 1.0 / batch.x.shape[0])
+    lse = rt.vsum(rc.logsumexp_rows(logits))
+    picked = rt.vsum(rc.mul(logits, tape.constant(onehot)))
+    return rt.scale(rt.sub(lse, picked), 1.0 / batch.x.shape[0])
 
 
 _REFERENCE = {"quadratic": _quadratic_ref, "logistic_blobs": _logistic_ref,
@@ -290,10 +292,10 @@ _REFERENCE = {"quadratic": _quadratic_ref, "logistic_blobs": _logistic_ref,
 
 
 def _ref_loss_and_grad(inst, theta, batch):
-    tape = ad.Tape()
+    tape = rt.Tape()
     th = tape.leaf(theta, trainable=True)
     out = _REFERENCE[inst.spec.family](inst, tape, th, batch)
-    ad.backward(tape, out)
+    rt.backward(tape, out)
     return float(out.data), th.grad
 
 
@@ -367,33 +369,33 @@ def test_loss_nodes_match_finite_differences():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_loss_node_matches_primitive_chain_for_any_seed(family_specs, family,
                                                         seed_value):
-    # the node's incoming gradient is its seed; zero and negative seeds
-    # exercise the sign of zero in the gradient
+    # the vjp that loss_on_tape records, called with a seed, against the
+    # chain scaled by the seed; zero and negative seeds exercise the sign
+    # of zero in the gradient
     inst = sample_instance(family_specs[family], 4)
     inst.reseed_batches(4)
     batch = inst.next_batch()
     theta = np.random.default_rng(4).normal(0.0, 1.0, inst.dim)
+    tape = []
+    loss = inst.loss_on_tape(tape, theta, batch)
+    assert len(tape) == 1
 
-    def grad_of(loss_fn):
-        tape = ad.Tape()
-        th = tape.leaf(theta, trainable=True)
-        out = ad.scale(loss_fn(tape, th, batch), seed_value)
-        ad.backward(tape, out)
-        return out.data, th.grad
-
-    fused = grad_of(inst.loss_on_tape)
-    ref = grad_of(lambda tape, th, b: _REFERENCE[family](inst, tape, th, b))
-    assert _same_bits(fused[0], ref[0])
-    assert _same_bits(fused[1], ref[1])
+    ref_tape = rt.Tape()
+    th = ref_tape.leaf(theta, trainable=True)
+    out = rt.scale(_REFERENCE[family](inst, ref_tape, th, batch), seed_value)
+    rt.backward(ref_tape, out)
+    assert _same_bits(loss * seed_value, out.data)
+    assert _same_bits(tape[0](seed_value), th.grad)
 
 
 @pytest.mark.parametrize("omega", [(0.5, 2.0, 1.25), (1.5, 0.0, 0.75)])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_specs,
                                                            family, omega):
-    # three steps whose loss nodes the test scales by non-unit weights:
-    # each node gets a seed other than 1, and its theta a gradient from
-    # the next step as well
+    # the package's segment against the whole segment on the reference
+    # tape, whose losses are the primitive chains; three steps whose
+    # losses the test scales by non-unit weights, so each loss vjp gets a
+    # seed other than 1, and its theta a gradient from the next step as well
     inst = sample_instance(family_specs[family], 5)
     phi = init_l2o(6, hidden=5)
     rng = np.random.default_rng(6)
@@ -401,19 +403,22 @@ def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_
     phi.out_scale = 0.3
     state = rc.join_state(*(rng.normal(0.0, 0.5, (inst.dim, phi.hidden)) for _ in range(4)))
     theta0 = rng.normal(0.0, 1.0, inst.dim)
+    record_loss = inst.loss_on_tape
 
-    def run(loss_node):
-        inst.reseed_batches(7)
-        weights = iter(omega)
-        monkeypatch.setattr(inst, "loss_on_tape", lambda tape, th, batch: ad.scale(
-            loss_node(tape, th, batch), next(weights)))
-        loss, grads, theta, st, diverged = metatrain.segment_loss_and_grads(
-            phi, inst, theta0, state, len(omega))
-        assert not diverged
-        return loss, grads, theta, st
+    def recorded_loss(tape, theta, batch):
+        return rc.scaled_loss_on_tape(record_loss, next(weights))(tape, theta, batch)
 
-    fused = run(inst.loss_on_tape)
-    ref = run(lambda tape, th, batch: _REFERENCE[family](inst, tape, th, batch))
+    def chain_loss(inst, tape, theta, batch):
+        return rt.scale(_REFERENCE[family](inst, tape, theta, batch), next(weights))
+
+    monkeypatch.setattr(inst, "loss_on_tape", recorded_loss)
+    inst.reseed_batches(7)
+    weights = iter(omega)
+    fused = metatrain.segment_loss_and_grads(phi, inst, theta0, state, len(omega))
+    inst.reseed_batches(7)
+    weights = iter(omega)
+    ref = rc.segment(phi, inst, theta0, state, len(omega), loss=chain_loss)
+    assert not fused[4] and not ref[4]
     assert _same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
         assert _same_bits(fused[1][name], ref[1][name]), name
