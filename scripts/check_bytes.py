@@ -15,7 +15,8 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
   40 epochs, a 10,20,40 ladder and one 5-epoch period;
 - ``l2okit eval --family tiny_mlp --n-eval 500`` of
   ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides) and
-  of ``--optimizer adam``.
+  of ``--optimizer adam``;
+- ``l2okit gradcheck``, which writes only to stdout.
 
 Each command's stdout is kept next to its artifacts. The script prints
 every file whose sha256 differs between the sides, or that only one side
@@ -44,13 +45,14 @@ PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def commands(out: Path) -> dict[str, list[str]]:
-    """Run name -> l2okit arguments, writing under out."""
+    """Run name -> l2okit arguments; train and eval runs write under out."""
     runs = {f"train-{mode}": ["train", "--mode", mode, *TRAIN_ARGS]
             for mode in MODES}
     runs["eval-checkpoint"] = [*EVAL_ARGS, "--checkpoint",
                                str(ROOT / "benchmark" / "checkpoint.l2o")]
     runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]
-    return {name: [*args, "--out", str(out / name)] for name, args in runs.items()}
+    runs = {name: [*args, "--out", str(out / name)] for name, args in runs.items()}
+    return {**runs, "gradcheck": ["gradcheck"]}
 
 
 def run_side(checkout: Path, out: Path) -> None:

@@ -14,18 +14,18 @@ to, in step order. It holds three kinds of entries:
   of the step just before it, and of no other step.
 
 backward walks the tape once, in reverse, carrying the theta gradient
-and the packed state gradients, and drops each entry once it has run, so
-a segment's memory peaks at its forward tape. It repeats the arithmetic
-of a generic reverse-mode tape over the same chain, which
-tests/reftape.py keeps as the bitwise reference: each gradient sums its
-contributions in reverse step order, and its first one gets `+ 0.0`.
+and the state gradient, and drops each entry once it has run, so a
+segment's memory peaks at its forward tape. It repeats the arithmetic of
+a generic reverse-mode tape over the same chain, which tests/reftape.py
+keeps as the bitwise reference: each gradient starts at zeros and sums
+its contributions in reverse step order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import TENSOR_NAMES, L2OParams, accumulate, step_vjp
+from .model import TENSOR_NAMES, L2OParams, step_vjp
 
 
 def backward(tape: list, phi: L2OParams) -> dict[str, np.ndarray]:
@@ -41,20 +41,21 @@ def backward(tape: list, phi: L2OParams) -> dict[str, np.ndarray]:
     # theta and the state are constants up to the first L2O step, so no
     # entry before it reaches phi
     first = next((k for k, e in enumerate(tape) if isinstance(e, tuple)), len(tape))
-    grads = dict.fromkeys(TENSOR_NAMES)
-    g, ghc = None, [None, None]
+    grads = {name: np.zeros_like(getattr(phi, name)) for name in TENSOR_NAMES}
+    g = 0.0  # the theta gradient
+    # the state gradient; no later step reads the last step's new state
+    ghc = np.zeros((2, 2, *tape[first][-1].shape)) if first < len(tape) else None
     for k in reversed(range(len(tape))):
         entry, tape[k] = tape[k], None
         if k < first:
             continue
         if isinstance(entry, tuple):
-            ghc = step_vjp(entry, g, ghc, phi, grads, recurrent=k > first)
+            step_vjp(entry, g, ghc, phi, grads, recurrent=k > first)
         elif isinstance(entry, np.ndarray):
             g = entry
         else:
-            g = accumulate(g, entry(1.0))
-    return {name: np.zeros_like(getattr(phi, name)) if grad is None else grad
-            for name, grad in grads.items()}
+            g = g + entry(1.0)
+    return grads
 
 
 def fd_error(analytic: np.ndarray, loss_at, p0: np.ndarray,

@@ -82,8 +82,11 @@ class RunConfig:
     name: str | None = None  # report label; defaults to the optimizer kind
 
     def validate(self) -> None:
-        """Membership checks here; every range is checked once, by the
-        optimizee spec and curriculum this config builds."""
+        """Membership checks on mode, profile, family and optimizer, and
+        range checks on r, meta_lr and segment; ImitationConfig,
+        TrainConfig and MetaLossSpec check those three ranges again when
+        a training run builds them. Every other range is checked by
+        building the optimizee spec and the curriculum."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.profile not in PROFILES:

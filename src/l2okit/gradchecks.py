@@ -10,8 +10,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .imitation import imitation_loss_and_grads, teacher_trajectory
-from .metatrain import segment_loss_and_grads
-from .model import TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape, zero_state
+from .metatrain import segment_loss_and_grads, stepper
+from .model import TENSOR_NAMES, init_l2o, l2o_step_tape, zero_state
 from .optimizees import MnistMLPInstance, OptimizeeSpec, sample_instance
 from .seeding import rng_for
 from .teachers import TeacherKind
@@ -26,20 +26,20 @@ def _phi_probe(hidden=4, seed=7):
     return phi
 
 
-def _flatten(phi):
-    return np.concatenate([getattr(phi, n).ravel() for n in TENSOR_NAMES])
+def _phi_fd_error(phi, grads, loss_of) -> float:
+    """fd_error of grads, name -> array, against loss_of(probe), probe
+    being a copy of phi whose tensors hold the perturbed values."""
+    def flat(tensors):
+        return np.concatenate([tensors[n].ravel() for n in TENSOR_NAMES])
 
+    def loss_at(vec):
+        probe, pos = phi.copy(), 0
+        for arr in probe.tensors().values():
+            arr[...] = vec[pos: pos + arr.size].reshape(arr.shape)
+            pos += arr.size
+        return loss_of(probe)
 
-def _unflatten_into(phi, vec):
-    pos = 0
-    for n in TENSOR_NAMES:
-        arr = getattr(phi, n)
-        arr[...] = vec[pos: pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-
-
-def _grads_to_vec(grads):
-    return np.concatenate([grads[n].ravel() for n in TENSOR_NAMES])
+    return ad.fd_error(flat(grads), loss_at, flat(phi.tensors()))
 
 
 def check_loss_nodes(seed: int = 4) -> float:
@@ -68,80 +68,63 @@ def check_lstm_cell(seed: int = 1) -> float:
     tape = []
     update, _ = l2o_step_tape(tape, phi, zero_state(3, 4), g)
     tape.append(np.ones_like(update))  # the gradient of sum(update)
-    analytic = _grads_to_vec(ad.backward(tape, phi))
 
-    def loss_at(vec):
-        probe = phi.copy()
-        _unflatten_into(probe, vec)
-        update, _ = l2o_step_np(probe, zero_state(3, 4), g)
+    def loss_of(probe):
+        update, _ = l2o_step_tape([], probe, zero_state(3, 4), g)
         return float(np.sum(update))
 
-    return ad.fd_error(analytic, loss_at, _flatten(phi))
+    return _phi_fd_error(phi, ad.backward(tape, phi), loss_of)
 
 
 def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
     """Meta-loss phi-gradient vs the frozen-input FD oracle on a small
     quadratic; at horizon 1 the frozen and plain oracles coincide."""
     phi = _phi_probe(hidden=4, seed=seed)
-    spec = OptimizeeSpec(family="quadratic", dim=3)
-    inst = sample_instance(spec, seed)
+    inst = sample_instance(OptimizeeSpec(family="quadratic", dim=3), seed)
     theta0 = inst.init_params(seed + 1)
-    state = zero_state(inst.dim, phi.hidden)
-
-    loss, grads, _, _, diverged = segment_loss_and_grads(
-        phi, inst, theta0, state, horizon)
+    _, grads, _, _, diverged = segment_loss_and_grads(
+        phi, inst, theta0, zero_state(inst.dim, phi.hidden), horizon)
     assert not diverged
-    analytic = _grads_to_vec(grads)
 
     # frozen-input oracle: replay with the base run's g_t sequence fixed
     base_gs = []
     th = theta0.copy()
-    st = zero_state(inst.dim, phi.hidden)
+    step = stepper(phi, inst.dim)
     for _ in range(horizon):
         _, g = inst.loss_and_grad(th, inst.next_batch())
         base_gs.append(g)
-        upd, st = l2o_step_np(phi, st, g)
-        th = th + upd
+        th = th + step(g)
 
-    def loss_at(vec):
-        probe = phi.copy()
-        _unflatten_into(probe, vec)
+    def loss_of(probe):
         th = theta0.copy()
-        st = zero_state(inst.dim, probe.hidden)
+        step = stepper(probe, inst.dim)
         total = 0.0
         for g in base_gs:
-            upd, st = l2o_step_np(probe, st, g)
-            th = th + upd
+            th = th + step(g)
             fval, _ = inst.loss_and_grad(th, inst.next_batch())
             total += fval
         return total
 
-    return ad.fd_error(analytic, loss_at, _flatten(phi))
+    return _phi_fd_error(phi, grads, loss_of)
 
 
 def check_imitation_loss(seed: int = 3) -> float:
     """Imitation-loss phi-gradient vs plain FD (teacher g sequence fixed
     by construction, so there is no frozen-input subtlety)."""
     phi = _phi_probe(hidden=4, seed=seed)
-    spec = OptimizeeSpec(family="quadratic", dim=3)
-    inst = sample_instance(spec, seed)
+    inst = sample_instance(OptimizeeSpec(family="quadratic", dim=3), seed)
     theta0 = inst.init_params(seed + 1)
     steps, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 5)
-    state = zero_state(inst.dim, phi.hidden)
-    _, grads, _ = imitation_loss_and_grads(phi, steps, state)
-    analytic = _grads_to_vec(grads)
+    _, grads, _ = imitation_loss_and_grads(phi, steps, zero_state(inst.dim, phi.hidden))
 
-    def loss_at(vec):
-        probe = phi.copy()
-        _unflatten_into(probe, vec)
-        st = zero_state(inst.dim, probe.hidden)
+    def loss_of(probe):
+        step = stepper(probe, inst.dim)
         total = 0.0
         for g, target in steps:
-            upd, st = l2o_step_np(probe, st, g)
-            total += float(np.sum((upd - target) ** 2))
+            total += float(np.sum((step(g) - target) ** 2))
         return total
 
-    return ad.fd_error(analytic, loss_at, _flatten(phi))
+    return _phi_fd_error(phi, grads, loss_of)
 
 
 def run_all() -> dict[str, float]:

@@ -81,13 +81,13 @@ def imitation_loss_and_grads(phi: L2OParams, steps, state):
     """One segment of the imitation loss: squared-error regression of the
     L2O's updates onto the teacher's, gradients flowing to phi only."""
     tape = []
-    total = None
+    total = 0.0
     for g, target in steps:
         update, state = l2o_step_tape(tape, phi, state, g)
         diff = update - target
         tape.append(2.0 * diff + 0.0)  # the gradient of this step's term
         term = (diff * diff).sum()
-        total = term if total is None else total + term
+        total += term
     return float(total), ad.backward(tape, phi), state
 
 

@@ -68,11 +68,9 @@ class MetaAdam:
         self.t += 1
         for name in TENSOR_NAMES:
             arr = getattr(phi, name)
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(arr)
+            # a tensor that grads leaves out has gradient zero
             update, self.m[name], self.v[name] = adam_update(
-                self.m[name], self.v[name], g, self.t, self.lr)
+                self.m[name], self.v[name], grads.get(name, 0.0), self.t, self.lr)
             arr += update
 
 
@@ -106,7 +104,7 @@ def stepper(optimizer, dim: int):
     if isinstance(optimizer, L2OParams):
         state = zero_state(dim, optimizer.hidden)
         work = workspace(dim, optimizer.hidden)
-        return lambda g: l2o_step_np(optimizer, state, g, work)[0]
+        return lambda g: l2o_step_np(optimizer, state, g, work)
     if not isinstance(optimizer, TeacherKind):
         raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
     state = init_state(dim)
@@ -130,7 +128,7 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
     """
     tape = []
     th = np.asarray(theta, dtype=np.float64)
-    total = None
+    total = 0.0
     for _ in range(n_steps):
         batch = inst.next_batch()
         loss_t, g = inst.loss_and_grad(th, batch)
@@ -143,7 +141,7 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
         fv = inst.loss_on_tape(tape, th, batch)
         if not np.isfinite(fv):
             return None, None, th, state, True
-        total = fv if total is None else total + fv
+        total += fv
     return float(total), ad.backward(tape, phi), th, state, False
 
 

@@ -5,21 +5,22 @@ so the parameter count is independent of the optimizee dimension. The
 gradient is preprocessed into a (log-magnitude, sign) pair, fed through
 two LSTM layers, and projected to a single scaled update per coordinate.
 
-A layer's state is one packed (2, dim, hidden) array, h at index 0 and c
-at index 1, on both paths. One cell function computes the forward pass
-into buffers that its caller passes in: the packed output state and a
-pair of (dim, 4 * hidden) buffers for the gate arithmetic. A rollout's
-stepper passes its own state as both input and output, with one
-workspace that it keeps for the whole rollout, so a step allocates no
-array of the state's size. Meta-training passes fresh buffers, and
-l2o_step_tape appends to a segment's tape what the hand-written backward
-of the step, step_vjp, reads back; autodiff.backward walks that tape.
+The LSTM state is one (2, 2, dim, hidden) array: layer, then h or c.
+One cell function computes a layer's forward pass into buffers that its
+caller passes in: the layer's new state and two (dim, 4 * hidden)
+buffers for the gate arithmetic. l2o_step_np, the evaluative step,
+updates its state in place in a workspace that a rollout's stepper
+keeps, so a step allocates no array of the state's size. l2o_step_tape,
+meta-training's step, writes into fresh buffers and appends to a
+segment's tape what the hand-written backward of the step, step_vjp,
+reads back; autodiff.backward walks that tape.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import expit
@@ -27,6 +28,7 @@ from scipy.special import expit
 from .seeding import rng_for
 
 TENSOR_NAMES = ("wx1", "wh1", "b1", "wx2", "wh2", "b2", "w_out", "b_out")
+LAYERS = (("wx1", "wh1", "b1"), ("wx2", "wh2", "b2"))  # (wx, wh, b), lower layer first
 
 CHECKPOINT_MAGIC = b"L2O1"
 
@@ -57,15 +59,14 @@ class L2OParams:
     def n_params(self) -> int:
         return sum(t.size for t in self.tensors().values())
 
-
-@dataclass
-class L2OState:
-    hc1: np.ndarray  # (2, dim, h): layer 1's h, then its c
-    hc2: np.ndarray  # (2, dim, h): layer 2's h, then its c
+    def layer(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer n's (wx, wh, b); n = 0 is the lower layer."""
+        return attrgetter(*LAYERS[n])(self)
 
 
-def zero_state(dim: int, hidden: int) -> L2OState:
-    return L2OState(np.zeros((2, dim, hidden)), np.zeros((2, dim, hidden)))
+def zero_state(dim: int, hidden: int) -> np.ndarray:
+    """The LSTM state, (2, 2, dim, hidden): layer, then h or c."""
+    return np.zeros((2, 2, dim, hidden))
 
 
 def init_l2o(seed: int, hidden: int = 20, preprocess_p: float = 10.0,
@@ -131,10 +132,10 @@ def workspace(dim: int, hidden: int) -> np.ndarray:
 
 
 def _cell(x, hc, wx, wh, b, hidden, out, z, scratch):
-    """One LSTM cell on a packed state. Writes the new packed state into
-    out, which may be hc itself, and the gates i, f, g, o into z's column
-    blocks; scratch takes the second matmul, then i * g and tanh of the new c.
-    Returns tanh of the new c, a view of scratch."""
+    """One LSTM cell on a layer's state hc, h then c. Writes the layer's
+    new state into out, which may be hc itself, and the gates i, f, g, o
+    into z's column blocks; scratch takes the second matmul, then i * g
+    and tanh of the new c. Returns tanh of the new c, a view of scratch."""
     h, c = hc
     _mm_rows(x, wx, out=z)
     z += _mm_rows(h, wh, out=scratch)
@@ -155,94 +156,73 @@ def _project(h, w_out, b_out, out_scale):
     return out_scale * (_mm_rows(h, w_out) + b_out)
 
 
-def l2o_step_np(phi: L2OParams, state: L2OState, g: np.ndarray, work=None):
-    """Evaluative forward pass; returns (update, new_state). Given work, a
-    workspace(dim, hidden), the step updates state in place and returns it
-    as new_state; without one, state is left unchanged and new_state is
-    fresh. The update is a fresh array either way."""
-    if state.hc1.shape[1] != g.shape[0]:
+def l2o_step_np(phi: L2OParams, state: np.ndarray, g: np.ndarray,
+                work: np.ndarray) -> np.ndarray:
+    """Evaluative forward pass: updates state in place, with work, a
+    workspace(dim, hidden), for the gate arithmetic. Returns the update,
+    a fresh array."""
+    if state.shape[2] != g.shape[0]:
         raise ValueError("l2o_step: state/gradient dimension mismatch")
-    x = preprocess(g, phi.preprocess_p)
-    if work is None:
-        new = L2OState(np.empty(state.hc1.shape), np.empty(state.hc2.shape))
-        work = workspace(g.shape[0], phi.hidden)
-    else:
-        new = state
-    _cell(x, state.hc1, phi.wx1, phi.wh1, phi.b1, phi.hidden, new.hc1, *work)
-    _cell(new.hc1[0], state.hc2, phi.wx2, phi.wh2, phi.b2, phi.hidden, new.hc2, *work)
-    update = _project(new.hc2[0], phi.w_out, phi.b_out, phi.out_scale)
-    return update, new
+    inp = preprocess(g, phi.preprocess_p)
+    for n in (0, 1):
+        hc = state[n]
+        _cell(inp, hc, *phi.layer(n), phi.hidden, hc, *work)
+        inp = hc[0]  # the layer's new h, the next layer's input
+    return _project(inp, phi.w_out, phi.b_out, phi.out_scale)
 
 
-def l2o_step_tape(tape: list, phi: L2OParams, state: L2OState, g: np.ndarray):
-    """Recording forward pass: l2o_step_np into fresh arrays, appending to
-    tape the step record that step_vjp reads back. The gradient g enters
-    as a constant (no second derivatives). Returns (update, new_state).
+def l2o_step_tape(tape: list, phi: L2OParams, state: np.ndarray, g: np.ndarray):
+    """Recording forward pass: l2o_step_np's arithmetic into fresh arrays,
+    appending to tape the step record that step_vjp reads back. The
+    gradient g enters as a constant (no second derivatives). Returns
+    (update, new_state) and leaves state unchanged.
 
-    The record holds each cell's input, input state, gates and tanh of
+    The record holds each layer's input, input state, gates and tanh of
     its new c, then the upper layer's new h."""
-    x = preprocess(g, phi.preprocess_p)
-    new = L2OState(np.empty(state.hc1.shape), np.empty(state.hc2.shape))
+    inp = preprocess(g, phi.preprocess_p)
+    new = np.empty(state.shape)
     cells = []
-    for inp, hc, out, n in ((x, state.hc1, new.hc1, 1), (new.hc1[0], state.hc2, new.hc2, 2)):
+    for n in (0, 1):
+        hc = state[n]
         z = np.empty((g.shape[0], 4 * phi.hidden))
-        tc = _cell(inp, hc, getattr(phi, f"wx{n}"), getattr(phi, f"wh{n}"),
-                   getattr(phi, f"b{n}"), phi.hidden, out, z, np.empty_like(z))
+        tc = _cell(inp, hc, *phi.layer(n), phi.hidden, new[n], z, np.empty_like(z))
         # the record keeps z's gates and tanh c, not all of scratch
         cells.append((inp, hc, z, tc.copy()))
-    update = _project(new.hc2[0], phi.w_out, phi.b_out, phi.out_scale)
-    tape.append((*cells, new.hc2[0]))
+        inp = new[n, 0]
+    update = _project(inp, phi.w_out, phi.b_out, phi.out_scale)
+    tape.append((*cells, inp))
     return update, new
-
-
-def accumulate(total, contrib):
-    """total + contrib, or contrib + 0.0 for the first contribution: the
-    bits of adding it to zeros, which turns -0.0 into +0.0."""
-    return contrib + 0.0 if total is None else total + contrib
-
-
-def _add_h(ghc, gh):
-    """A packed-state gradient plus gh on its h part, or, for ghc None,
-    gh on zeros. A ghc that is not None holds no -0.0 and belongs to the
-    caller, so its c part is kept and its h part updated in place."""
-    if ghc is None:
-        ghc = np.zeros((2,) + gh.shape)
-        ghc[0] = gh + 0.0
-    else:
-        ghc[0] += gh
-    return ghc
 
 
 def step_vjp(step, g, ghc, phi: L2OParams, grads: dict, recurrent: bool):
     """Backward of one step that l2o_step_tape recorded. g is the gradient
-    of its update and ghc = [ghc1, ghc2] the gradients of its packed output
-    states, None where no later step reads them. Adds each phi tensor's
-    contribution into grads (name -> array, None before the first) and
-    returns the gradients of the input states; not recurrent, the input is
-    the segment's constant start, and they are [None, None].
+    of its update and ghc of its output state, zeros where no later step
+    reads it. Adds each phi tensor's contribution into grads (name ->
+    array) and, if recurrent, overwrites ghc with the gradient of the
+    input state; not recurrent, the input is the segment's constant start.
 
     The vjps repeat, operation for operation, the backward pass of the
-    same step written as tape primitives (two einsum matmuls, two adds,
-    four column takes, the gate nonlinearities, the c and h products per
-    cell; a matmul, bias add and scale for the projection), so the
-    gradients are the same bits; tests/refchain.py keeps that chain as
-    the reference. The chain added each first gradient contribution to
-    zeros, which turns -0.0 into +0.0; `+ 0.0` on the projection's and
-    the gates' gradients, and accumulate, repeat that. The chain's other
-    such steps cannot change a bit here: their values are only multiplied
-    by non-negative gate factors before the gates' gradient, or added to
-    the incoming c gradient, which is seeded the same way.
+    same step as tape primitives, the chain that tests/refchain.py keeps
+    as the reference, so the gradients are the same bits. The chain adds
+    each first gradient contribution to zeros, which turns -0.0 into
+    +0.0; the zero-started grads and state gradient, and `+ 0.0` on the
+    projection's, the gates' and the input state's gradients, repeat
+    that. The chain's other such steps cannot change a bit here: their
+    values are only multiplied by non-negative gate factors before the
+    gates' gradient, or added to the incoming c gradient, which is
+    seeded the same way.
     """
     *cells, h2 = step
     hidden = phi.hidden
     gp = g * phi.out_scale + 0.0
-    grads["w_out"] = accumulate(grads["w_out"], h2.T @ gp)
-    grads["b_out"] = accumulate(grads["b_out"], gp.sum())
+    grads["w_out"] += h2.T @ gp
+    grads["b_out"] += gp.sum()
     gin = np.outer(gp, phi.w_out)  # the gradient of the layer's new h from above
-    prev = [None, None]
-    for n in (2, 1):
-        x, (h, c), z, tc = cells[n - 1]
-        gh, gc = _add_h(ghc[n - 1], gin)
+    for n in (1, 0):
+        x, (h, c), z, tc = cells[n]
+        wx, wh, _ = phi.layer(n)
+        ghc[n, 0] += gin
+        gh, gc = ghc[n]
         i, f, gg, o = (z[:, j * hidden:(j + 1) * hidden] for j in range(4))
         # the new c's gradient: from outside, plus through h = o * tanh(c)
         gcn = gc + gh * o * (1.0 - tc * tc)
@@ -253,14 +233,13 @@ def step_vjp(step, g, ghc, phi: L2OParams, grads: dict, recurrent: bool):
         np.multiply(gcn * i, 1.0 - gg * gg, out=gz[:, 2 * hidden:3 * hidden])
         np.multiply(gh * tc * o, 1.0 - o, out=gz[:, 3 * hidden:])
         gz += 0.0
-        grads[f"wx{n}"] = accumulate(grads[f"wx{n}"], x.T @ gz)
-        grads[f"wh{n}"] = accumulate(grads[f"wh{n}"], h.T @ gz)
-        grads[f"b{n}"] = accumulate(grads[f"b{n}"], gz.sum(axis=0))
+        for name, contrib in zip(LAYERS[n], (x.T @ gz, h.T @ gz, gz.sum(axis=0))):
+            grads[name] += contrib
         if recurrent:
-            prev[n - 1] = np.stack((gz @ getattr(phi, f"wh{n}").T, gcn * f)) + 0.0
-        if n == 2:
-            gin = gz @ phi.wx2.T  # into the layer below's new h
-    return prev
+            np.add(gz @ wh.T, 0.0, out=gh)
+            np.add(gcn * f, 0.0, out=gc)
+        if n == 1:
+            gin = gz @ wx.T  # into the layer below's new h
 
 
 def save_checkpoint(phi: L2OParams, path) -> None:
@@ -282,16 +261,22 @@ def save_checkpoint(phi: L2OParams, path) -> None:
 
 def load_checkpoint(path) -> L2OParams:
     with open(path, "rb") as fh:
+        def read(size):
+            chunk = fh.read(size)
+            if len(chunk) < size:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return chunk
+
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not an L2O checkpoint (magic {magic!r})")
-        hidden = struct.unpack("<q", fh.read(8))[0]
-        p, out_scale = struct.unpack("<dd", fh.read(16))
+        hidden = struct.unpack("<q", read(8))[0]
+        p, out_scale = struct.unpack("<dd", read(16))
         tensors = {}
         for name in TENSOR_NAMES:
-            ndim = struct.unpack("<q", fh.read(8))[0]
-            shape = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(ndim))
+            ndim = struct.unpack("<q", read(8))[0]
+            shape = tuple(struct.unpack("<q", read(8))[0] for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
             tensors[name] = data.astype(np.float64)
     return L2OParams(hidden, p, out_scale, *[tensors[n] for n in TENSOR_NAMES])

@@ -11,25 +11,26 @@ for the closed-form loss gradients. Each primitive is one rt.Value with
 hand-written vjps, and its float operations must stay as they are, or
 the oracles stop meaning anything. The reference LSTM chain keeps the
 state as four arrays h1, c1, h2, c2; split_state and join_state convert
-to and from the packed L2OState.
+to and from the package's one (2, 2, dim, hidden) state array.
 """
 
 import numpy as np
 from scipy.special import expit
 
 import reftape as rt
-from l2okit.model import L2OState, preprocess
+from l2okit.model import preprocess
 
 STATE_PARTS = ("h1", "c1", "h2", "c2")
 
 
 def split_state(state):
-    """The packed state's four (dim, hidden) views h1, c1, h2, c2."""
-    return (*state.hc1, *state.hc2)
+    """The state array's four (dim, hidden) views h1, c1, h2, c2."""
+    return (*state[0], *state[1])
 
 
 def join_state(h1, c1, h2, c2):
-    return L2OState(np.stack((h1, c1)), np.stack((h2, c2)))
+    """A fresh state array: layer 1's h and c, then layer 2's."""
+    return np.array([[h1, c1], [h2, c2]])
 
 
 def add_bias(a, b):

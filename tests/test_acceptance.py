@@ -23,7 +23,7 @@ from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
                               teacher_trajectory)
 from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
                               train_epoch)
-from l2okit.model import TENSOR_NAMES, init_l2o, l2o_step_np, zero_state
+from l2okit.model import TENSOR_NAMES, init_l2o, l2o_step_np, workspace, zero_state
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
 from l2okit.teachers import TeacherKind, default_ensemble, init_state, teacher_step
@@ -260,16 +260,13 @@ def test_criterion_8_permutation_equivariance():
         g = rng.normal(size=d)
         perm = rng.permutation(d)
         state = zero_state(d, phi.hidden)
-        h1, c1, h2, c2 = (*state.hc1, *state.hc2)
-        for arr in (h1, c1, h2, c2):
+        for arr in (*state[0], *state[1]):
             arr[:] = rng.normal(size=arr.shape)
-        u, _ = l2o_step_np(phi, state, g)
-        pstate = zero_state(d, phi.hidden)
-        pstate.hc1[0] = h1[perm]
-        pstate.hc1[1] = c1[perm]
-        pstate.hc2[0] = h2[perm]
-        pstate.hc2[1] = c2[perm]
-        pu, _ = l2o_step_np(phi, pstate, g[perm])
+        # permuted before the in-place step overwrites state
+        pstate = state[:, :, perm].copy()
+        work = workspace(d, phi.hidden)
+        u = l2o_step_np(phi, state, g, work)
+        pu = l2o_step_np(phi, pstate, g[perm], work)
         if not np.array_equal(pu, u[perm]):
             failures += 1
     report(8, failures == 0, f"{failures}/1000 triples not bitwise equal")

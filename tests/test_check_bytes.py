@@ -33,3 +33,12 @@ def test_identical_trees_differ_in_nothing(tmp_path):
     a = write_tree(tmp_path / "a", files)
     b = write_tree(tmp_path / "b", files)
     assert check_bytes.differing_files(a, b) == []
+
+
+def test_commands_byte_check_gradcheck_stdout_without_out(tmp_path):
+    runs = check_bytes.commands(tmp_path)
+    assert runs["gradcheck"] == ["gradcheck"]
+    for name, args in runs.items():
+        if name != "gradcheck":
+            assert args[0] in ("train", "eval")
+            assert args[-2:] == ["--out", str(tmp_path / name)]

@@ -9,6 +9,7 @@ from l2okit import experiments
 from l2okit.cli import _add_config_flags, _config_from_args, main
 from l2okit.config import (ConfigError, PAPER_LADDER, RunConfig, build_config,
                            config_hash, parse_config_file, serialize_config)
+from l2okit.model import init_l2o, save_checkpoint
 
 
 def sha256(path):
@@ -280,6 +281,18 @@ def test_eval_requires_checkpoint(tmp_path, capsys):
     assert rc == 1
     assert "checkpoint required" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("cut", [4, 30, 60])  # header, wx1's shape, wx1's data
+def test_eval_rejects_truncated_checkpoint(tmp_path, capsys, cut):
+    ckpt, out = tmp_path / "cut.l2o", tmp_path / "e"
+    save_checkpoint(init_l2o(0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:cut])
+    rc = main(["eval", "--family", "quadratic", "--checkpoint", str(ckpt),
+               "--out", str(out)])
+    assert rc == 1
+    assert f"error: {ckpt}: truncated checkpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_rejects_empty_ladder(tmp_path, capsys):

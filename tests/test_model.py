@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import refchain as rc
 from l2okit import imitation, metatrain
 from l2okit.model import (TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape,
-                          load_checkpoint, preprocess, save_checkpoint, zero_state)
+                          load_checkpoint, preprocess, save_checkpoint, workspace,
+                          zero_state)
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
 
@@ -44,8 +45,7 @@ def test_preprocess_rejects_bad_p():
 
 def test_init_zero_output_policy():
     phi = init_l2o(3)
-    update, _ = l2o_step_np(phi, zero_state(5, phi.hidden),
-                            np.array([1.0, -2.0, 0.5, 0.0, 3.0]))
+    update = metatrain.stepper(phi, 5)(np.array([1.0, -2.0, 0.5, 0.0, 3.0]))
     np.testing.assert_array_equal(update, np.zeros(5))
 
 
@@ -74,29 +74,29 @@ def test_permutation_equivariance_bitwise(seed, d):
     g = rng.normal(0, 1.0, d)
     perm = rng.permutation(d)
     state = zero_state(d, phi.hidden)
-    h1, c1 = state.hc1
+    h1, c1 = state[0]
     h1[:] = rng.normal(size=h1.shape)
     c1[:] = rng.normal(size=c1.shape)
-    u, _ = l2o_step_np(phi, state, g)
-    pstate = zero_state(d, phi.hidden)
-    pstate.hc1[0] = h1[perm]
-    pstate.hc1[1] = c1[perm]
-    pu, _ = l2o_step_np(phi, pstate, g[perm])
+    # permuted before the in-place step overwrites state
+    pstate = state[:, :, perm].copy()
+    work = workspace(d, phi.hidden)
+    u = l2o_step_np(phi, state, g, work)
+    pu = l2o_step_np(phi, pstate, g[perm], work)
     assert np.array_equal(pu, u[perm])
 
 
 def test_identical_coordinates_get_identical_updates():
     phi = random_phi(5)
-    u, _ = l2o_step_np(phi, zero_state(2, phi.hidden), np.array([0.5, 0.5]))
+    u = metatrain.stepper(phi, 2)(np.array([0.5, 0.5]))
     assert u[0] == u[1]
 
 
 def test_dimension_independence():
     phi = random_phi(6)
     for d in (1, 3, 50):
-        u, st = l2o_step_np(phi, zero_state(d, phi.hidden), np.linspace(-1, 1, d))
+        u, st = l2o_step_tape([], phi, zero_state(d, phi.hidden), np.linspace(-1, 1, d))
         assert u.shape == (d,)
-        assert st.hc1[0].shape == (d, phi.hidden)
+        assert st.shape == (2, 2, d, phi.hidden)
 
 
 @pytest.mark.parametrize("d", [1, 42])
@@ -104,13 +104,12 @@ def test_step_returns_packed_layers_and_keeps_its_input_state(d):
     phi = random_phi(10)
     rng = np.random.default_rng(d)
     state = rc.join_state(*(rng.normal(0, 0.5, (d, phi.hidden)) for _ in range(4)))
-    before = state.hc1.tobytes(), state.hc2.tobytes()
-    _, st = l2o_step_np(phi, state, rng.normal(size=d))
-    for new, old in ((st.hc1, state.hc1), (st.hc2, state.hc2)):
-        assert new.shape == (2, d, phi.hidden)
-        assert new.flags.c_contiguous
-        assert not np.shares_memory(new, old)
-    assert (state.hc1.tobytes(), state.hc2.tobytes()) == before
+    before = state.tobytes()
+    _, st = l2o_step_tape([], phi, state, rng.normal(size=d))
+    assert st.shape == (2, 2, d, phi.hidden)
+    assert st.flags.c_contiguous
+    assert not np.shares_memory(st, state)
+    assert state.tobytes() == before
 
 
 def recorded_stepper(monkeypatch, phi, dim):
@@ -118,7 +117,7 @@ def recorded_stepper(monkeypatch, phi, dim):
     l2o_step_np call that it makes."""
     calls = []
 
-    def recording(phi, state, g, work=None):
+    def recording(phi, state, g, work):
         calls.append((state, work))
         return l2o_step_np(phi, state, g, work)
 
@@ -135,11 +134,9 @@ def test_stepper_matches_chained_fresh_steps_and_keeps_earlier_updates(monkeypat
     for _ in range(30):
         g = rng.normal(size=d) * 10.0 ** rng.uniform(-6, 1)
         update = step(g)
-        expected, state = l2o_step_np(phi, state, g)
+        expected, state = l2o_step_tape([], phi, state, g)
         assert update.tobytes() == expected.tobytes()
-        st = calls[-1][0]
-        assert (st.hc1.tobytes(), st.hc2.tobytes()) == (state.hc1.tobytes(),
-                                                        state.hc2.tobytes())
+        assert calls[-1][0].tobytes() == state.tobytes()
         updates.append(update)
         kept.append(update.tobytes())
     # one state and one workspace for the whole rollout, and fresh updates
@@ -165,7 +162,7 @@ def test_stepper_step_allocates_less_than_one_gate_array():
 def test_state_dimension_mismatch_rejected():
     phi = random_phi(7)
     with pytest.raises(ValueError, match="dimension"):
-        l2o_step_np(phi, zero_state(3, phi.hidden), np.zeros(4))
+        l2o_step_np(phi, zero_state(3, phi.hidden), np.zeros(4), workspace(3, phi.hidden))
 
 
 def _same_bits(a, b):
@@ -221,7 +218,7 @@ def test_mm_rows_operands_are_c_contiguous(tmp_path, monkeypatch):
             assert getattr(params, name).flags.c_contiguous, name
     g = np.random.default_rng(12).normal(size=7)
     state0 = zero_state(7, phi.hidden)
-    _, state1 = l2o_step_np(phi, state0, g)
+    _, state1 = l2o_step_tape([], phi, state0, g)
     _, recorded = l2o_step_tape([], phi, state1, g)
     step, calls = recorded_stepper(monkeypatch, phi, 7)
     step(g)
@@ -261,6 +258,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+# 28 header bytes (magic, hidden, p, out_scale), then wx1's ndim and dims
+# from byte 28 and its data from byte 52; -1 cuts into b_out's data
+@pytest.mark.parametrize("cut", [4, 10, 20, 30, 44, 60, -1])
+def test_checkpoint_rejects_truncated_file(tmp_path, cut):
+    path = tmp_path / "cut.l2o"
+    save_checkpoint(random_phi(9), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        load_checkpoint(path)
+
+
 def test_copy_is_deep():
     phi = random_phi(10)
     clone = phi.copy()
@@ -272,6 +280,6 @@ def test_param_count_independent_of_dimension():
     phi = random_phi(11)
     n = phi.n_params()
     # running on different d must not change the parameter count
-    l2o_step_np(phi, zero_state(3, phi.hidden), np.zeros(3))
-    l2o_step_np(phi, zero_state(30, phi.hidden), np.zeros(30))
+    metatrain.stepper(phi, 3)(np.zeros(3))
+    metatrain.stepper(phi, 30)(np.zeros(30))
     assert phi.n_params() == n
