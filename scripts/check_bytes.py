@@ -13,6 +13,9 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
 
 - ``l2okit train`` for each of the six modes on ``tiny_mlp`` at seed 3,
   40 epochs, a 10,20,40 ladder and one 5-epoch period;
+- ``l2okit train --mode il`` on ``quadratic`` with every episode a
+  teacher's and a teacher lr of 1e160, so that its ``events.csv`` holds
+  ``teacher-divergence`` rows;
 - ``l2okit eval --family tiny_mlp --n-eval 500`` of
   ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides) and
   of ``--optimizer adam``;
@@ -48,6 +51,9 @@ def commands(out: Path) -> dict[str, list[str]]:
     """Run name -> l2okit arguments; train and eval runs write under out."""
     runs = {f"train-{mode}": ["train", "--mode", mode, *TRAIN_ARGS]
             for mode in MODES}
+    runs["train-il-diverging"] = ["train", "--mode", "il", "--family", "quadratic",
+                                  "--epochs", "2", "--n-train", "4", "--r", "1.0",
+                                  "--teacher-lr", "1e160", "--seed", "5"]
     runs["eval-checkpoint"] = [*EVAL_ARGS, "--checkpoint",
                                str(ROOT / "benchmark" / "checkpoint.l2o")]
     runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]

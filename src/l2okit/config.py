@@ -83,10 +83,9 @@ class RunConfig:
 
     def validate(self) -> None:
         """Membership checks on mode, profile, family and optimizer, and
-        range checks on r, meta_lr and segment; ImitationConfig,
-        TrainConfig and MetaLossSpec check those three ranges again when
-        a training run builds them. Every other range is checked by
-        building the optimizee spec and the curriculum."""
+        range checks on r, meta_lr, segment, the resolved epochs and
+        n_val_instances. Every other range is checked by building the
+        optimizee spec and the curriculum."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.profile not in PROFILES:
@@ -102,6 +101,10 @@ class RunConfig:
             raise ConfigError("meta_lr must be > 0")
         if self.segment < 1:
             raise ConfigError("segment must be >= 1")
+        if self.resolved_epochs() < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.n_val_instances < 1:
+            raise ConfigError("n_val_instances must be >= 1")
         try:
             self.optimizee_spec()
             self.curriculum()

@@ -4,12 +4,14 @@ the schedules it runs for every mode, and the CSV writers for their logs.
 A mode is an epoch body, called as body(phi, epoch, mls, adam) and
 returning (kind, loss): metatrain.train_epoch (vanilla, aug, cl),
 imitation.il_epoch (il, cl-il) or imitation.self_improving_epoch
-(self-improving), with the mode's context bound by keyword. A schedule
-runs a body: train_fixed for tc.epochs at one horizon, or
-train_curriculum over the horizon ladder.
+(self-improving), with the mode's context bound by keyword. train_fixed
+is the one epoch loop: it runs a body over a range of epochs at one
+horizon. The fixed-horizon modes run it once over the resolved epochs;
+train_curriculum runs it once per period of the horizon ladder. One
+meta-Adam, built by train, steps through every epoch of a run.
 
 train_fixed mutates phi in place; train_curriculum trains copies and
-returns the best snapshot. Both append plain-tuple rows to the provided
+returns the best snapshot. Both append plain-tuple rows to the given
 log; CSV serialization lives at the bottom so repeated runs with the
 same config produce byte-identical files.
 """
@@ -21,13 +23,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from .config import RunConfig
-from .curriculum import CurriculumConfig, CurriculumResult, curriculum_train
-from .imitation import (ImitationConfig, SelfImprovingSchedule, il_epoch,
-                        self_improving_epoch)
-from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, ValidationSet,
-                        train_epoch, validate)
+from .curriculum import CurriculumResult, curriculum_train
+from .imitation import SelfImprovingSchedule, il_epoch, self_improving_epoch
+from .metatrain import MetaAdam, MetaLossSpec, ValidationSet, train_epoch, validate
 from .model import L2OParams, init_l2o
-from .optimizees import OptimizeeSpec, sample_instance
+from .optimizees import sample_instance
 from .seeding import derive_seed
 from .teachers import default_ensemble
 
@@ -54,15 +54,11 @@ def train(cfg: RunConfig) -> TrainResult:
     inst = sample_instance(spec, derive_seed(cfg.seed, "train-inst"))
     phi = init_l2o(derive_seed(cfg.seed, "init-phi"), hidden=cfg.hidden,
                    preprocess_p=cfg.preprocess_p, out_scale=cfg.out_scale)
-    tc = TrainConfig(master_seed=cfg.seed, epochs=cfg.resolved_epochs(),
-                     meta_lr=cfg.meta_lr, n_val_instances=cfg.n_val_instances,
-                     divergence_penalty=cfg.divergence_penalty)
     teachers = default_ensemble(lr=cfg.teacher_lr)
     epoch_log, events = [], []
-    context = {"inst": inst, "tc": tc, "events": events}
+    context = {"inst": inst, "seed": cfg.seed, "events": events}
     if cfg.mode in ("il", "cl-il"):
-        body = partial(il_epoch, ic=ImitationConfig(r=cfg.r, teachers=teachers),
-                       **context)
+        body = partial(il_epoch, r=cfg.r, teachers=teachers, **context)
     elif cfg.mode == "self-improving":
         sis = SelfImprovingSchedule(teachers=teachers,
                                     anneal_epochs=cfg.anneal_epochs,
@@ -70,48 +66,45 @@ def train(cfg: RunConfig) -> TrainResult:
         body = partial(self_improving_epoch, sis=sis, **context)
     else:
         body = partial(train_epoch, **context)
+    adam = MetaAdam(lr=cfg.meta_lr)
 
     if cfg.mode in ("cl", "cl-il"):
-        result = train_curriculum(phi, body, spec, cfg.curriculum(), tc,
-                                  segment=cfg.segment, epoch_log=epoch_log)
+        result = train_curriculum(phi, body, adam, cfg, epoch_log)
         return TrainResult(result.best_phi, epoch_log, events, result)
     n_train = cfg.resolved_n_train()
     mls = MetaLossSpec(horizon=n_train, segment=min(cfg.segment, n_train))
-    train_fixed(phi, body, tc, mls, epoch_log=epoch_log)
+    train_fixed(phi, body, adam, mls, range(cfg.resolved_epochs()), epoch_log)
     return TrainResult(phi, epoch_log, events, None)
 
 
-def train_fixed(phi: L2OParams, body, tc: TrainConfig, mls: MetaLossSpec,
-                epoch_log: list | None = None) -> None:
-    """Run the epoch body for tc.epochs epochs at one horizon."""
-    adam = MetaAdam(lr=tc.meta_lr)
-    for epoch in range(tc.epochs):
+def train_fixed(phi: L2OParams, body, adam: MetaAdam, mls: MetaLossSpec,
+                epochs: range, epoch_log: list) -> None:
+    """Run the epoch body for each epoch in epochs at mls's horizon,
+    appending (epoch, kind, loss, horizon) to epoch_log."""
+    for epoch in epochs:
         kind, loss = body(phi, epoch, mls, adam)
-        if epoch_log is not None:
-            epoch_log.append((epoch, kind, loss, mls.horizon))
+        epoch_log.append((epoch, kind, loss, mls.horizon))
 
 
-def train_curriculum(phi: L2OParams, body, spec: OptimizeeSpec,
-                     cc: CurriculumConfig, tc: TrainConfig, segment: int = 20,
-                     epoch_log: list | None = None) -> CurriculumResult:
-    """Staged schedule over the horizon ladder, running the epoch body at
-    the current stage's N_train (the cl-il flagship runs il_epoch). One
-    meta-Adam persists across stages."""
-    adam = MetaAdam(lr=tc.meta_lr)
-    vs = ValidationSet.create(spec, tc)
+def train_curriculum(phi: L2OParams, body, adam: MetaAdam, cfg: RunConfig,
+                     epoch_log: list) -> CurriculumResult:
+    """cfg's staged schedule over its horizon ladder: each period runs
+    train_fixed at the stage's N_train (the cl-il flagship runs
+    il_epoch), validated on cfg's validation set, within
+    cfg.resolved_epochs() epochs in all."""
+    cc = cfg.curriculum()
+    vs = ValidationSet.create(cfg.optimizee_spec(), cfg.seed, cfg.n_val_instances)
 
     def train_period_fn(phi_cur, n_train, epoch_base):
-        mls = MetaLossSpec(horizon=n_train, segment=min(segment, n_train))
-        for epoch in range(epoch_base, epoch_base + cc.t_period):
-            kind, loss = body(phi_cur, epoch, mls, adam)
-            if epoch_log is not None:
-                epoch_log.append((epoch, kind, loss, n_train))
+        mls = MetaLossSpec(horizon=n_train, segment=min(cfg.segment, n_train))
+        train_fixed(phi_cur, body, adam, mls,
+                    range(epoch_base, epoch_base + cc.t_period), epoch_log)
 
     def validate_fn(phi_cur, n_valid):
-        return validate(phi_cur, n_valid, vs, tc.divergence_penalty)
+        return validate(phi_cur, n_valid, vs, cfg.divergence_penalty)
 
     return curriculum_train(phi, cc, train_period_fn, validate_fn,
-                            epoch_budget=tc.epochs)
+                            epoch_budget=cfg.resolved_epochs())
 
 
 def write_epoch_csv(rows, path) -> None:

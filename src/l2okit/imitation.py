@@ -14,24 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .metatrain import (MetaAdam, MetaLossSpec, TrainConfig, rollout, stepper,
-                        train_epoch)
+from .metatrain import MetaAdam, MetaLossSpec, rollout, stepper, train_epoch
 from .model import L2OParams, l2o_step_tape, zero_state
 from .optimizees import OptimizeeInstance
 from .seeding import rng_for
 from .teachers import TeacherKind, default_ensemble
-
-
-@dataclass(frozen=True)
-class ImitationConfig:
-    r: float = 0.3
-    teachers: tuple[TeacherKind, ...] = default_ensemble()
-
-    def __post_init__(self):
-        if not 0 <= self.r <= 1:
-            raise ValueError("r must be in [0, 1]")
-        if not self.teachers:
-            raise ValueError("teachers must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -91,58 +78,49 @@ def imitation_loss_and_grads(phi: L2OParams, steps, state):
     return float(total), ad.backward(tape, phi), state
 
 
-def imitation_update(phi: L2OParams, steps, adam: MetaAdam,
-                     segment: int = 20) -> float:
-    """Replay a teacher trajectory's (g, update) steps through phi with the
-    usual truncated segmenting, one meta step per segment; mutates phi,
-    returns L_O."""
-    if not steps:
-        raise ValueError("imitation_update: trajectory is empty")
-    state = zero_state(steps[0][0].shape[0], phi.hidden)
-    total = 0.0
-    for seg_start in range(0, len(steps), segment):
-        loss, grads, state = imitation_loss_and_grads(
-            phi, steps[seg_start: seg_start + segment], state)
-        adam.step(phi, grads)
-        total += loss
-    return total
-
-
 def il_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
-             inst: OptimizeeInstance, tc: TrainConfig, ic: ImitationConfig,
-             events: list | None = None):
-    """One mixed episode: with probability r imitate a uniformly
-    chosen teacher, otherwise run a plain meta-training epoch. Teacher
-    episodes use the same exploring-start draws as meta epochs.
+             inst: OptimizeeInstance, seed: int, r: float,
+             teachers: tuple[TeacherKind, ...], events: list):
+    """One mixed episode: with probability r imitate a uniformly chosen
+    teacher, otherwise run train_epoch. A teacher episode rolls the
+    teacher from the same exploring start as a meta epoch, then replays
+    its (g, update) steps through phi with the usual truncated
+    segmenting, one meta-Adam step per segment; mutates phi. A teacher
+    that diverges appends ("teacher-divergence", epoch, its kind) to
+    events and trains nothing.
 
-    Returns (kind, loss) where kind is "Lf" or "IL:<teacher>".
+    Returns (kind, loss): ("Lf", meta-loss) or ("IL:<teacher>", L_O),
+    L_O being nan for a diverged teacher.
     """
-    u = rng_for(tc.master_seed, "il-u", epoch).random()
-    if u >= ic.r:
-        return train_epoch(phi, epoch, mls, adam, inst=inst, tc=tc, events=events)
-    idx = int(rng_for(tc.master_seed, "il-teacher", epoch).integers(len(ic.teachers)))
-    kind = ic.teachers[idx]
-    theta0 = inst.start(tc.master_seed, "epoch", epoch)
+    if rng_for(seed, "il-u", epoch).random() >= r:
+        return train_epoch(phi, epoch, mls, adam, inst=inst, seed=seed, events=events)
+    kind = teachers[int(rng_for(seed, "il-teacher", epoch).integers(len(teachers)))]
+    theta0 = inst.start(seed, "epoch", epoch)
     steps, diverged_at = teacher_trajectory(kind, inst, theta0, mls.horizon)
     if diverged_at is not None:
-        if events is not None:
-            events.append(("teacher-divergence", epoch, kind.kind))
+        events.append(("teacher-divergence", epoch, kind.kind))
         return f"IL:{kind.kind}", float("nan")
-    loss = imitation_update(phi, steps, adam, segment=mls.segment)
-    return f"IL:{kind.kind}", loss
+    state = zero_state(inst.dim, phi.hidden)
+    total = 0.0
+    for seg_start in range(0, mls.horizon, mls.segment):
+        loss, grads, state = imitation_loss_and_grads(
+            phi, steps[seg_start: seg_start + mls.segment], state)
+        adam.step(phi, grads)
+        total += loss
+    return f"IL:{kind.kind}", total
 
 
 def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
-                         adam: MetaAdam, *, inst: OptimizeeInstance,
-                         tc: TrainConfig, sis: SelfImprovingSchedule,
-                         events: list | None = None):
+                         adam: MetaAdam, *, inst: OptimizeeInstance, seed: int,
+                         sis: SelfImprovingSchedule, events: list):
     """One epoch on a single mixed trajectory: each step's applied update
     comes from an optimizer sampled from the annealed multinomial.
     Teacher updates enter theta as constants, and the tape records no step
-    for them; the loss is still the ordinary meta-loss. Teacher accumulators advance only on the steps
-    where that teacher is sampled. Returns ("SI:mixed", meta-loss)."""
+    for them; the loss is still the ordinary meta-loss. Teacher
+    accumulators advance only on the steps where that teacher is sampled.
+    Returns ("SI:mixed", meta-loss)."""
     probs = sis.probs(epoch)
-    sampler = rng_for(tc.master_seed, "si-choice", epoch)
+    sampler = rng_for(seed, "si-choice", epoch)
     steppers = [stepper(kind, inst.dim) for kind in sis.teachers]
 
     def override(g):
@@ -151,6 +129,6 @@ def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
             return None
         return steppers[j - 1](g)
 
-    _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, tc=tc, events=events,
+    _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, seed=seed, events=events,
                           step_override=override)
     return "SI:mixed", loss

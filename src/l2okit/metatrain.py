@@ -35,23 +35,6 @@ class MetaLossSpec:
             raise ValueError("segment must be in [1, horizon]")
 
 
-@dataclass
-class TrainConfig:
-    master_seed: int
-    epochs: int
-    meta_lr: float = 1e-3
-    n_val_instances: int = 5
-    divergence_penalty: float = 1e6
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.meta_lr <= 0:
-            raise ValueError("meta_lr must be > 0")
-        if self.n_val_instances < 1:
-            raise ValueError("n_val_instances must be >= 1")
-
-
 class MetaAdam:
     """Adam over the dict of L2O parameter tensors; mutates phi in place."""
 
@@ -68,9 +51,8 @@ class MetaAdam:
         self.t += 1
         for name in TENSOR_NAMES:
             arr = getattr(phi, name)
-            # a tensor that grads leaves out has gradient zero
             update, self.m[name], self.v[name] = adam_update(
-                self.m[name], self.v[name], grads.get(name, 0.0), self.t, self.lr)
+                self.m[name], self.v[name], grads[name], self.t, self.lr)
             arr += update
 
 
@@ -145,17 +127,21 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
     return float(total), ad.backward(tape, phi), th, state, False
 
 
-def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
-                mls: MetaLossSpec, adam: MetaAdam, epoch: int,
-                events: list | None = None, step_override=None) -> float:
-    """One full-horizon unroll with per-segment meta-updates; mutates phi.
+def train_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
+                inst: OptimizeeInstance, seed: int, events: list,
+                step_override=None):
+    """One exploring-start epoch: a fresh theta0 and batch stream from
+    seed's "epoch" start, unrolled over the full horizon with one
+    meta-Adam step per segment; mutates phi. Returns ("Lf", the summed
+    meta-loss of the segments that completed).
 
     A segment hitting a non-finite loss skips its update and ends the
-    epoch early (the remaining trajectory would stay non-finite anyway);
-    the event is recorded as ("divergence", epoch, the segment's first
-    step). Returns the summed meta-loss over the segments that completed.
-    """
-    theta = np.asarray(theta0, dtype=np.float64)
+    epoch early (the remaining trajectory would stay non-finite anyway),
+    appending ("divergence", epoch, the segment's first step) to events.
+
+    Every epoch body takes (phi, epoch, mls, adam) positionally and its
+    mode's context by keyword, so one training loop runs any of them."""
+    theta = inst.start(seed, "epoch", epoch)
     state = zero_state(inst.dim, phi.hidden)
     total = 0.0
     for seg_start in range(0, mls.horizon, mls.segment):
@@ -163,25 +149,11 @@ def meta_update(phi: L2OParams, inst: OptimizeeInstance, theta0: np.ndarray,
             phi, inst, theta, state, min(mls.segment, mls.horizon - seg_start),
             step_override=step_override)
         if diverged:
-            if events is not None:
-                events.append(("divergence", epoch, seg_start))
+            events.append(("divergence", epoch, seg_start))
             break
         adam.step(phi, grads)
         total += loss
-    return total
-
-
-def train_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
-                inst: OptimizeeInstance, tc: TrainConfig,
-                events: list | None = None, step_override=None):
-    """One exploring-start epoch: fresh theta0 and batch stream, one
-    full-horizon meta_update. Returns ("Lf", meta-loss).
-
-    Every epoch body takes (phi, epoch, mls, adam) positionally and its
-    mode's context by keyword, so a training loop can run any of them."""
-    theta0 = inst.start(tc.master_seed, "epoch", epoch)
-    return "Lf", meta_update(phi, inst, theta0, mls, adam, epoch, events=events,
-                             step_override=step_override)
+    return "Lf", total
 
 
 @dataclass
@@ -192,9 +164,9 @@ class ValidationSet:
     seed: int
 
     @classmethod
-    def create(cls, spec: OptimizeeSpec, tc: TrainConfig) -> "ValidationSet":
-        return cls([sample_instance(spec, derive_seed(tc.master_seed, "valid-inst", i))
-                    for i in range(tc.n_val_instances)], tc.master_seed)
+    def create(cls, spec: OptimizeeSpec, seed: int, n: int) -> "ValidationSet":
+        return cls([sample_instance(spec, derive_seed(seed, "valid-inst", i))
+                    for i in range(n)], seed)
 
 
 def validate(phi: L2OParams, n_valid: int, vs: ValidationSet,

@@ -18,6 +18,7 @@ reads back; autodiff.backward walks that tape.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from operator import attrgetter
@@ -136,16 +137,15 @@ def _cell(x, hc, wx, wh, b, hidden, out, z, scratch):
     new state into out, which may be hc itself, and the gates i, f, g, o
     into z's column blocks; scratch takes the second matmul, then i * g
     and tanh of the new c. Returns tanh of the new c, a view of scratch."""
-    h, c = hc
     _mm_rows(x, wx, out=z)
-    z += _mm_rows(h, wh, out=scratch)
+    z += _mm_rows(hc[0], wh, out=scratch)
     z += b
     i, f, g, o = (z[:, k * hidden:(k + 1) * hidden] for k in range(4))
     expit(z[:, :2 * hidden], out=z[:, :2 * hidden])
     np.tanh(g, out=g)
     expit(o, out=o)
     tc = scratch[:, :hidden]
-    np.multiply(f, c, out=out[1])
+    np.multiply(f, hc[1], out=out[1])
     out[1] += np.multiply(i, g, out=tc)
     np.tanh(out[1], out=tc)
     np.multiply(o, tc, out=out[0])
@@ -219,21 +219,21 @@ def step_vjp(step, g, ghc, phi: L2OParams, grads: dict, recurrent: bool):
     grads["b_out"] += gp.sum()
     gin = np.outer(gp, phi.w_out)  # the gradient of the layer's new h from above
     for n in (1, 0):
-        x, (h, c), z, tc = cells[n]
+        x, hc, z, tc = cells[n]
         wx, wh, _ = phi.layer(n)
         ghc[n, 0] += gin
-        gh, gc = ghc[n]
+        gh, gc = ghc[n, 0], ghc[n, 1]
         i, f, gg, o = (z[:, j * hidden:(j + 1) * hidden] for j in range(4))
         # the new c's gradient: from outside, plus through h = o * tanh(c)
         gcn = gc + gh * o * (1.0 - tc * tc)
         # the pre-activation gradient, gate blocks i, f, g, o
         gz = np.empty_like(z)
         np.multiply(gcn * gg * i, 1.0 - i, out=gz[:, :hidden])
-        np.multiply(gcn * c * f, 1.0 - f, out=gz[:, hidden:2 * hidden])
+        np.multiply(gcn * hc[1] * f, 1.0 - f, out=gz[:, hidden:2 * hidden])
         np.multiply(gcn * i, 1.0 - gg * gg, out=gz[:, 2 * hidden:3 * hidden])
         np.multiply(gh * tc * o, 1.0 - o, out=gz[:, 3 * hidden:])
         gz += 0.0
-        for name, contrib in zip(LAYERS[n], (x.T @ gz, h.T @ gz, gz.sum(axis=0))):
+        for name, contrib in zip(LAYERS[n], (x.T @ gz, hc[0].T @ gz, gz.sum(axis=0))):
             grads[name] += contrib
         if recurrent:
             np.add(gz @ wh.T, 0.0, out=gh)
@@ -260,23 +260,38 @@ def save_checkpoint(phi: L2OParams, path) -> None:
 
 
 def load_checkpoint(path) -> L2OParams:
+    """Read a save_checkpoint file. A file shorter than its header says,
+    or whose tensor shapes are not the ones its hidden size gives, raises
+    ValueError naming path."""
     with open(path, "rb") as fh:
-        def read(size):
-            chunk = fh.read(size)
-            if len(chunk) < size:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return chunk
-
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not an L2O checkpoint (magic {magic!r})")
-        hidden = struct.unpack("<q", read(8))[0]
-        p, out_scale = struct.unpack("<dd", read(16))
-        tensors = {}
-        for name in TENSOR_NAMES:
-            ndim = struct.unpack("<q", read(8))[0]
-            shape = tuple(struct.unpack("<q", read(8))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
-            tensors[name] = data.astype(np.float64)
-    return L2OParams(hidden, p, out_scale, *[tensors[n] for n in TENSOR_NAMES])
+        data = fh.read()
+    pos = 0
+
+    def read(size):
+        # checked before slicing, as a corrupt header can claim any size
+        nonlocal pos
+        if size > len(data) - pos:
+            raise ValueError(f"{path}: truncated checkpoint")
+        pos += size
+        return data[pos - size:pos]
+
+    hidden = struct.unpack("<q", read(8))[0]
+    if hidden < 1:
+        raise ValueError(f"{path}: hidden must be >= 1, got {hidden}")
+    p, out_scale = struct.unpack("<dd", read(16))
+    h, h4 = hidden, 4 * hidden  # the shapes L2OParams lists, in TENSOR_NAMES order
+    shapes = ((2, h4), (h, h4), (h4,), (h, h4), (h, h4), (h4,), (h,), ())
+    tensors = []
+    for name, want in zip(TENSOR_NAMES, shapes):
+        ndim = struct.unpack("<q", read(8))[0]
+        if ndim != len(want):
+            raise ValueError(f"{path}: {name} has {ndim} dims, expected {len(want)}")
+        shape = struct.unpack(f"<{ndim}q", read(8 * ndim))
+        if shape != want:
+            raise ValueError(f"{path}: {name} has shape {shape}, expected {want}")
+        arr = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        tensors.append(arr.astype(np.float64))
+    return L2OParams(hidden, p, out_scale, *tensors)

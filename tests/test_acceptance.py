@@ -18,11 +18,9 @@ from l2okit.curriculum import CurriculumConfig, curriculum_train
 from l2okit.evaluation import EvalConfig, run_eval
 from l2okit.experiments import FLAGSHIP_FLAGS, train, train_fixed
 from l2okit.gradchecks import (check_imitation_loss, check_meta_loss)
-from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
-                              il_epoch, self_improving_epoch,
-                              teacher_trajectory)
-from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
-                              train_epoch)
+from l2okit.imitation import (SelfImprovingSchedule, il_epoch,
+                              self_improving_epoch, teacher_trajectory)
+from l2okit.metatrain import MetaAdam, MetaLossSpec, train_epoch
 from l2okit.model import TENSOR_NAMES, init_l2o, l2o_step_np, workspace, zero_state
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
@@ -163,16 +161,16 @@ def test_criterion_4_episode_statistics():
                       for e in range(10_000)])
     frac = float(flags.mean())
 
-    tc = TrainConfig(master_seed=11, epochs=5)
     mls = MetaLossSpec(horizon=8, segment=4)
     phi_il = rand_phi(1)
-    train_fixed(phi_il, partial(il_epoch, inst=sample_instance(QUAD, 2), tc=tc,
-                                ic=ImitationConfig(r=0.0)), tc, mls)
+    body = partial(il_epoch, inst=sample_instance(QUAD, 2), seed=11, r=0.0,
+                   teachers=default_ensemble(), events=[])
+    train_fixed(phi_il, body, MetaAdam(lr=1e-3), mls, range(5), [])
     phi_plain = rand_phi(1)
-    adam = MetaAdam(lr=tc.meta_lr)
+    adam = MetaAdam(lr=1e-3)
     inst = sample_instance(QUAD, 2)
     for epoch in range(5):
-        train_epoch(phi_plain, epoch, mls, adam, inst=inst, tc=tc)
+        train_epoch(phi_plain, epoch, mls, adam, inst=inst, seed=11, events=[])
     identical = all(np.array_equal(getattr(phi_il, n), getattr(phi_plain, n))
                     for n in TENSOR_NAMES)
 
@@ -188,14 +186,13 @@ def test_criterion_5_self_improving_schedule():
                   np.all(sis.probs(e) >= 0) for e in range(0, 301))
     endpoint = sis.probs(100)[0] == 1.0 and np.all(sis.probs(100)[1:] == 0.0)
 
-    tc = TrainConfig(master_seed=15, epochs=1)
     mls = MetaLossSpec(horizon=8, segment=4)
     phi_si = rand_phi(5)
-    self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=tc.meta_lr),
-                         inst=sample_instance(QUAD, 6), tc=tc, sis=sis)
+    self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=1e-3),
+                         inst=sample_instance(QUAD, 6), seed=15, sis=sis, events=[])
     phi_plain = rand_phi(5)
-    train_epoch(phi_plain, 150, mls, MetaAdam(lr=tc.meta_lr),
-                inst=sample_instance(QUAD, 6), tc=tc)
+    train_epoch(phi_plain, 150, mls, MetaAdam(lr=1e-3),
+                inst=sample_instance(QUAD, 6), seed=15, events=[])
     identical = all(np.array_equal(getattr(phi_si, n), getattr(phi_plain, n))
                     for n in TENSOR_NAMES)
 

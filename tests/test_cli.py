@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import struct
 from dataclasses import fields
 
 import pytest
@@ -239,8 +240,10 @@ def _training_started(*args, **kwargs):
     (["--epochs", "0"], "", "epochs must be >= 1"),
     (["--epochs", "-5"], "", "epochs must be >= 1"),
     (["--mode", "cl"], "ladder =\n", "ladder must be non-empty"),
+    (["--meta-lr", "0"], "", "meta_lr must be > 0"),
+    (["--r", "1.5"], "", "r must be in [0, 1]"),
 ], ids=["anneal-epochs-0", "si-start-prob-0.5", "n-val-instances-0",
-        "epochs-0", "epochs-negative", "ladder-empty"])
+        "epochs-0", "epochs-negative", "ladder-empty", "meta-lr-0", "r-1.5"])
 def test_invalid_training_settings_exit_1_before_any_epoch(tmp_path, capsys,
                                                            monkeypatch, flags,
                                                            config_line, message):
@@ -292,6 +295,29 @@ def test_eval_rejects_truncated_checkpoint(tmp_path, capsys, cut):
                "--out", str(out)])
     assert rc == 1
     assert f"error: {ckpt}: truncated checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each patch is (offset, format, values): hidden follows the 4-byte magic,
+# and wx1's two dims follow the 28-byte header and wx1's ndim
+@pytest.mark.parametrize("patches", [
+    [(36, "<qq", (2 ** 31, 2 ** 31))],
+    [(36, "<qq", (-3, 80))],
+    [(4, "<q", (7,))],
+    [(4, "<q", (2 ** 60,)), (36, "<qq", (2, 2 ** 62))],
+], ids=["wx1-dims-overflow", "wx1-dims-negative", "hidden-7", "hidden-2^60"])
+def test_eval_rejects_checkpoint_header_that_does_not_fit_hidden(tmp_path, capsys,
+                                                                 patches):
+    ckpt, out = tmp_path / "bad.l2o", tmp_path / "e"
+    save_checkpoint(init_l2o(0), ckpt)
+    data = bytearray(ckpt.read_bytes())
+    for offset, fmt, values in patches:
+        struct.pack_into(fmt, data, offset, *values)
+    ckpt.write_bytes(bytes(data))
+    rc = main(["eval", "--family", "quadratic", "--checkpoint", str(ckpt),
+               "--out", str(out)])
+    assert rc == 1
+    assert f"error: {ckpt}: " in capsys.readouterr().err
     assert not out.exists()
 
 

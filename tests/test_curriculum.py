@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import l2okit.experiments as experiments
+from l2okit.config import RunConfig
 from l2okit.curriculum import (CurriculumConfig, CurriculumResult, TraceRow,
                                curriculum_train, n_valid_for)
-from l2okit.metatrain import TrainConfig, ValidationSet, train_epoch, validate
+from l2okit.metatrain import MetaAdam, ValidationSet, train_epoch, validate
 from l2okit.model import init_l2o
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 
@@ -181,11 +182,11 @@ def test_real_binding_restarts_each_stage_from_best_snapshot(monkeypatch):
     spec = OptimizeeSpec(family="logistic_blobs")
     # a large meta step stops validation improving within a few periods,
     # so the run crosses stages well inside the budget
-    tc = TrainConfig(master_seed=0, epochs=100, n_val_instances=2, meta_lr=1.0)
-    cc = CurriculumConfig(ladder=(2, 4, 8), n_period=1, t_period=2)
-    body = partial(train_epoch, inst=sample_instance(spec, 1), tc=tc)
-    res = experiments.train_curriculum(init_l2o(0, hidden=4), body, spec, cc, tc,
-                                       segment=2)
+    cfg = RunConfig(family="logistic_blobs", seed=0, epochs=100, n_val_instances=2,
+                    meta_lr=1.0, ladder=(2, 4, 8), n_period=1, t_period=2, segment=2)
+    body = partial(train_epoch, inst=sample_instance(spec, 1), seed=0, events=[])
+    res = experiments.train_curriculum(init_l2o(0, hidden=4), body,
+                                       MetaAdam(lr=cfg.meta_lr), cfg, [])
 
     rows = [r for r in res.trace if r.kind == "period"]
     assert len(rows) == len(periods)
@@ -198,5 +199,5 @@ def test_real_binding_restarts_each_stage_from_best_snapshot(monkeypatch):
     assert {r.stage for r in rows} == {0, 1, 2}
     assert phi_bytes(res.best_phi) == best
     last = res.trace[-1]
-    assert validate(res.best_phi, last.n_valid, ValidationSet.create(spec, tc),
-                    tc.divergence_penalty) == last.l_min
+    assert validate(res.best_phi, last.n_valid, ValidationSet.create(spec, 0, 2),
+                    cfg.divergence_penalty) == last.l_min

@@ -5,11 +5,10 @@ import pytest
 
 from l2okit.experiments import train_fixed
 from l2okit.gradchecks import check_imitation_loss
-from l2okit.imitation import (ImitationConfig, SelfImprovingSchedule,
-                              il_epoch, imitation_loss_and_grads,
-                              imitation_update, self_improving_epoch,
+from l2okit.imitation import (SelfImprovingSchedule, il_epoch,
+                              imitation_loss_and_grads, self_improving_epoch,
                               teacher_trajectory)
-from l2okit.metatrain import MetaAdam, MetaLossSpec, TrainConfig, train_epoch
+from l2okit.metatrain import MetaAdam, MetaLossSpec, train_epoch
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
 from l2okit.seeding import rng_for
@@ -21,13 +20,6 @@ QUAD = OptimizeeSpec(family="quadratic", dim=3)
 def fixture_quadratic():
     return QuadraticInstance(OptimizeeSpec(family="quadratic", dim=1),
                              np.array([[2.0]]), np.array([4.0]))
-
-
-def test_imitation_config_validation():
-    with pytest.raises(ValueError):
-        ImitationConfig(r=1.5)
-    with pytest.raises(ValueError):
-        ImitationConfig(teachers=())
 
 
 def test_sgd_teacher_trajectory_hand_values():
@@ -71,18 +63,12 @@ def test_imitation_loss_zero_at_minimizer():
     steps, _ = teacher_trajectory(TeacherKind("sgd", lr=0.01), inst,
                                   inst.minimizer(), 3)
     phi = init_l2o(0, hidden=6)
-    loss = imitation_update(phi, steps, MetaAdam(lr=1e-3))
+    loss, _, _ = imitation_loss_and_grads(phi, steps, zero_state(1, phi.hidden))
     assert loss == pytest.approx(0.0, abs=1e-20)
 
 
 def test_imitation_gradient_fd():
     assert check_imitation_loss() < 1e-4
-
-
-def test_imitation_update_validation():
-    phi = init_l2o(0, hidden=4)
-    with pytest.raises(ValueError):
-        imitation_update(phi, [], MetaAdam())
 
 
 def rand_phi(seed, hidden=6):
@@ -94,43 +80,41 @@ def rand_phi(seed, hidden=6):
 
 
 def test_r_zero_is_bitwise_vanilla():
-    tc = TrainConfig(master_seed=11, epochs=5)
     mls = MetaLossSpec(horizon=8, segment=4)
-    ic = ImitationConfig(r=0.0)
 
     phi_il = rand_phi(1)
     inst = sample_instance(QUAD, 2)
-    train_fixed(phi_il, partial(il_epoch, inst=inst, tc=tc, ic=ic), tc, mls)
+    body = partial(il_epoch, inst=inst, seed=11, r=0.0, teachers=default_ensemble(),
+                   events=[])
+    train_fixed(phi_il, body, MetaAdam(lr=1e-3), mls, range(5), [])
 
     phi_plain = rand_phi(1)
     inst2 = sample_instance(QUAD, 2)
-    adam = MetaAdam(lr=tc.meta_lr)
+    adam = MetaAdam(lr=1e-3)
     for epoch in range(5):
-        train_epoch(phi_plain, epoch, mls, adam, inst=inst2, tc=tc)
+        train_epoch(phi_plain, epoch, mls, adam, inst=inst2, seed=11, events=[])
 
     for name in TENSOR_NAMES:
         assert np.array_equal(getattr(phi_il, name), getattr(phi_plain, name))
 
 
 def test_r_one_runs_only_imitation():
-    tc = TrainConfig(master_seed=12, epochs=4)
     mls = MetaLossSpec(horizon=6, segment=6)
     log = []
-    body = partial(il_epoch, inst=sample_instance(QUAD, 3), tc=tc,
-                   ic=ImitationConfig(r=1.0))
-    train_fixed(rand_phi(2), body, tc, mls, epoch_log=log)
+    body = partial(il_epoch, inst=sample_instance(QUAD, 3), seed=12, r=1.0,
+                   teachers=default_ensemble(), events=[])
+    train_fixed(rand_phi(2), body, MetaAdam(lr=1e-3), mls, range(4), log)
     assert all(kind.startswith("IL:") for _, kind, _, _ in log)
 
 
 def test_episode_kind_matches_seeded_draws():
-    tc = TrainConfig(master_seed=13, epochs=30)
     mls = MetaLossSpec(horizon=4, segment=4)
-    ic = ImitationConfig(r=0.3)
     log = []
-    body = partial(il_epoch, inst=sample_instance(QUAD, 4), tc=tc, ic=ic)
-    train_fixed(rand_phi(3), body, tc, mls, epoch_log=log)
+    body = partial(il_epoch, inst=sample_instance(QUAD, 4), seed=13, r=0.3,
+                   teachers=default_ensemble(), events=[])
+    train_fixed(rand_phi(3), body, MetaAdam(lr=1e-3), mls, range(30), log)
     for epoch, kind, _, _ in log:
-        expected_il = rng_for(tc.master_seed, "il-u", epoch).random() < 0.3
+        expected_il = rng_for(13, "il-u", epoch).random() < 0.3
         assert kind.startswith("IL:") == expected_il
 
 
@@ -150,14 +134,13 @@ def test_imitation_fraction_and_teacher_uniformity():
 
 
 def test_teacher_divergence_is_logged_not_raised():
-    tc = TrainConfig(master_seed=14, epochs=1)
     mls = MetaLossSpec(horizon=4, segment=4)
-    # an absurd teacher lr blows up the quadratic immediately
-    ic = ImitationConfig(r=1.0, teachers=(TeacherKind("sgd", lr=1e160),))
     events = []
     phi = rand_phi(4)
+    # an absurd teacher lr blows up the quadratic immediately
     kind, loss = il_epoch(phi, 0, mls, MetaAdam(), inst=sample_instance(QUAD, 5),
-                          tc=tc, ic=ic, events=events)
+                          seed=14, r=1.0, teachers=(TeacherKind("sgd", lr=1e160),),
+                          events=events)
     assert kind == "IL:sgd"
     assert np.isnan(loss)
     assert events and events[0][0] == "teacher-divergence"
@@ -202,18 +185,17 @@ def test_si_anneal_hand_values():
 def test_si_pure_l2o_phase_is_bitwise_vanilla():
     # past the annealing endpoint every step is the learned optimizer's,
     # so the epoch must match plain meta-training exactly
-    tc = TrainConfig(master_seed=15, epochs=1)
     mls = MetaLossSpec(horizon=8, segment=4)
     sis = SelfImprovingSchedule(anneal_epochs=100)
 
     phi_si = rand_phi(5)
-    _, loss_si = self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=tc.meta_lr),
-                                      inst=sample_instance(QUAD, 6), tc=tc,
-                                      sis=sis)
+    _, loss_si = self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=1e-3),
+                                      inst=sample_instance(QUAD, 6), seed=15,
+                                      sis=sis, events=[])
 
     phi_plain = rand_phi(5)
-    _, loss_plain = train_epoch(phi_plain, 150, mls, MetaAdam(lr=tc.meta_lr),
-                                inst=sample_instance(QUAD, 6), tc=tc)
+    _, loss_plain = train_epoch(phi_plain, 150, mls, MetaAdam(lr=1e-3),
+                                inst=sample_instance(QUAD, 6), seed=15, events=[])
 
     assert loss_si == loss_plain
     for name in TENSOR_NAMES:
@@ -221,29 +203,28 @@ def test_si_pure_l2o_phase_is_bitwise_vanilla():
 
 
 def test_si_mixed_phase_differs_from_vanilla():
-    tc = TrainConfig(master_seed=16, epochs=1)
     mls = MetaLossSpec(horizon=8, segment=4)
     sis = SelfImprovingSchedule(anneal_epochs=100, start_prob=0.33)
 
     phi_si = rand_phi(6)
-    self_improving_epoch(phi_si, 0, mls, MetaAdam(lr=tc.meta_lr),
-                         inst=sample_instance(QUAD, 7), tc=tc, sis=sis)
+    self_improving_epoch(phi_si, 0, mls, MetaAdam(lr=1e-3),
+                         inst=sample_instance(QUAD, 7), seed=16, sis=sis, events=[])
     phi_plain = rand_phi(6)
-    train_epoch(phi_plain, 0, mls, MetaAdam(lr=tc.meta_lr),
-                inst=sample_instance(QUAD, 7), tc=tc)
+    train_epoch(phi_plain, 0, mls, MetaAdam(lr=1e-3),
+                inst=sample_instance(QUAD, 7), seed=16, events=[])
     assert any(not np.array_equal(getattr(phi_si, n), getattr(phi_plain, n))
                for n in TENSOR_NAMES)
 
 
 def test_si_epoch_deterministic():
-    tc = TrainConfig(master_seed=18, epochs=1)
     mls = MetaLossSpec(horizon=8, segment=4)
     sis = SelfImprovingSchedule(anneal_epochs=100)
 
     def run():
         phi = rand_phi(7)
-        self_improving_epoch(phi, 3, mls, MetaAdam(lr=tc.meta_lr),
-                             inst=sample_instance(QUAD, 8), tc=tc, sis=sis)
+        self_improving_epoch(phi, 3, mls, MetaAdam(lr=1e-3),
+                             inst=sample_instance(QUAD, 8), seed=18, sis=sis,
+                             events=[])
         return phi
 
     a, b = run(), run()

@@ -10,8 +10,7 @@ from l2okit import autodiff as ad
 from l2okit.config import RunConfig
 from l2okit.gradchecks import check_meta_loss
 from l2okit.imitation import imitation_loss_and_grads, teacher_trajectory
-from l2okit.metatrain import (MetaAdam, MetaLossSpec, TrainConfig,
-                              ValidationSet, meta_update, rollout,
+from l2okit.metatrain import (MetaAdam, MetaLossSpec, ValidationSet, rollout,
                               segment_loss_and_grads, stepper, train_epoch,
                               validate)
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
@@ -38,11 +37,6 @@ def test_meta_loss_spec_validation():
         MetaLossSpec(horizon=0)
     with pytest.raises(ValueError):
         MetaLossSpec(horizon=5, segment=6)
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(master_seed=0, epochs=1, meta_lr=0.0)
 
 
 def test_identity_policy_rollout_is_constant():
@@ -105,11 +99,10 @@ def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
     # validate scores sum_{t=1..N} f(theta_t): the losses of steps 1..N
     # of an (N + 1)-step rollout from each validation instance's start
     phi = perturbed_phi(4)
-    tc = TrainConfig(master_seed=4, epochs=1, n_val_instances=3)
-    vs = ValidationSet.create(QUAD, tc)
+    vs = ValidationSet.create(QUAD, 4, 3)
     n_valid, scores = 5, []
     for i, inst in enumerate(vs.instances):
-        theta0 = inst.start(tc.master_seed, "valid", i)
+        theta0 = inst.start(4, "valid", i)
         losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
                                       n_valid + 1)
         assert diverged_at is None and len(losses) == n_valid + 1
@@ -126,7 +119,6 @@ def test_epoch_memory_is_bounded_by_the_segment_not_the_horizon():
     # each segment's tape is freed before the next is built, so one
     # paper-profile tiny_mlp epoch peaks the same at horizons 100 and 1,000
     cfg = RunConfig(profile="paper")
-    tc = TrainConfig(master_seed=0, epochs=1)
     peaks = {}
     for horizon in (100, 1000):
         phi = init_l2o(0, hidden=cfg.hidden, out_scale=cfg.out_scale)
@@ -134,7 +126,7 @@ def test_epoch_memory_is_bounded_by_the_segment_not_the_horizon():
         tracemalloc.start()
         try:
             _, loss = train_epoch(phi, 0, MetaLossSpec(horizon=horizon), MetaAdam(),
-                                  inst=inst, tc=tc)
+                                  inst=inst, seed=0, events=[])
             _, peaks[horizon] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -184,7 +176,9 @@ def test_meta_loss_value_identity_policy():
     theta0 = inst.init_params(1)
     f0, _ = inst.loss_and_grad(theta0, inst.next_batch())
     mls = MetaLossSpec(horizon=6, segment=6)
-    total = meta_update(phi, inst, theta0, mls, MetaAdam(lr=1e-3), 0)
+    inst.init_params = lambda seed: theta0
+    _, total = train_epoch(phi, 0, mls, MetaAdam(lr=1e-3), inst=inst, seed=0,
+                           events=[])
     assert total == pytest.approx(6 * f0, rel=1e-12)
 
 
@@ -279,26 +273,14 @@ def test_meta_adam_first_step_magnitude():
     np.testing.assert_allclose(before - phi.wx1, 1e-3, rtol=1e-4)
 
 
-def test_meta_adam_missing_grads_treated_as_zero():
-    phi = perturbed_phi(10)
-    before = {n: getattr(phi, n).copy() for n in TENSOR_NAMES}
-    MetaAdam(lr=1e-3).step(phi, {})
-    for n in TENSOR_NAMES:
-        assert np.array_equal(before[n], getattr(phi, n))
-    # a partial dict moves only the tensors that it holds
-    MetaAdam(lr=1e-3).step(phi, {"wh2": np.ones_like(phi.wh2)})
-    for n in TENSOR_NAMES:
-        assert np.array_equal(before[n], getattr(phi, n)) == (n != "wh2"), n
-
-
 def test_divergent_segment_skips_update_and_records_event():
     phi = perturbed_phi(11)
     before = {n: getattr(phi, n).copy() for n in TENSOR_NAMES}
     inst = quad_instance(12)
+    inst.init_params = lambda seed: np.full(3, np.nan)
     events = []
-    total = meta_update(phi, inst, np.full(3, np.nan),
-                        MetaLossSpec(horizon=4, segment=2), MetaAdam(), 0,
-                        events=events)
+    _, total = train_epoch(phi, 0, MetaLossSpec(horizon=4, segment=2), MetaAdam(),
+                           inst=inst, seed=0, events=events)
     assert total == 0.0
     assert events == [("divergence", 0, 0)]
     for n in TENSOR_NAMES:
@@ -309,7 +291,6 @@ def test_divergence_event_names_epoch_and_segment_start():
     # a huge external step at optimizee step 2 makes the second segment
     # of epoch 7 diverge; the first segment's update still applies
     phi = perturbed_phi(11)
-    tc = TrainConfig(master_seed=5, epochs=8)
     adam = MetaAdam()
     events = []
 
@@ -325,7 +306,7 @@ def test_divergence_event_names_epoch_and_segment_start():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         kind, total = train_epoch(phi, 7, MetaLossSpec(horizon=4, segment=2),
-                                  adam, inst=quad_instance(12), tc=tc,
+                                  adam, inst=quad_instance(12), seed=5,
                                   events=events, step_override=override)
     assert events == [("divergence", 7, 2)]
     assert kind == "Lf" and np.isfinite(total) and total > 0
@@ -333,14 +314,14 @@ def test_divergence_event_names_epoch_and_segment_start():
 
 
 def test_train_epoch_bitwise_deterministic():
-    tc = TrainConfig(master_seed=99, epochs=1)
     mls = MetaLossSpec(horizon=8, segment=4)
 
     def run():
         phi = perturbed_phi(13)
         inst = quad_instance(14)
-        adam = MetaAdam(lr=tc.meta_lr)
-        losses = [train_epoch(phi, e, mls, adam, inst=inst, tc=tc) for e in range(3)]
+        adam = MetaAdam(lr=1e-3)
+        losses = [train_epoch(phi, e, mls, adam, inst=inst, seed=99, events=[])
+                  for e in range(3)]
         return phi, losses
 
     phi_a, losses_a = run()
@@ -351,17 +332,15 @@ def test_train_epoch_bitwise_deterministic():
 
 
 def test_train_epoch_varies_theta0_across_epochs():
-    tc = TrainConfig(master_seed=0, epochs=1)
     inst = quad_instance(15)
     from l2okit.seeding import derive_seed
-    t0 = inst.init_params(derive_seed(tc.master_seed, "epoch-theta0", 0))
-    t1 = inst.init_params(derive_seed(tc.master_seed, "epoch-theta0", 1))
+    t0 = inst.init_params(derive_seed(0, "epoch-theta0", 0))
+    t1 = inst.init_params(derive_seed(0, "epoch-theta0", 1))
     assert not np.array_equal(t0, t1)
 
 
 def test_validate_deterministic_and_ordered():
-    tc = TrainConfig(master_seed=7, epochs=1)
-    vs = ValidationSet.create(QUAD, tc)
+    vs = ValidationSet.create(QUAD, 7, 5)
     phi = init_l2o(0, hidden=6)
     a = validate(phi, 10, vs)
     b = validate(phi, 10, vs)
@@ -370,16 +349,10 @@ def test_validate_deterministic_and_ordered():
 
 
 def test_validate_penalty_on_divergence():
-    tc = TrainConfig(master_seed=7, epochs=1, n_val_instances=2)
-    vs = ValidationSet.create(QUAD, tc)
+    vs = ValidationSet.create(QUAD, 7, 2)
     for inst in vs.instances:
         inst.init_params = lambda seed: np.full(3, np.inf)
     assert validate(init_l2o(0, hidden=4), 5, vs, penalty=123.0) == 123.0
-
-
-def test_train_config_rejects_an_empty_validation_set():
-    with pytest.raises(ValueError, match="n_val_instances must be >= 1"):
-        TrainConfig(master_seed=0, epochs=1, n_val_instances=0)
 
 
 def test_validate_rejects_empty_set():
@@ -388,15 +361,14 @@ def test_validate_rejects_empty_set():
 
 
 def test_short_training_run_improves_quadratic():
-    tc = TrainConfig(master_seed=3, epochs=40)
     mls = MetaLossSpec(horizon=20, segment=20)
     phi = init_l2o(1, hidden=8)
     inst = quad_instance(16)
-    adam = MetaAdam(lr=tc.meta_lr)
-    vs = ValidationSet.create(QUAD, tc)
+    adam = MetaAdam(lr=1e-3)
+    vs = ValidationSet.create(QUAD, 3, 5)
     before = validate(phi, 20, vs)
-    for epoch in range(tc.epochs):
-        _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, tc=tc)
+    for epoch in range(40):
+        _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, seed=3, events=[])
         assert np.isfinite(loss)
     after = validate(phi, 20, vs)
     assert np.isfinite(after)
