@@ -16,6 +16,9 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
 - ``l2okit train --mode il`` on ``quadratic`` with every episode a
   teacher's and a teacher lr of 1e160, so that its ``events.csv`` holds
   ``teacher-divergence`` rows;
+- ``l2okit train --mode il`` on ``tiny_mlp`` over 20 epochs at horizon 20
+  with a 7-step segment, so that meta and imitation episodes both end in
+  a segment shorter than the others (7, 7 and 6 steps);
 - ``l2okit eval --family tiny_mlp --n-eval 500`` of
   ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides) and
   of ``--optimizer adam``;
@@ -54,6 +57,9 @@ def commands(out: Path) -> dict[str, list[str]]:
     runs["train-il-diverging"] = ["train", "--mode", "il", "--family", "quadratic",
                                   "--epochs", "2", "--n-train", "4", "--r", "1.0",
                                   "--teacher-lr", "1e160", "--seed", "5"]
+    runs["train-il-segment-7"] = ["train", "--mode", "il", "--family", "tiny_mlp",
+                                  "--seed", "3", "--epochs", "20", "--n-train", "20",
+                                  "--segment", "7", "--r", "0.5"]
     runs["eval-checkpoint"] = [*EVAL_ARGS, "--checkpoint",
                                str(ROOT / "benchmark" / "checkpoint.l2o")]
     runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]

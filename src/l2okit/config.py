@@ -8,13 +8,14 @@ scales everything to minutes on one CPU core.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .curriculum import CurriculumConfig
 from .optimizees import FAMILIES, OptimizeeSpec
-from .teachers import KINDS
+from .teachers import KINDS, default_ensemble
 
 MODES = ("vanilla", "aug", "cl", "il", "cl-il", "self-improving")
 PROFILES = ("desk", "paper")
@@ -82,10 +83,13 @@ class RunConfig:
     name: str | None = None  # report label; defaults to the optimizer kind
 
     def validate(self) -> None:
-        """Membership checks on mode, profile, family and optimizer, and
-        range checks on r, meta_lr, segment, the resolved epochs and
-        n_val_instances. Every other range is checked by building the
-        optimizee spec and the curriculum."""
+        """Checks, in every mode: mode, profile, family and optimizer are
+        known; every float setting is finite; r is in [0, 1]; meta_lr > 0;
+        segment, the resolved n_train and epochs, n_val_instances and
+        anneal_epochs are >= 1; and si_start_prob, when set, is in
+        [0, 1/k] for the k teachers of default_ensemble. The remaining
+        ranges are checked by building the optimizee spec and the
+        curriculum; hidden and preprocess_p by init_l2o."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.profile not in PROFILES:
@@ -95,16 +99,28 @@ class RunConfig:
         if self.optimizer not in EVAL_OPTIMIZERS:
             raise ConfigError(
                 f"optimizer must be one of {EVAL_OPTIMIZERS}, got {self.optimizer!r}")
+        for key, parse in PARSERS.items():
+            val = getattr(self, key)
+            if parse is float and val is not None and not math.isfinite(val):
+                raise ConfigError(f"{key} must be finite, got {val!r}")
         if not 0 <= self.r <= 1:
             raise ConfigError("r must be in [0, 1]")
         if self.meta_lr <= 0:
             raise ConfigError("meta_lr must be > 0")
         if self.segment < 1:
             raise ConfigError("segment must be >= 1")
+        if self.resolved_n_train() < 1:
+            raise ConfigError("n_train must be >= 1")
         if self.resolved_epochs() < 1:
             raise ConfigError("epochs must be >= 1")
         if self.n_val_instances < 1:
             raise ConfigError("n_val_instances must be >= 1")
+        if self.anneal_epochs < 1:
+            raise ConfigError("anneal_epochs must be >= 1")
+        k = len(default_ensemble())
+        if self.si_start_prob is not None and (
+                self.si_start_prob < 0 or k * self.si_start_prob > 1):
+            raise ConfigError(f"si_start_prob must be in [0, 1/{k}]")
         try:
             self.optimizee_spec()
             self.curriculum()

@@ -126,15 +126,19 @@ def _pool_size(cfg: EvalConfig) -> int:
     return workers if inst.dim >= POOL_MIN_DIM else 1
 
 
+def logged_steps(cfg: EvalConfig) -> list[int]:
+    """The steps a curve records: every log_every-th, and the last."""
+    return sorted({*range(0, cfg.n_eval, cfg.log_every), cfg.n_eval - 1})
+
+
 def eval_seed(optimizer, cfg: EvalConfig, seed: int):
-    """One seed's rollout on a fresh instance and theta0: its logged
-    (step, loss) points and the step it diverged at, or None."""
+    """One seed's rollout on a fresh instance and theta0: its (step, loss)
+    at each logged step it reached, and the step it diverged at, or None."""
     inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
     theta0 = inst.start(seed, "eval")
     losses, diverged_at = rollout(stepper(optimizer, inst.dim), inst, theta0,
                                   cfg.n_eval)
-    pts = [(t, float(loss)) for t, loss in enumerate(losses)
-           if t % cfg.log_every == 0 or t == cfg.n_eval - 1]
+    pts = [(t, float(losses[t])) for t in logged_steps(cfg) if t < len(losses)]
     return pts, diverged_at
 
 
@@ -163,13 +167,11 @@ def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
     curves = {s: pts for s, (pts, _) in zip(cfg.seeds, results)}
     diverged = {s: at for s, (_, at) in zip(cfg.seeds, results)}
 
-    logged = {s: dict(curves[s]) for s in cfg.seeds}
+    # a seed has a point at every logged step before it diverged
+    points = [dict(curves[s]) for s in cfg.seeds]
     agg_mean, agg_std, kept_steps = [], [], []
-    for t in range(cfg.n_eval):
-        if t % cfg.log_every and t != cfg.n_eval - 1:
-            continue
-        alive = [logged[s][t] for s in cfg.seeds
-                 if diverged[s] is None or diverged[s] > t]
+    for t in logged_steps(cfg):
+        alive = [pts[t] for pts in points if t in pts]
         if not alive:
             continue
         kept_steps.append(t)

@@ -1,14 +1,15 @@
 """train(cfg), the one recipe from a run config to a trained optimizer,
 the schedules it runs for every mode, and the CSV writers for their logs.
 
-A mode is an epoch body, called as body(phi, epoch, mls, adam) and
+A mode is an epoch body, called as body(phi, epoch, horizon) and
 returning (kind, loss): metatrain.train_epoch (vanilla, aug, cl),
 imitation.il_epoch (il, cl-il) or imitation.self_improving_epoch
-(self-improving), with the mode's context bound by keyword. train_fixed
-is the one epoch loop: it runs a body over a range of epochs at one
-horizon. The fixed-horizon modes run it once over the resolved epochs;
-train_curriculum runs it once per period of the horizon ladder. One
-meta-Adam, built by train, steps through every epoch of a run.
+(self-improving). train binds the rest by keyword: one meta-Adam for the
+whole run, the segment length, instance, seed, events and the mode's
+settings. train_fixed is the one epoch loop: it runs a body over a range
+of epochs at one horizon, once over the resolved epochs in a
+fixed-horizon mode and once per period of the horizon ladder in
+train_curriculum.
 
 train_fixed mutates phi in place; train_curriculum trains copies and
 returns the best snapshot. Both append plain-tuple rows to the given
@@ -24,8 +25,8 @@ from functools import partial
 
 from .config import RunConfig
 from .curriculum import CurriculumResult, curriculum_train
-from .imitation import SelfImprovingSchedule, il_epoch, self_improving_epoch
-from .metatrain import MetaAdam, MetaLossSpec, ValidationSet, train_epoch, validate
+from .imitation import il_epoch, self_improving_epoch
+from .metatrain import MetaAdam, ValidationSet, train_epoch, validate
 from .model import L2OParams, init_l2o
 from .optimizees import sample_instance
 from .seeding import derive_seed
@@ -48,45 +49,43 @@ class TrainResult:
 
 
 def train(cfg: RunConfig) -> TrainResult:
-    """Train cfg.mode from cfg.seed; writes and prints nothing. Invalid
-    mode settings raise ValueError before the first epoch."""
+    """Train cfg.mode from cfg.seed, cfg having passed RunConfig.validate;
+    writes and prints nothing."""
     spec = cfg.optimizee_spec()
     inst = sample_instance(spec, derive_seed(cfg.seed, "train-inst"))
     phi = init_l2o(derive_seed(cfg.seed, "init-phi"), hidden=cfg.hidden,
                    preprocess_p=cfg.preprocess_p, out_scale=cfg.out_scale)
     teachers = default_ensemble(lr=cfg.teacher_lr)
     epoch_log, events = [], []
-    context = {"inst": inst, "seed": cfg.seed, "events": events}
+    context = {"adam": MetaAdam(lr=cfg.meta_lr), "segment": cfg.segment,
+               "inst": inst, "seed": cfg.seed, "events": events}
     if cfg.mode in ("il", "cl-il"):
         body = partial(il_epoch, r=cfg.r, teachers=teachers, **context)
     elif cfg.mode == "self-improving":
-        sis = SelfImprovingSchedule(teachers=teachers,
-                                    anneal_epochs=cfg.anneal_epochs,
-                                    start_prob=cfg.si_start_prob)
-        body = partial(self_improving_epoch, sis=sis, **context)
+        body = partial(self_improving_epoch, teachers=teachers,
+                       anneal_epochs=cfg.anneal_epochs,
+                       start_prob=cfg.si_start_prob, **context)
     else:
         body = partial(train_epoch, **context)
-    adam = MetaAdam(lr=cfg.meta_lr)
 
     if cfg.mode in ("cl", "cl-il"):
-        result = train_curriculum(phi, body, adam, cfg, epoch_log)
+        result = train_curriculum(phi, body, cfg, epoch_log)
         return TrainResult(result.best_phi, epoch_log, events, result)
-    n_train = cfg.resolved_n_train()
-    mls = MetaLossSpec(horizon=n_train, segment=min(cfg.segment, n_train))
-    train_fixed(phi, body, adam, mls, range(cfg.resolved_epochs()), epoch_log)
+    train_fixed(phi, body, cfg.resolved_n_train(), range(cfg.resolved_epochs()),
+                epoch_log)
     return TrainResult(phi, epoch_log, events, None)
 
 
-def train_fixed(phi: L2OParams, body, adam: MetaAdam, mls: MetaLossSpec,
-                epochs: range, epoch_log: list) -> None:
-    """Run the epoch body for each epoch in epochs at mls's horizon,
+def train_fixed(phi: L2OParams, body, horizon: int, epochs: range,
+                epoch_log: list) -> None:
+    """Run the epoch body for each epoch in epochs at the given horizon,
     appending (epoch, kind, loss, horizon) to epoch_log."""
     for epoch in epochs:
-        kind, loss = body(phi, epoch, mls, adam)
-        epoch_log.append((epoch, kind, loss, mls.horizon))
+        kind, loss = body(phi, epoch, horizon)
+        epoch_log.append((epoch, kind, loss, horizon))
 
 
-def train_curriculum(phi: L2OParams, body, adam: MetaAdam, cfg: RunConfig,
+def train_curriculum(phi: L2OParams, body, cfg: RunConfig,
                      epoch_log: list) -> CurriculumResult:
     """cfg's staged schedule over its horizon ladder: each period runs
     train_fixed at the stage's N_train (the cl-il flagship runs
@@ -96,8 +95,7 @@ def train_curriculum(phi: L2OParams, body, adam: MetaAdam, cfg: RunConfig,
     vs = ValidationSet.create(cfg.optimizee_spec(), cfg.seed, cfg.n_val_instances)
 
     def train_period_fn(phi_cur, n_train, epoch_base):
-        mls = MetaLossSpec(horizon=n_train, segment=min(cfg.segment, n_train))
-        train_fixed(phi_cur, body, adam, mls,
+        train_fixed(phi_cur, body, n_train,
                     range(epoch_base, epoch_base + cc.t_period), epoch_log)
 
     def validate_fn(phi_cur, n_valid):

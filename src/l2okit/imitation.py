@@ -3,48 +3,33 @@ mixed-trajectory baseline.
 
 Imitation episodes replay a teacher-generated (gradient, update) sequence
 through the learned optimizer and regress its updates onto the teacher's
-with a squared error, using the same 20-step segmenting and
+with a squared error, using the same truncated segmenting and
 per-segment meta-updates as ordinary meta-training.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .metatrain import MetaAdam, MetaLossSpec, rollout, stepper, train_epoch
+from .metatrain import MetaAdam, rollout, stepper, train_epoch
 from .model import L2OParams, l2o_step_tape, zero_state
 from .optimizees import OptimizeeInstance
 from .seeding import rng_for
-from .teachers import TeacherKind, default_ensemble
+from .teachers import TeacherKind
 
 
-@dataclass(frozen=True)
-class SelfImprovingSchedule:
-    teachers: tuple[TeacherKind, ...] = default_ensemble()
-    anneal_epochs: int = 100
-    start_prob: float | None = None  # per-teacher start; default 1/(k+1)
-
-    def __post_init__(self):
-        if self.anneal_epochs < 1:
-            raise ValueError("anneal_epochs must be >= 1")
-        if self.start_prob is not None and (
-                self.start_prob < 0 or len(self.teachers) * self.start_prob > 1):
-            raise ValueError(f"si_start_prob must be in [0, 1/{len(self.teachers)}]")
-
-    def probs(self, epoch: int) -> np.ndarray:
-        """[p_L2O, p_teacher_1, ..., p_teacher_k] at the given epoch.
-
-        Teacher probabilities decay linearly to zero over anneal_epochs;
-        the L2O absorbs the mass and reaches exactly 1 at the endpoint.
-        """
-        k = len(self.teachers)
-        start = self.start_prob if self.start_prob is not None else 1.0 / (k + 1)
-        frac = max(0.0, 1.0 - epoch / self.anneal_epochs)
-        p_teacher = start * frac
-        return np.array([1.0 - k * p_teacher] + [p_teacher] * k)
+def si_probs(epoch: int, n_teachers: int, anneal_epochs: int,
+             start_prob: float | None) -> np.ndarray:
+    """[p_L2O, p_teacher_1, ..., p_teacher_k] at the given epoch, k being
+    n_teachers. Each teacher's probability decays linearly from start_prob
+    (1/(k+1) when None) to zero over anneal_epochs; the L2O absorbs the
+    mass and reaches exactly 1 at the endpoint."""
+    k = n_teachers
+    start = start_prob if start_prob is not None else 1.0 / (k + 1)
+    frac = max(0.0, 1.0 - epoch / anneal_epochs)
+    p_teacher = start * frac
+    return np.array([1.0 - k * p_teacher] + [p_teacher] * k)
 
 
 def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
@@ -78,13 +63,13 @@ def imitation_loss_and_grads(phi: L2OParams, steps, state):
     return float(total), ad.backward(tape, phi), state
 
 
-def il_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
-             inst: OptimizeeInstance, seed: int, r: float,
+def il_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
+             segment: int, inst: OptimizeeInstance, seed: int, r: float,
              teachers: tuple[TeacherKind, ...], events: list):
     """One mixed episode: with probability r imitate a uniformly chosen
     teacher, otherwise run train_epoch. A teacher episode rolls the
-    teacher from the same exploring start as a meta epoch, then replays
-    its (g, update) steps through phi with the usual truncated
+    teacher for horizon steps from the same exploring start as a meta
+    epoch, then replays its (g, update) steps through phi with the same
     segmenting, one meta-Adam step per segment; mutates phi. A teacher
     that diverges appends ("teacher-divergence", epoch, its kind) to
     events and trains nothing.
@@ -93,35 +78,38 @@ def il_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
     L_O being nan for a diverged teacher.
     """
     if rng_for(seed, "il-u", epoch).random() >= r:
-        return train_epoch(phi, epoch, mls, adam, inst=inst, seed=seed, events=events)
+        return train_epoch(phi, epoch, horizon, adam=adam, segment=segment,
+                           inst=inst, seed=seed, events=events)
     kind = teachers[int(rng_for(seed, "il-teacher", epoch).integers(len(teachers)))]
     theta0 = inst.start(seed, "epoch", epoch)
-    steps, diverged_at = teacher_trajectory(kind, inst, theta0, mls.horizon)
+    steps, diverged_at = teacher_trajectory(kind, inst, theta0, horizon)
     if diverged_at is not None:
         events.append(("teacher-divergence", epoch, kind.kind))
         return f"IL:{kind.kind}", float("nan")
     state = zero_state(inst.dim, phi.hidden)
     total = 0.0
-    for seg_start in range(0, mls.horizon, mls.segment):
+    for seg_start in range(0, horizon, segment):
         loss, grads, state = imitation_loss_and_grads(
-            phi, steps[seg_start: seg_start + mls.segment], state)
+            phi, steps[seg_start: seg_start + segment], state)
         adam.step(phi, grads)
         total += loss
     return f"IL:{kind.kind}", total
 
 
-def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
-                         adam: MetaAdam, *, inst: OptimizeeInstance, seed: int,
-                         sis: SelfImprovingSchedule, events: list):
+def self_improving_epoch(phi: L2OParams, epoch: int, horizon: int, *,
+                         adam: MetaAdam, segment: int, inst: OptimizeeInstance,
+                         seed: int, teachers: tuple[TeacherKind, ...],
+                         anneal_epochs: int, start_prob: float | None,
+                         events: list):
     """One epoch on a single mixed trajectory: each step's applied update
-    comes from an optimizer sampled from the annealed multinomial.
-    Teacher updates enter theta as constants, and the tape records no step
-    for them; the loss is still the ordinary meta-loss. Teacher
-    accumulators advance only on the steps where that teacher is sampled.
-    Returns ("SI:mixed", meta-loss)."""
-    probs = sis.probs(epoch)
+    comes from an optimizer sampled from si_probs's annealed multinomial
+    over the L2O and teachers. Teacher updates enter theta as constants,
+    and the tape records no step for them; the loss is still the
+    ordinary meta-loss. Teacher accumulators advance only on the steps
+    where that teacher is sampled. Returns ("SI:mixed", meta-loss)."""
+    probs = si_probs(epoch, len(teachers), anneal_epochs, start_prob)
     sampler = rng_for(seed, "si-choice", epoch)
-    steppers = [stepper(kind, inst.dim) for kind in sis.teachers]
+    steppers = [stepper(kind, inst.dim) for kind in teachers]
 
     def override(g):
         j = int(sampler.choice(len(probs), p=probs))
@@ -129,6 +117,7 @@ def self_improving_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec,
             return None
         return steppers[j - 1](g)
 
-    _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, seed=seed, events=events,
+    _, loss = train_epoch(phi, epoch, horizon, adam=adam, segment=segment,
+                          inst=inst, seed=seed, events=events,
                           step_override=override)
     return "SI:mixed", loss

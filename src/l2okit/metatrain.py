@@ -23,18 +23,6 @@ from .seeding import derive_seed
 from .teachers import TeacherKind, adam_update, init_state, teacher_step
 
 
-@dataclass
-class MetaLossSpec:
-    horizon: int
-    segment: int = 20
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.segment < 1 or self.segment > self.horizon:
-            raise ValueError("segment must be in [1, horizon]")
-
-
 class MetaAdam:
     """Adam over the dict of L2O parameter tensors; mutates phi in place."""
 
@@ -127,26 +115,27 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
     return float(total), ad.backward(tape, phi), th, state, False
 
 
-def train_epoch(phi: L2OParams, epoch: int, mls: MetaLossSpec, adam: MetaAdam, *,
-                inst: OptimizeeInstance, seed: int, events: list,
+def train_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
+                segment: int, inst: OptimizeeInstance, seed: int, events: list,
                 step_override=None):
     """One exploring-start epoch: a fresh theta0 and batch stream from
-    seed's "epoch" start, unrolled over the full horizon with one
-    meta-Adam step per segment; mutates phi. Returns ("Lf", the summed
-    meta-loss of the segments that completed).
+    seed's "epoch" start, unrolled over horizon steps in segments of
+    segment steps (the last may be shorter), with one meta-Adam step per
+    segment; mutates phi. Returns ("Lf", the summed meta-loss of the
+    segments that completed).
 
     A segment hitting a non-finite loss skips its update and ends the
     epoch early (the remaining trajectory would stay non-finite anyway),
     appending ("divergence", epoch, the segment's first step) to events.
 
-    Every epoch body takes (phi, epoch, mls, adam) positionally and its
-    mode's context by keyword, so one training loop runs any of them."""
+    Every epoch body takes (phi, epoch, horizon) positionally and the
+    run's context by keyword, so one training loop runs any of them."""
     theta = inst.start(seed, "epoch", epoch)
     state = zero_state(inst.dim, phi.hidden)
     total = 0.0
-    for seg_start in range(0, mls.horizon, mls.segment):
+    for seg_start in range(0, horizon, segment):
         loss, grads, theta, state, diverged = segment_loss_and_grads(
-            phi, inst, theta, state, min(mls.segment, mls.horizon - seg_start),
+            phi, inst, theta, state, min(segment, horizon - seg_start),
             step_override=step_override)
         if diverged:
             events.append(("divergence", epoch, seg_start))

@@ -76,6 +76,8 @@ def init_l2o(seed: int, hidden: int = 20, preprocess_p: float = 10.0,
     projection so the freshly initialized optimizer emits zero updates."""
     if hidden < 1:
         raise ValueError("hidden must be >= 1")
+    if not preprocess_p > 0:
+        raise ValueError(f"preprocess_p must be > 0, got {preprocess_p!r}")
     rng = rng_for(seed, "init-l2o")
 
     def uniform(fan_in, shape):
@@ -101,9 +103,8 @@ def init_l2o(seed: int, hidden: int = 20, preprocess_p: float = 10.0,
 
 
 def preprocess(g: np.ndarray, p: float) -> np.ndarray:
-    """Per coordinate: (log|g|/p, sign g) when |g| >= e^-p, else (-1, e^p g)."""
-    if p <= 0:
-        raise ValueError("preprocess: p must be > 0")
+    """Per coordinate: (log|g|/p, sign g) when |g| >= e^-p, else (-1, e^p g);
+    p > 0, as init_l2o and load_checkpoint check."""
     g = np.asarray(g, dtype=np.float64)
     out = np.empty((g.shape[0], 2))
     big = np.abs(g) >= np.exp(-p)
@@ -261,8 +262,8 @@ def save_checkpoint(phi: L2OParams, path) -> None:
 
 def load_checkpoint(path) -> L2OParams:
     """Read a save_checkpoint file. A file shorter than its header says,
-    or whose tensor shapes are not the ones its hidden size gives, raises
-    ValueError naming path."""
+    whose preprocess_p is not > 0, or whose tensor shapes are not the ones
+    its hidden size gives, raises ValueError naming path."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -282,6 +283,8 @@ def load_checkpoint(path) -> L2OParams:
     if hidden < 1:
         raise ValueError(f"{path}: hidden must be >= 1, got {hidden}")
     p, out_scale = struct.unpack("<dd", read(16))
+    if not p > 0:
+        raise ValueError(f"{path}: preprocess_p must be > 0, got {p!r}")
     h, h4 = hidden, 4 * hidden  # the shapes L2OParams lists, in TENSOR_NAMES order
     shapes = ((2, h4), (h, h4), (h4,), (h, h4), (h, h4), (h4,), (h,), ())
     tensors = []

@@ -18,9 +18,9 @@ from l2okit.curriculum import CurriculumConfig, curriculum_train
 from l2okit.evaluation import EvalConfig, run_eval
 from l2okit.experiments import FLAGSHIP_FLAGS, train, train_fixed
 from l2okit.gradchecks import (check_imitation_loss, check_meta_loss)
-from l2okit.imitation import (SelfImprovingSchedule, il_epoch,
-                              self_improving_epoch, teacher_trajectory)
-from l2okit.metatrain import MetaAdam, MetaLossSpec, train_epoch
+from l2okit.imitation import (il_epoch, self_improving_epoch, si_probs,
+                              teacher_trajectory)
+from l2okit.metatrain import MetaAdam, train_epoch
 from l2okit.model import TENSOR_NAMES, init_l2o, l2o_step_np, workspace, zero_state
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
@@ -161,16 +161,17 @@ def test_criterion_4_episode_statistics():
                       for e in range(10_000)])
     frac = float(flags.mean())
 
-    mls = MetaLossSpec(horizon=8, segment=4)
     phi_il = rand_phi(1)
-    body = partial(il_epoch, inst=sample_instance(QUAD, 2), seed=11, r=0.0,
+    body = partial(il_epoch, adam=MetaAdam(lr=1e-3), segment=4,
+                   inst=sample_instance(QUAD, 2), seed=11, r=0.0,
                    teachers=default_ensemble(), events=[])
-    train_fixed(phi_il, body, MetaAdam(lr=1e-3), mls, range(5), [])
+    train_fixed(phi_il, body, 8, range(5), [])
     phi_plain = rand_phi(1)
     adam = MetaAdam(lr=1e-3)
     inst = sample_instance(QUAD, 2)
     for epoch in range(5):
-        train_epoch(phi_plain, epoch, mls, adam, inst=inst, seed=11, events=[])
+        train_epoch(phi_plain, epoch, 8, adam=adam, segment=4, inst=inst, seed=11,
+                    events=[])
     identical = all(np.array_equal(getattr(phi_il, n), getattr(phi_plain, n))
                     for n in TENSOR_NAMES)
 
@@ -181,17 +182,21 @@ def test_criterion_4_episode_statistics():
 # -- criterion 5: self-improving schedule -------------------------------------
 
 def test_criterion_5_self_improving_schedule():
-    sis = SelfImprovingSchedule(anneal_epochs=100)
-    sums_ok = all(abs(sis.probs(e).sum() - 1.0) < 1e-12 and
-                  np.all(sis.probs(e) >= 0) for e in range(0, 301))
-    endpoint = sis.probs(100)[0] == 1.0 and np.all(sis.probs(100)[1:] == 0.0)
+    teachers = default_ensemble()
 
-    mls = MetaLossSpec(horizon=8, segment=4)
+    def probs(epoch):
+        return si_probs(epoch, len(teachers), 100, None)
+
+    sums_ok = all(abs(probs(e).sum() - 1.0) < 1e-12 and
+                  np.all(probs(e) >= 0) for e in range(0, 301))
+    endpoint = probs(100)[0] == 1.0 and np.all(probs(100)[1:] == 0.0)
+
     phi_si = rand_phi(5)
-    self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=1e-3),
-                         inst=sample_instance(QUAD, 6), seed=15, sis=sis, events=[])
+    self_improving_epoch(phi_si, 150, 8, adam=MetaAdam(lr=1e-3), segment=4,
+                         inst=sample_instance(QUAD, 6), seed=15, teachers=teachers,
+                         anneal_epochs=100, start_prob=None, events=[])
     phi_plain = rand_phi(5)
-    train_epoch(phi_plain, 150, mls, MetaAdam(lr=1e-3),
+    train_epoch(phi_plain, 150, 8, adam=MetaAdam(lr=1e-3), segment=4,
                 inst=sample_instance(QUAD, 6), seed=15, events=[])
     identical = all(np.array_equal(getattr(phi_si, n), getattr(phi_plain, n))
                     for n in TENSOR_NAMES)

@@ -242,8 +242,18 @@ def _training_started(*args, **kwargs):
     (["--mode", "cl"], "ladder =\n", "ladder must be non-empty"),
     (["--meta-lr", "0"], "", "meta_lr must be > 0"),
     (["--r", "1.5"], "", "r must be in [0, 1]"),
+    (["--meta-lr", "nan"], "", "meta_lr must be finite, got nan"),
+    (["--out-scale", "inf"], "", "out_scale must be finite, got inf"),
+    (["--preprocess-p", "0"], "", "preprocess_p must be > 0"),
+    (["--mode", "cl", "--n-train", "0"], "", "n_train must be >= 1"),
+    (["--mode", "self-improving", "--si-start-prob", "-0.1"], "",
+     "si_start_prob must be in"),
+    (["--mode", "self-improving", "--si-start-prob", "0.34"], "",   # 3 * 0.34 > 1
+     "si_start_prob must be in"),
 ], ids=["anneal-epochs-0", "si-start-prob-0.5", "n-val-instances-0",
-        "epochs-0", "epochs-negative", "ladder-empty", "meta-lr-0", "r-1.5"])
+        "epochs-0", "epochs-negative", "ladder-empty", "meta-lr-0", "r-1.5",
+        "meta-lr-nan", "out-scale-inf", "preprocess-p-0", "n-train-0",
+        "si-start-prob-negative", "si-start-prob-0.34"])
 def test_invalid_training_settings_exit_1_before_any_epoch(tmp_path, capsys,
                                                            monkeypatch, flags,
                                                            config_line, message):
@@ -298,14 +308,18 @@ def test_eval_rejects_truncated_checkpoint(tmp_path, capsys, cut):
     assert not out.exists()
 
 
-# each patch is (offset, format, values): hidden follows the 4-byte magic,
-# and wx1's two dims follow the 28-byte header and wx1's ndim
+# each patch is (offset, format, values): hidden follows the 4-byte magic
+# and preprocess_p follows hidden; wx1's two dims follow the 28-byte
+# header and wx1's ndim
 @pytest.mark.parametrize("patches", [
     [(36, "<qq", (2 ** 31, 2 ** 31))],
     [(36, "<qq", (-3, 80))],
     [(4, "<q", (7,))],
     [(4, "<q", (2 ** 60,)), (36, "<qq", (2, 2 ** 62))],
-], ids=["wx1-dims-overflow", "wx1-dims-negative", "hidden-7", "hidden-2^60"])
+    [(12, "<d", (0.0,))],
+    [(12, "<d", (float("nan"),))],
+], ids=["wx1-dims-overflow", "wx1-dims-negative", "hidden-7", "hidden-2^60",
+        "preprocess-p-0", "preprocess-p-nan"])
 def test_eval_rejects_checkpoint_header_that_does_not_fit_hidden(tmp_path, capsys,
                                                                  patches):
     ckpt, out = tmp_path / "bad.l2o", tmp_path / "e"

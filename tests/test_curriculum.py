@@ -184,9 +184,9 @@ def test_real_binding_restarts_each_stage_from_best_snapshot(monkeypatch):
     # so the run crosses stages well inside the budget
     cfg = RunConfig(family="logistic_blobs", seed=0, epochs=100, n_val_instances=2,
                     meta_lr=1.0, ladder=(2, 4, 8), n_period=1, t_period=2, segment=2)
-    body = partial(train_epoch, inst=sample_instance(spec, 1), seed=0, events=[])
-    res = experiments.train_curriculum(init_l2o(0, hidden=4), body,
-                                       MetaAdam(lr=cfg.meta_lr), cfg, [])
+    body = partial(train_epoch, adam=MetaAdam(lr=cfg.meta_lr), segment=cfg.segment,
+                   inst=sample_instance(spec, 1), seed=0, events=[])
+    res = experiments.train_curriculum(init_l2o(0, hidden=4), body, cfg, [])
 
     rows = [r for r in res.trace if r.kind == "period"]
     assert len(rows) == len(periods)

@@ -3,12 +3,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from l2okit.config import ConfigError, build_config
 from l2okit.experiments import train_fixed
 from l2okit.gradchecks import check_imitation_loss
-from l2okit.imitation import (SelfImprovingSchedule, il_epoch,
-                              imitation_loss_and_grads, self_improving_epoch,
-                              teacher_trajectory)
-from l2okit.metatrain import MetaAdam, MetaLossSpec, train_epoch
+from l2okit.imitation import (il_epoch, imitation_loss_and_grads,
+                              self_improving_epoch, si_probs, teacher_trajectory)
+from l2okit.metatrain import MetaAdam, train_epoch
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
 from l2okit.seeding import rng_for
@@ -80,39 +80,38 @@ def rand_phi(seed, hidden=6):
 
 
 def test_r_zero_is_bitwise_vanilla():
-    mls = MetaLossSpec(horizon=8, segment=4)
-
     phi_il = rand_phi(1)
     inst = sample_instance(QUAD, 2)
-    body = partial(il_epoch, inst=inst, seed=11, r=0.0, teachers=default_ensemble(),
-                   events=[])
-    train_fixed(phi_il, body, MetaAdam(lr=1e-3), mls, range(5), [])
+    body = partial(il_epoch, adam=MetaAdam(lr=1e-3), segment=4, inst=inst, seed=11,
+                   r=0.0, teachers=default_ensemble(), events=[])
+    train_fixed(phi_il, body, 8, range(5), [])
 
     phi_plain = rand_phi(1)
     inst2 = sample_instance(QUAD, 2)
     adam = MetaAdam(lr=1e-3)
     for epoch in range(5):
-        train_epoch(phi_plain, epoch, mls, adam, inst=inst2, seed=11, events=[])
+        train_epoch(phi_plain, epoch, 8, adam=adam, segment=4, inst=inst2, seed=11,
+                    events=[])
 
     for name in TENSOR_NAMES:
         assert np.array_equal(getattr(phi_il, name), getattr(phi_plain, name))
 
 
 def test_r_one_runs_only_imitation():
-    mls = MetaLossSpec(horizon=6, segment=6)
     log = []
-    body = partial(il_epoch, inst=sample_instance(QUAD, 3), seed=12, r=1.0,
+    body = partial(il_epoch, adam=MetaAdam(lr=1e-3), segment=6,
+                   inst=sample_instance(QUAD, 3), seed=12, r=1.0,
                    teachers=default_ensemble(), events=[])
-    train_fixed(rand_phi(2), body, MetaAdam(lr=1e-3), mls, range(4), log)
+    train_fixed(rand_phi(2), body, 6, range(4), log)
     assert all(kind.startswith("IL:") for _, kind, _, _ in log)
 
 
 def test_episode_kind_matches_seeded_draws():
-    mls = MetaLossSpec(horizon=4, segment=4)
     log = []
-    body = partial(il_epoch, inst=sample_instance(QUAD, 4), seed=13, r=0.3,
+    body = partial(il_epoch, adam=MetaAdam(lr=1e-3), segment=4,
+                   inst=sample_instance(QUAD, 4), seed=13, r=0.3,
                    teachers=default_ensemble(), events=[])
-    train_fixed(rand_phi(3), body, MetaAdam(lr=1e-3), mls, range(30), log)
+    train_fixed(rand_phi(3), body, 4, range(30), log)
     for epoch, kind, _, _ in log:
         expected_il = rng_for(13, "il-u", epoch).random() < 0.3
         assert kind.startswith("IL:") == expected_il
@@ -134,67 +133,70 @@ def test_imitation_fraction_and_teacher_uniformity():
 
 
 def test_teacher_divergence_is_logged_not_raised():
-    mls = MetaLossSpec(horizon=4, segment=4)
     events = []
     phi = rand_phi(4)
     # an absurd teacher lr blows up the quadratic immediately
-    kind, loss = il_epoch(phi, 0, mls, MetaAdam(), inst=sample_instance(QUAD, 5),
-                          seed=14, r=1.0, teachers=(TeacherKind("sgd", lr=1e160),),
-                          events=events)
+    kind, loss = il_epoch(phi, 0, 4, adam=MetaAdam(), segment=4,
+                          inst=sample_instance(QUAD, 5), seed=14, r=1.0,
+                          teachers=(TeacherKind("sgd", lr=1e160),), events=events)
     assert kind == "IL:sgd"
     assert np.isnan(loss)
     assert events and events[0][0] == "teacher-divergence"
 
 
 def test_si_probs_are_a_simplex():
-    sis = SelfImprovingSchedule(anneal_epochs=100)
     for epoch in (0, 1, 37, 99, 100, 250):
-        p = sis.probs(epoch)
+        p = si_probs(epoch, 3, 100, None)
         assert p.shape == (4,)
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_si_default_start_is_uniform():
-    p = SelfImprovingSchedule(anneal_epochs=100).probs(0)
+    p = si_probs(0, 3, 100, None)
     np.testing.assert_allclose(p, 0.25)
 
 
 @pytest.mark.parametrize("settings, match", [
     ({"anneal_epochs": 0}, "anneal_epochs must be >= 1"),
-    ({"start_prob": -0.1}, "si_start_prob must be in"),
-    ({"start_prob": 0.34}, "si_start_prob must be in"),   # 3 * 0.34 > 1
+    ({"si_start_prob": -0.1}, "si_start_prob must be in"),
+    ({"si_start_prob": 0.34}, "si_start_prob must be in"),   # 3 * 0.34 > 1
 ], ids=["anneal-epochs-0", "negative-start", "start-above-1/3"])
 def test_si_schedule_rejects_settings_that_break_probs(settings, match):
-    with pytest.raises(ValueError, match=match):
-        SelfImprovingSchedule(**settings)
+    # RunConfig.validate checks the settings si_probs relies on
+    with pytest.raises(ConfigError, match=match):
+        build_config({"mode": "self-improving", **settings})
     # the largest valid start gives the teachers all the mass at epoch 0
-    np.testing.assert_allclose(SelfImprovingSchedule(start_prob=1 / 3).probs(0),
+    assert build_config({"mode": "self-improving",
+                         "si_start_prob": 1 / 3}).si_start_prob == 1 / 3
+    np.testing.assert_allclose(si_probs(0, 3, 100, 1 / 3),
                                [0.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_si_anneal_hand_values():
-    sis = SelfImprovingSchedule(anneal_epochs=100, start_prob=0.33)
-    p = sis.probs(50)
+    p = si_probs(50, 3, 100, 0.33)
     assert p[1] == pytest.approx(0.165)
     assert p[0] == pytest.approx(0.505)
-    np.testing.assert_allclose(sis.probs(100), [1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(sis.probs(400), [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(si_probs(100, 3, 100, 0.33), [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(si_probs(400, 3, 100, 0.33), [1.0, 0.0, 0.0, 0.0])
+
+
+# the self-improving settings of a run with the default teachers, 100
+# annealing epochs and the default start
+SI_100 = {"teachers": default_ensemble(), "anneal_epochs": 100, "start_prob": None}
 
 
 def test_si_pure_l2o_phase_is_bitwise_vanilla():
     # past the annealing endpoint every step is the learned optimizer's,
     # so the epoch must match plain meta-training exactly
-    mls = MetaLossSpec(horizon=8, segment=4)
-    sis = SelfImprovingSchedule(anneal_epochs=100)
-
     phi_si = rand_phi(5)
-    _, loss_si = self_improving_epoch(phi_si, 150, mls, MetaAdam(lr=1e-3),
+    _, loss_si = self_improving_epoch(phi_si, 150, 8, **SI_100,
+                                      adam=MetaAdam(lr=1e-3), segment=4,
                                       inst=sample_instance(QUAD, 6), seed=15,
-                                      sis=sis, events=[])
+                                      events=[])
 
     phi_plain = rand_phi(5)
-    _, loss_plain = train_epoch(phi_plain, 150, mls, MetaAdam(lr=1e-3),
+    _, loss_plain = train_epoch(phi_plain, 150, 8, adam=MetaAdam(lr=1e-3), segment=4,
                                 inst=sample_instance(QUAD, 6), seed=15, events=[])
 
     assert loss_si == loss_plain
@@ -203,28 +205,22 @@ def test_si_pure_l2o_phase_is_bitwise_vanilla():
 
 
 def test_si_mixed_phase_differs_from_vanilla():
-    mls = MetaLossSpec(horizon=8, segment=4)
-    sis = SelfImprovingSchedule(anneal_epochs=100, start_prob=0.33)
-
     phi_si = rand_phi(6)
-    self_improving_epoch(phi_si, 0, mls, MetaAdam(lr=1e-3),
-                         inst=sample_instance(QUAD, 7), seed=16, sis=sis, events=[])
+    self_improving_epoch(phi_si, 0, 8, **{**SI_100, "start_prob": 0.33},
+                         adam=MetaAdam(lr=1e-3), segment=4,
+                         inst=sample_instance(QUAD, 7), seed=16, events=[])
     phi_plain = rand_phi(6)
-    train_epoch(phi_plain, 0, mls, MetaAdam(lr=1e-3),
+    train_epoch(phi_plain, 0, 8, adam=MetaAdam(lr=1e-3), segment=4,
                 inst=sample_instance(QUAD, 7), seed=16, events=[])
     assert any(not np.array_equal(getattr(phi_si, n), getattr(phi_plain, n))
                for n in TENSOR_NAMES)
 
 
 def test_si_epoch_deterministic():
-    mls = MetaLossSpec(horizon=8, segment=4)
-    sis = SelfImprovingSchedule(anneal_epochs=100)
-
     def run():
         phi = rand_phi(7)
-        self_improving_epoch(phi, 3, mls, MetaAdam(lr=1e-3),
-                             inst=sample_instance(QUAD, 8), seed=18, sis=sis,
-                             events=[])
+        self_improving_epoch(phi, 3, 8, **SI_100, adam=MetaAdam(lr=1e-3), segment=4,
+                             inst=sample_instance(QUAD, 8), seed=18, events=[])
         return phi
 
     a, b = run(), run()

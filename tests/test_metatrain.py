@@ -10,7 +10,7 @@ from l2okit import autodiff as ad
 from l2okit.config import RunConfig
 from l2okit.gradchecks import check_meta_loss
 from l2okit.imitation import imitation_loss_and_grads, teacher_trajectory
-from l2okit.metatrain import (MetaAdam, MetaLossSpec, ValidationSet, rollout,
+from l2okit.metatrain import (MetaAdam, ValidationSet, rollout,
                               segment_loss_and_grads, stepper, train_epoch,
                               validate)
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
@@ -30,13 +30,6 @@ def perturbed_phi(seed=0, hidden=6):
     phi.w_out[:] = rng.normal(0, 0.3, hidden)
     phi.b_out[...] = rng.normal(0, 0.3)
     return phi
-
-
-def test_meta_loss_spec_validation():
-    with pytest.raises(ValueError):
-        MetaLossSpec(horizon=0)
-    with pytest.raises(ValueError):
-        MetaLossSpec(horizon=5, segment=6)
 
 
 def test_identity_policy_rollout_is_constant():
@@ -125,7 +118,7 @@ def test_epoch_memory_is_bounded_by_the_segment_not_the_horizon():
         inst = sample_instance(cfg.optimizee_spec(), 1)
         tracemalloc.start()
         try:
-            _, loss = train_epoch(phi, 0, MetaLossSpec(horizon=horizon), MetaAdam(),
+            _, loss = train_epoch(phi, 0, horizon, adam=MetaAdam(), segment=20,
                                   inst=inst, seed=0, events=[])
             _, peaks[horizon] = tracemalloc.get_traced_memory()
         finally:
@@ -175,10 +168,9 @@ def test_meta_loss_value_identity_policy():
     inst = quad_instance(6)
     theta0 = inst.init_params(1)
     f0, _ = inst.loss_and_grad(theta0, inst.next_batch())
-    mls = MetaLossSpec(horizon=6, segment=6)
     inst.init_params = lambda seed: theta0
-    _, total = train_epoch(phi, 0, mls, MetaAdam(lr=1e-3), inst=inst, seed=0,
-                           events=[])
+    _, total = train_epoch(phi, 0, 6, adam=MetaAdam(lr=1e-3), segment=6, inst=inst,
+                           seed=0, events=[])
     assert total == pytest.approx(6 * f0, rel=1e-12)
 
 
@@ -279,8 +271,8 @@ def test_divergent_segment_skips_update_and_records_event():
     inst = quad_instance(12)
     inst.init_params = lambda seed: np.full(3, np.nan)
     events = []
-    _, total = train_epoch(phi, 0, MetaLossSpec(horizon=4, segment=2), MetaAdam(),
-                           inst=inst, seed=0, events=events)
+    _, total = train_epoch(phi, 0, 4, adam=MetaAdam(), segment=2, inst=inst, seed=0,
+                           events=events)
     assert total == 0.0
     assert events == [("divergence", 0, 0)]
     for n in TENSOR_NAMES:
@@ -305,8 +297,8 @@ def test_divergence_event_names_epoch_and_segment_start():
     # test, recorded as an event and not raised or warned about
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        kind, total = train_epoch(phi, 7, MetaLossSpec(horizon=4, segment=2),
-                                  adam, inst=quad_instance(12), seed=5,
+        kind, total = train_epoch(phi, 7, 4, adam=adam, segment=2,
+                                  inst=quad_instance(12), seed=5,
                                   events=events, step_override=override)
     assert events == [("divergence", 7, 2)]
     assert kind == "Lf" and np.isfinite(total) and total > 0
@@ -314,13 +306,12 @@ def test_divergence_event_names_epoch_and_segment_start():
 
 
 def test_train_epoch_bitwise_deterministic():
-    mls = MetaLossSpec(horizon=8, segment=4)
-
     def run():
         phi = perturbed_phi(13)
         inst = quad_instance(14)
         adam = MetaAdam(lr=1e-3)
-        losses = [train_epoch(phi, e, mls, adam, inst=inst, seed=99, events=[])
+        losses = [train_epoch(phi, e, 8, adam=adam, segment=4, inst=inst, seed=99,
+                              events=[])
                   for e in range(3)]
         return phi, losses
 
@@ -361,14 +352,14 @@ def test_validate_rejects_empty_set():
 
 
 def test_short_training_run_improves_quadratic():
-    mls = MetaLossSpec(horizon=20, segment=20)
     phi = init_l2o(1, hidden=8)
     inst = quad_instance(16)
     adam = MetaAdam(lr=1e-3)
     vs = ValidationSet.create(QUAD, 3, 5)
     before = validate(phi, 20, vs)
     for epoch in range(40):
-        _, loss = train_epoch(phi, epoch, mls, adam, inst=inst, seed=3, events=[])
+        _, loss = train_epoch(phi, epoch, 20, adam=adam, segment=20, inst=inst,
+                              seed=3, events=[])
         assert np.isfinite(loss)
     after = validate(phi, 20, vs)
     assert np.isfinite(after)

@@ -39,8 +39,9 @@ def test_preprocess_small_branch():
 
 
 def test_preprocess_rejects_bad_p():
+    # p is checked once, where phi is made, not on every preprocess call
     with pytest.raises(ValueError):
-        preprocess(np.array([1.0]), 0.0)
+        init_l2o(0, preprocess_p=0.0)
 
 
 def test_init_zero_output_policy():
