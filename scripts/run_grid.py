@@ -73,11 +73,8 @@ def run_cell(cell):
                                         "seed": seed, **flags})
         run = train(cfg)
         optimizer = run.phi
-        if (result := run.curriculum) is not None:
-            row.update(stopped_by=result.stopped_by,
-                       total_epochs=result.total_epochs,
-                       best_stage=result.best_stage,
-                       train_iterations=result.train_iterations())
+        if run.curriculum is not None:
+            row.update(run.curriculum.summary())
     ec = EvalConfig(optimizee=cfg.optimizee_spec(), n_eval=N_EVAL,
                     seeds=EVAL_SEEDS, log_every=LOG_EVERY)
     report = run_eval(optimizer, ec)

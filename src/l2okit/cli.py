@@ -62,13 +62,9 @@ def cmd_train(cfg: RunConfig) -> int:
                  "epochs.csv": partial(write_epoch_csv, run.epoch_log),
                  "events.csv": partial(write_events_csv, run.events)}
     if (result := run.curriculum) is not None:
-        summary = {"stopped_by": result.stopped_by,
-                   "best_stage": result.best_stage,
-                   "total_epochs": result.total_epochs,
-                   "train_iterations": result.train_iterations()}
         artifacts["trace.csv"] = partial(write_trace_csv, result.trace)
         artifacts["curriculum.json"] = partial(
-            _write_text, json.dumps(summary, sort_keys=True) + "\n")
+            _write_text, json.dumps(result.summary(), sort_keys=True) + "\n")
     _write_run(cfg, artifacts)
     print(f"trained mode={cfg.mode} profile={cfg.profile} -> {cfg.out}")
     return 0

@@ -9,7 +9,7 @@ real binding lives in experiments.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,19 @@ class TraceRow:
 
 @dataclass
 class CurriculumResult:
+    """A finished schedule. train_iterations is its cost in optimizee
+    steps: the sum over periods of t_period epochs * that stage's N_train."""
     best_phi: object
     trace: list[TraceRow]
     total_epochs: int
     stopped_by: str      # stop | exhausted | budget
     best_stage: int
+    train_iterations: int
 
-    period_costs: list[int] = field(default_factory=list)
-
-    def train_iterations(self) -> int:
-        """Total optimizee steps consumed: sum over periods of
-        t_period epochs * N_train at that period's stage."""
-        return sum(self.period_costs)
+    def summary(self) -> dict:
+        """How it stopped and what it cost: curriculum.json, and a grid row's."""
+        return {k: getattr(self, k) for k in ("stopped_by", "best_stage",
+                                              "total_epochs", "train_iterations")}
 
 
 def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
@@ -79,7 +80,9 @@ def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
 
     train_period_fn(phi, n_train, epoch_base) trains phi in place for
     t_period epochs at horizon n_train. validate_fn(phi, n_valid) returns
-    a scalar validation loss. phi.copy() takes each snapshot.
+    a scalar validation loss. phi.copy() takes each snapshot. Each period
+    adds t_period * n_train optimizee steps to the result's
+    train_iterations.
 
     Per stage: at least n_period periods, then keep going while the last
     period improved on the best validation loss; if a whole stage passes
@@ -94,11 +97,11 @@ def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
     epoch = 0
     best_stage = 0
     trace: list[TraceRow] = []
-    period_costs: list[int] = []
+    iterations = 0
 
     def finish(reason: str) -> CurriculumResult:
         return CurriculumResult(phi_best, trace, epoch, reason, best_stage,
-                                period_costs)
+                                iterations)
 
     while True:
         n_train = cc.ladder[i]
@@ -114,7 +117,7 @@ def curriculum_train(phi0, cc: CurriculumConfig, train_period_fn, validate_fn,
             n += 1
             train_period_fn(phi_cur, n_train, epoch)
             epoch += cc.t_period
-            period_costs.append(cc.t_period * n_train)
+            iterations += cc.t_period * n_train
             l_val = float(validate_fn(phi_cur, n_valid))
             last_improved = l_val < l_min
             if last_improved:

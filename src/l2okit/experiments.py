@@ -26,7 +26,7 @@ from functools import partial
 from .config import RunConfig
 from .curriculum import CurriculumResult, curriculum_train
 from .imitation import il_epoch, self_improving_epoch
-from .metatrain import MetaAdam, ValidationSet, train_epoch, validate
+from .metatrain import MetaAdam, train_epoch, validate
 from .model import L2OParams, init_l2o
 from .optimizees import sample_instance
 from .seeding import derive_seed
@@ -89,17 +89,20 @@ def train_curriculum(phi: L2OParams, body, cfg: RunConfig,
                      epoch_log: list) -> CurriculumResult:
     """cfg's staged schedule over its horizon ladder: each period runs
     train_fixed at the stage's N_train (the cl-il flagship runs
-    il_epoch), validated on cfg's validation set, within
-    cfg.resolved_epochs() epochs in all."""
+    il_epoch), validated on cfg.n_val_instances fixed instances whose seed
+    labels no training draw uses, within cfg.resolved_epochs() epochs."""
     cc = cfg.curriculum()
-    vs = ValidationSet.create(cfg.optimizee_spec(), cfg.seed, cfg.n_val_instances)
+    spec = cfg.optimizee_spec()
+    instances = [sample_instance(spec, derive_seed(cfg.seed, "valid-inst", i))
+                 for i in range(cfg.n_val_instances)]
 
     def train_period_fn(phi_cur, n_train, epoch_base):
         train_fixed(phi_cur, body, n_train,
                     range(epoch_base, epoch_base + cc.t_period), epoch_log)
 
     def validate_fn(phi_cur, n_valid):
-        return validate(phi_cur, n_valid, vs, cfg.divergence_penalty)
+        return validate(phi_cur, n_valid, instances, cfg.seed,
+                        cfg.divergence_penalty)
 
     return curriculum_train(phi, cc, train_period_fn, validate_fn,
                             epoch_budget=cfg.resolved_epochs())
@@ -126,8 +129,9 @@ def write_trace_csv(trace, path) -> None:
 
 def write_events_csv(events, path) -> None:
     """Training events as (kind, where, detail) rows; where is the epoch.
-    A "divergence" row's detail is the first optimizee step of the
-    segment that diverged; a "teacher-divergence" row's is the teacher."""
+    A "divergence" row's detail is the first optimizee step of the meta
+    or imitation segment that diverged; a "teacher-divergence" row's is
+    the teacher."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "where", "detail"])

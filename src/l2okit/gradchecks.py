@@ -12,7 +12,8 @@ from . import autodiff as ad
 from .imitation import imitation_loss_and_grads, teacher_trajectory
 from .metatrain import segment_loss_and_grads, stepper
 from .model import TENSOR_NAMES, init_l2o, l2o_step_tape, zero_state
-from .optimizees import MnistMLPInstance, OptimizeeSpec, sample_instance
+from .optimizees import (MNIST_CLASSES, MNIST_HIDDEN, MLPInstance, OptimizeeSpec,
+                         sample_instance)
 from .seeding import rng_for
 from .teachers import TeacherKind
 
@@ -50,8 +51,9 @@ def check_loss_nodes(seed: int = 4) -> float:
     insts = [sample_instance(OptimizeeSpec(family="quadratic", dim=4), seed),
              sample_instance(OptimizeeSpec(family="logistic_blobs", **blobs), seed),
              sample_instance(OptimizeeSpec(family="tiny_mlp", hidden=4, **blobs), seed),
-             MnistMLPInstance(OptimizeeSpec(family="mnist_mlp", batch_size=8),
-                              rng.uniform(0, 1, (16, 9)), rng.integers(0, 10, 16))]
+             MLPInstance(OptimizeeSpec(family="mnist_mlp", batch_size=8),
+                         rng.uniform(0, 1, (16, 9)), rng.integers(0, 10, 16),
+                         MNIST_HIDDEN, MNIST_CLASSES)]
     worst = 0.0
     for inst in insts:
         batch = inst.next_batch()

@@ -51,14 +51,19 @@ def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
 
 def imitation_loss_and_grads(phi: L2OParams, steps, state):
     """One segment of the imitation loss: squared-error regression of the
-    L2O's updates onto the teacher's, gradients flowing to phi only."""
+    L2O's updates onto the teacher's, gradients flowing to phi only.
+    Returns (loss, grads, state_next), or (None, None, state) at the
+    first non-finite term, which is divergence data, not a warning."""
     tape = []
     total = 0.0
     for g, target in steps:
         update, state = l2o_step_tape(tape, phi, state, g)
-        diff = update - target
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = update - target
+            term = (diff * diff).sum()
+        if not np.isfinite(term):
+            return None, None, state
         tape.append(2.0 * diff + 0.0)  # the gradient of this step's term
-        term = (diff * diff).sum()
         total += term
     return float(total), ad.backward(tape, phi), state
 
@@ -72,10 +77,13 @@ def il_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
     epoch, then replays its (g, update) steps through phi with the same
     segmenting, one meta-Adam step per segment; mutates phi. A teacher
     that diverges appends ("teacher-divergence", epoch, its kind) to
-    events and trains nothing.
+    events and trains nothing. As in train_epoch, a segment whose loss is
+    not finite skips its update, ends the episode and appends
+    ("divergence", epoch, the segment's first step) to events.
 
     Returns (kind, loss): ("Lf", meta-loss) or ("IL:<teacher>", L_O),
-    L_O being nan for a diverged teacher.
+    L_O being the loss of the segments that completed (nan for a
+    diverged teacher).
     """
     if rng_for(seed, "il-u", epoch).random() >= r:
         return train_epoch(phi, epoch, horizon, adam=adam, segment=segment,
@@ -91,6 +99,9 @@ def il_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
     for seg_start in range(0, horizon, segment):
         loss, grads, state = imitation_loss_and_grads(
             phi, steps[seg_start: seg_start + segment], state)
+        if loss is None:
+            events.append(("divergence", epoch, seg_start))
+            break
         adam.step(phi, grads)
         total += loss
     return f"IL:{kind.kind}", total

@@ -11,15 +11,12 @@ boundary, so gradients never flow across segments. One meta-optimizer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .model import (L2OParams, TENSOR_NAMES, l2o_step_np, l2o_step_tape,
                     workspace, zero_state)
-from .optimizees import OptimizeeInstance, OptimizeeSpec, sample_instance
-from .seeding import derive_seed
+from .optimizees import OptimizeeInstance
 from .teachers import TeacherKind, adam_update, init_state, teacher_step
 
 
@@ -145,28 +142,16 @@ def train_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
     return "Lf", total
 
 
-@dataclass
-class ValidationSet:
-    """Fixed instances, disjoint from the training streams by seed-label
-    construction; instance i starts from seed's "valid" start i."""
-    instances: list
-    seed: int
-
-    @classmethod
-    def create(cls, spec: OptimizeeSpec, seed: int, n: int) -> "ValidationSet":
-        return cls([sample_instance(spec, derive_seed(seed, "valid-inst", i))
-                    for i in range(n)], seed)
-
-
-def validate(phi: L2OParams, n_valid: int, vs: ValidationSet,
+def validate(phi: L2OParams, n_valid: int, instances: list, seed: int,
              penalty: float = 1e6) -> float:
-    """Mean over validation instances of sum_{t=1..N} f(theta_t) from
-    evaluative rollouts; diverged rollouts score the penalty constant."""
-    if not vs.instances:
+    """Mean over the validation instances of sum_{t=1..N} f(theta_t) from
+    evaluative rollouts, instance i starting from seed's "valid" start i;
+    diverged rollouts score the penalty constant."""
+    if not instances:
         raise ValueError("validate: validation set is empty")
     scores = []
-    for i, inst in enumerate(vs.instances):
-        theta0 = inst.start(vs.seed, "valid", i)
+    for i, inst in enumerate(instances):
+        theta0 = inst.start(seed, "valid", i)
         # step n_valid's loss is f(theta_N); its update goes unused
         losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
                                       n_valid + 1)

@@ -76,8 +76,10 @@ def init_l2o(seed: int, hidden: int = 20, preprocess_p: float = 10.0,
     projection so the freshly initialized optimizer emits zero updates."""
     if hidden < 1:
         raise ValueError("hidden must be >= 1")
-    if not preprocess_p > 0:
-        raise ValueError(f"preprocess_p must be > 0, got {preprocess_p!r}")
+    if not 0 < preprocess_p < math.inf:
+        raise ValueError(f"preprocess_p must be > 0 and finite, got {preprocess_p!r}")
+    if not math.isfinite(out_scale):
+        raise ValueError(f"out_scale must be finite, got {out_scale!r}")
     rng = rng_for(seed, "init-l2o")
 
     def uniform(fan_in, shape):
@@ -262,8 +264,9 @@ def save_checkpoint(phi: L2OParams, path) -> None:
 
 def load_checkpoint(path) -> L2OParams:
     """Read a save_checkpoint file. A file shorter than its header says,
-    whose preprocess_p is not > 0, or whose tensor shapes are not the ones
-    its hidden size gives, raises ValueError naming path."""
+    whose preprocess_p is not > 0 and finite, whose out_scale is not
+    finite, or whose tensor shapes are not the ones its hidden size
+    gives, raises ValueError naming path."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -283,8 +286,10 @@ def load_checkpoint(path) -> L2OParams:
     if hidden < 1:
         raise ValueError(f"{path}: hidden must be >= 1, got {hidden}")
     p, out_scale = struct.unpack("<dd", read(16))
-    if not p > 0:
-        raise ValueError(f"{path}: preprocess_p must be > 0, got {p!r}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"{path}: preprocess_p must be > 0 and finite, got {p!r}")
+    if not math.isfinite(out_scale):
+        raise ValueError(f"{path}: out_scale must be finite, got {out_scale!r}")
     h, h4 = hidden, 4 * hidden  # the shapes L2OParams lists, in TENSOR_NAMES order
     shapes = ((2, h4), (h, h4), (h4,), (h, h4), (h, h4), (h4,), (h,), ())
     tensors = []

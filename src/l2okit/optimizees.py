@@ -36,6 +36,8 @@ FAMILIES = ("quadratic", "logistic_blobs", "tiny_mlp", "mnist_mlp")
 
 DATASET_ROOT_ENV = "L2OKIT_DATA"
 
+MNIST_HIDDEN, MNIST_CLASSES = 20, 10  # mnist_mlp's; its spec's are unused
+
 
 @dataclass(frozen=True)
 class OptimizeeSpec:
@@ -195,8 +197,9 @@ class LogisticBlobsInstance(_DatasetInstance):
         return loss, vjp
 
 
-class _MLPClassifierInstance(_DatasetInstance):
-    """One-hidden-layer sigmoid MLP with softmax cross-entropy.
+class MLPInstance(_DatasetInstance):
+    """One-hidden-layer sigmoid MLP with softmax cross-entropy, n_hidden
+    wide over n_classes: tiny_mlp on blobs, mnist_mlp on MNIST digits.
 
     theta packs [W1 (f*h), b1 (h), W2 (h*c), b2 (c)] flat, in that order.
     """
@@ -244,21 +247,6 @@ class _MLPClassifierInstance(_DatasetInstance):
                                    (hid.T @ glog).ravel(), glog.sum(axis=0)]) + 0.0
 
         return loss, vjp
-
-
-class TinyMLPInstance(_MLPClassifierInstance):
-    def __init__(self, spec: OptimizeeSpec, x: np.ndarray, y: np.ndarray):
-        super().__init__(spec, x, y, spec.hidden, spec.n_classes)
-
-
-class MnistMLPInstance(_MLPClassifierInstance):
-    """The 20-hidden-unit sigmoid MLP on flattened MNIST digits."""
-
-    N_HIDDEN = 20
-    N_CLASSES = 10
-
-    def __init__(self, spec: OptimizeeSpec, x: np.ndarray, y: np.ndarray):
-        super().__init__(spec, x, y, self.N_HIDDEN, self.N_CLASSES)
 
 
 def _sample_blobs(spec: OptimizeeSpec, rng: np.random.Generator, labels01: bool):
@@ -310,8 +298,8 @@ def sample_instance(spec: OptimizeeSpec, seed: int) -> OptimizeeInstance:
         return LogisticBlobsInstance(spec, x, y)
     if spec.family == "tiny_mlp":
         x, y = _sample_blobs(spec, rng, labels01=True)
-        return TinyMLPInstance(spec, x, y)
+        return MLPInstance(spec, x, y, spec.hidden, spec.n_classes)
     if spec.family == "mnist_mlp":
         x, y = _mnist_data(spec)
-        return MnistMLPInstance(spec, x, y)
+        return MLPInstance(spec, x, y, MNIST_HIDDEN, MNIST_CLASSES)
     raise ValueError(f"unsupported family {spec.family!r}")

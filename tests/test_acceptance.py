@@ -12,6 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from helpers import FakePhi, rand_phi, tagging_trainer
 from l2okit.cli import main
 from l2okit.config import build_config
 from l2okit.curriculum import CurriculumConfig, curriculum_train
@@ -33,14 +34,6 @@ TINY = OptimizeeSpec(family="tiny_mlp")
 def report(n: int, ok: bool, detail: str) -> None:
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {n} failed: {detail}"
-
-
-def rand_phi(seed, hidden=6):
-    phi = init_l2o(seed, hidden=hidden)
-    rng = np.random.default_rng(seed)
-    phi.w_out[:] = rng.normal(0, 0.3, hidden)
-    phi.b_out[...] = rng.normal(0, 0.3)
-    return phi
 
 
 # -- criterion 1: gradient exactness ----------------------------------------
@@ -101,22 +94,10 @@ def test_criterion_2_optimizer_oracles():
 
 # -- criterion 3: scheduler trace oracle --------------------------------------
 
-class _FakePhi:
-    def __init__(self, tag=-1):
-        self.tag = tag
-
-    def copy(self):
-        return _FakePhi(self.tag)
-
-
 def _run_scripted(script):
     it = iter(script)
     cc = CurriculumConfig(ladder=(10, 20, 40), n_period=3, t_period=25)
-
-    def trainer(phi, n_train, epoch_base):
-        phi.tag = epoch_base
-
-    return curriculum_train(_FakePhi(), cc, trainer,
+    return curriculum_train(FakePhi(), cc, tagging_trainer,
                             lambda phi, n_valid: next(it))
 
 
@@ -241,7 +222,7 @@ def test_criterion_6_directional_reproduction(directional_experiment):
 
 def test_criterion_7_curriculum_cost(directional_experiment):
     result = directional_experiment["result"]
-    iters = result.train_iterations()
+    iters = result.train_iterations
     ratio = iters / AUG_ITERATIONS
     report(7, ratio < 1.0 / 3.0,
            f"curriculum used {iters} optimizee steps vs augmented baseline "

@@ -308,9 +308,9 @@ def test_eval_rejects_truncated_checkpoint(tmp_path, capsys, cut):
     assert not out.exists()
 
 
-# each patch is (offset, format, values): hidden follows the 4-byte magic
-# and preprocess_p follows hidden; wx1's two dims follow the 28-byte
-# header and wx1's ndim
+# each patch is (offset, format, values): hidden follows the 4-byte magic,
+# then preprocess_p (offset 12) and out_scale (offset 20); wx1's two dims
+# follow the 28-byte header and wx1's ndim
 @pytest.mark.parametrize("patches", [
     [(36, "<qq", (2 ** 31, 2 ** 31))],
     [(36, "<qq", (-3, 80))],
@@ -318,8 +318,10 @@ def test_eval_rejects_truncated_checkpoint(tmp_path, capsys, cut):
     [(4, "<q", (2 ** 60,)), (36, "<qq", (2, 2 ** 62))],
     [(12, "<d", (0.0,))],
     [(12, "<d", (float("nan"),))],
+    [(12, "<d", (float("inf"),))],
+    [(20, "<d", (float("nan"),))],
 ], ids=["wx1-dims-overflow", "wx1-dims-negative", "hidden-7", "hidden-2^60",
-        "preprocess-p-0", "preprocess-p-nan"])
+        "preprocess-p-0", "preprocess-p-nan", "preprocess-p-inf", "out-scale-nan"])
 def test_eval_rejects_checkpoint_header_that_does_not_fit_hidden(tmp_path, capsys,
                                                                  patches):
     ckpt, out = tmp_path / "bad.l2o", tmp_path / "e"

@@ -1,26 +1,15 @@
-import math
 from functools import partial
 
 import numpy as np
 import pytest
 
 import l2okit.experiments as experiments
+from helpers import FakePhi, tagging_trainer, valid_instances
 from l2okit.config import RunConfig
-from l2okit.curriculum import (CurriculumConfig, CurriculumResult, TraceRow,
-                               curriculum_train, n_valid_for)
-from l2okit.metatrain import MetaAdam, ValidationSet, train_epoch, validate
+from l2okit.curriculum import CurriculumConfig, curriculum_train, n_valid_for
+from l2okit.metatrain import MetaAdam, train_epoch, validate
 from l2okit.model import init_l2o
 from l2okit.optimizees import OptimizeeSpec, sample_instance
-
-
-class FakePhi:
-    """Stands in for the optimizer parameters; records training history."""
-
-    def __init__(self, tag=-1):
-        self.tag = tag
-
-    def copy(self):
-        return FakePhi(self.tag)
 
 
 def scripted(values):
@@ -31,10 +20,6 @@ def scripted(values):
         return next(it)
 
     return validate_fn
-
-
-def tagging_trainer(phi, n_train, epoch_base):
-    phi.tag = epoch_base
 
 
 def test_config_validation():
@@ -82,7 +67,7 @@ def test_stop_after_stage_without_improvement():
                      "period", "period", "stop"]
     # the best snapshot is the one trained in stage 0, period 2
     assert res.best_phi.tag == 5
-    assert res.train_iterations() == 3 * 5 * 10 + 2 * 5 * 20
+    assert res.train_iterations == 3 * 5 * 10 + 2 * 5 * 20
 
 
 def test_min_periods_honored_even_after_early_improvement_stops():
@@ -115,7 +100,7 @@ def test_ladder_exhaustion():
     assert res.best_stage == 2
     assert res.trace[-1].kind == "exhausted"
     assert res.total_epochs == 35
-    assert res.train_iterations() == (3 * 5 * 10) + (2 * 5 * 20) + (2 * 5 * 40)
+    assert res.train_iterations == (3 * 5 * 10) + (2 * 5 * 20) + (2 * 5 * 40)
 
 
 def test_rebaseline_uses_new_horizon_floor():
@@ -152,7 +137,7 @@ def test_scripted_run_is_deterministic():
     a = curriculum_train(FakePhi(), CC, tagging_trainer, scripted(script))
     b = curriculum_train(FakePhi(), CC, tagging_trainer, scripted(script))
     assert [vars(r) for r in a.trace] == [vars(r) for r in b.trace]
-    assert a.period_costs == b.period_costs
+    assert a.train_iterations == b.train_iterations
 
 
 def test_input_phi_is_not_mutated():
@@ -199,5 +184,5 @@ def test_real_binding_restarts_each_stage_from_best_snapshot(monkeypatch):
     assert {r.stage for r in rows} == {0, 1, 2}
     assert phi_bytes(res.best_phi) == best
     last = res.trace[-1]
-    assert validate(res.best_phi, last.n_valid, ValidationSet.create(spec, 0, 2),
+    assert validate(res.best_phi, last.n_valid, valid_instances(spec, 0, 2), 0,
                     cfg.divergence_penalty) == last.l_min

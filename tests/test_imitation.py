@@ -1,8 +1,10 @@
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
+from helpers import fixture_quadratic, rand_phi
 from l2okit.config import ConfigError, build_config
 from l2okit.experiments import train_fixed
 from l2okit.gradchecks import check_imitation_loss
@@ -10,16 +12,11 @@ from l2okit.imitation import (il_epoch, imitation_loss_and_grads,
                               self_improving_epoch, si_probs, teacher_trajectory)
 from l2okit.metatrain import MetaAdam, train_epoch
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
-from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
+from l2okit.optimizees import OptimizeeSpec, sample_instance
 from l2okit.seeding import rng_for
 from l2okit.teachers import TeacherKind, default_ensemble
 
 QUAD = OptimizeeSpec(family="quadratic", dim=3)
-
-
-def fixture_quadratic():
-    return QuadraticInstance(OptimizeeSpec(family="quadratic", dim=1),
-                             np.array([[2.0]]), np.array([4.0]))
 
 
 def test_sgd_teacher_trajectory_hand_values():
@@ -69,14 +66,6 @@ def test_imitation_loss_zero_at_minimizer():
 
 def test_imitation_gradient_fd():
     assert check_imitation_loss() < 1e-4
-
-
-def rand_phi(seed, hidden=6):
-    phi = init_l2o(seed, hidden=hidden)
-    rng = np.random.default_rng(seed)
-    phi.w_out[:] = rng.normal(0, 0.3, hidden)
-    phi.b_out[...] = rng.normal(0, 0.3)
-    return phi
 
 
 def test_r_zero_is_bitwise_vanilla():
@@ -142,6 +131,24 @@ def test_teacher_divergence_is_logged_not_raised():
     assert kind == "IL:sgd"
     assert np.isnan(loss)
     assert events and events[0][0] == "teacher-divergence"
+
+
+def test_imitation_segment_that_overflows_skips_update_and_records_event():
+    # over one step the teacher's only loss is finite, but its update of
+    # about 1e160 overflows the squared error: the segment diverges
+    events, adam = [], MetaAdam()
+    phi = rand_phi(8)
+    before = {n: getattr(phi, n).tobytes() for n in TENSOR_NAMES}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kind, loss = il_epoch(phi, 0, 1, adam=adam, segment=1,
+                              inst=sample_instance(QUAD, 9), seed=19, r=1.0,
+                              teachers=(TeacherKind("sgd", lr=1e160),),
+                              events=events)
+    assert events == [("divergence", 0, 0)]
+    assert kind == "IL:sgd" and loss == 0.0
+    assert adam.t == 0
+    assert {n: getattr(phi, n).tobytes() for n in TENSOR_NAMES} == before
 
 
 def test_si_probs_are_a_simplex():

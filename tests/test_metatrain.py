@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import refchain as rc
+from helpers import rand_phi, valid_instances
 from l2okit import autodiff as ad
 from l2okit.config import RunConfig
 from l2okit.gradchecks import check_meta_loss
 from l2okit.imitation import imitation_loss_and_grads, teacher_trajectory
-from l2okit.metatrain import (MetaAdam, ValidationSet, rollout,
-                              segment_loss_and_grads, stepper, train_epoch,
-                              validate)
+from l2okit.metatrain import (MetaAdam, rollout, segment_loss_and_grads,
+                              stepper, train_epoch, validate)
 from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
 from l2okit.teachers import TeacherKind
@@ -22,14 +22,6 @@ QUAD = OptimizeeSpec(family="quadratic", dim=3)
 
 def quad_instance(seed=0):
     return sample_instance(QUAD, seed)
-
-
-def perturbed_phi(seed=0, hidden=6):
-    phi = init_l2o(seed, hidden=hidden)
-    rng = np.random.default_rng(seed)
-    phi.w_out[:] = rng.normal(0, 0.3, hidden)
-    phi.b_out[...] = rng.normal(0, 0.3)
-    return phi
 
 
 def test_identity_policy_rollout_is_constant():
@@ -91,16 +83,17 @@ def test_rollout_memory_does_not_grow_with_dimension_times_steps():
 def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
     # validate scores sum_{t=1..N} f(theta_t): the losses of steps 1..N
     # of an (N + 1)-step rollout from each validation instance's start
-    phi = perturbed_phi(4)
-    vs = ValidationSet.create(QUAD, 4, 3)
+    phi = rand_phi(4)
+    instances = valid_instances(QUAD, 4, 3)
     n_valid, scores = 5, []
-    for i, inst in enumerate(vs.instances):
+    for i, inst in enumerate(instances):
         theta0 = inst.start(4, "valid", i)
         losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
                                       n_valid + 1)
         assert diverged_at is None and len(losses) == n_valid + 1
         scores.append(sum(losses[1:]))
-    assert validate(phi, n_valid, vs) == pytest.approx(np.mean(scores), rel=1e-12)
+    assert validate(phi, n_valid, instances, 4) == pytest.approx(np.mean(scores),
+                                                                 rel=1e-12)
     # identity policy keeps theta fixed, so the final loss matches step 0
     inst = quad_instance(4)
     losses, _ = rollout(stepper(init_l2o(0, hidden=4), inst.dim), inst,
@@ -186,7 +179,7 @@ def test_segments_are_truncated(monkeypatch):
     # scaling segment 1's loss nodes must not change segment 2's
     # gradients, because neither theta nor the LSTM state carries
     # gradient across the boundary
-    phi = perturbed_phi(7)
+    phi = rand_phi(7)
     inst = quad_instance(8)
     theta0 = inst.init_params(2)
     loss_on_tape = inst.loss_on_tape
@@ -222,7 +215,7 @@ def test_overridden_steps_match_the_reference_segment_bitwise(overridden):
     # teacher updates enter as constants: the reverse loop skips their
     # steps, and every loss before the first L2O step, whose theta and
     # state do not depend on phi
-    phi = perturbed_phi(11, hidden=5)
+    phi = rand_phi(11, hidden=5)
     inst = sample_instance(OptimizeeSpec(family="tiny_mlp", hidden=4, n_points=32,
                                          batch_size=8), 3)
     theta0 = inst.init_params(4)
@@ -256,7 +249,7 @@ def test_overridden_steps_match_the_reference_segment_bitwise(overridden):
 
 
 def test_meta_adam_first_step_magnitude():
-    phi = perturbed_phi(9)
+    phi = rand_phi(9)
     before = phi.wx1.copy()
     adam = MetaAdam(lr=1e-3)
     grads = {n: np.ones_like(getattr(phi, n)) for n in TENSOR_NAMES}
@@ -266,7 +259,7 @@ def test_meta_adam_first_step_magnitude():
 
 
 def test_divergent_segment_skips_update_and_records_event():
-    phi = perturbed_phi(11)
+    phi = rand_phi(11)
     before = {n: getattr(phi, n).copy() for n in TENSOR_NAMES}
     inst = quad_instance(12)
     inst.init_params = lambda seed: np.full(3, np.nan)
@@ -282,7 +275,7 @@ def test_divergent_segment_skips_update_and_records_event():
 def test_divergence_event_names_epoch_and_segment_start():
     # a huge external step at optimizee step 2 makes the second segment
     # of epoch 7 diverge; the first segment's update still applies
-    phi = perturbed_phi(11)
+    phi = rand_phi(11)
     adam = MetaAdam()
     events = []
 
@@ -307,7 +300,7 @@ def test_divergence_event_names_epoch_and_segment_start():
 
 def test_train_epoch_bitwise_deterministic():
     def run():
-        phi = perturbed_phi(13)
+        phi = rand_phi(13)
         inst = quad_instance(14)
         adam = MetaAdam(lr=1e-3)
         losses = [train_epoch(phi, e, 8, adam=adam, segment=4, inst=inst, seed=99,
@@ -331,36 +324,36 @@ def test_train_epoch_varies_theta0_across_epochs():
 
 
 def test_validate_deterministic_and_ordered():
-    vs = ValidationSet.create(QUAD, 7, 5)
+    instances = valid_instances(QUAD, 7, 5)
     phi = init_l2o(0, hidden=6)
-    a = validate(phi, 10, vs)
-    b = validate(phi, 10, vs)
+    a = validate(phi, 10, instances, 7)
+    b = validate(phi, 10, instances, 7)
     assert a == b
     assert np.isfinite(a) and a > 0
 
 
 def test_validate_penalty_on_divergence():
-    vs = ValidationSet.create(QUAD, 7, 2)
-    for inst in vs.instances:
+    instances = valid_instances(QUAD, 7, 2)
+    for inst in instances:
         inst.init_params = lambda seed: np.full(3, np.inf)
-    assert validate(init_l2o(0, hidden=4), 5, vs, penalty=123.0) == 123.0
+    assert validate(init_l2o(0, hidden=4), 5, instances, 7, penalty=123.0) == 123.0
 
 
 def test_validate_rejects_empty_set():
     with pytest.raises(ValueError):
-        validate(init_l2o(0, hidden=4), 5, ValidationSet([], 0))
+        validate(init_l2o(0, hidden=4), 5, [], 0)
 
 
 def test_short_training_run_improves_quadratic():
     phi = init_l2o(1, hidden=8)
     inst = quad_instance(16)
     adam = MetaAdam(lr=1e-3)
-    vs = ValidationSet.create(QUAD, 3, 5)
-    before = validate(phi, 20, vs)
+    instances = valid_instances(QUAD, 3, 5)
+    before = validate(phi, 20, instances, 3)
     for epoch in range(40):
         _, loss = train_epoch(phi, epoch, 20, adam=adam, segment=20, inst=inst,
                               seed=3, events=[])
         assert np.isfinite(loss)
-    after = validate(phi, 20, vs)
+    after = validate(phi, 20, instances, 3)
     assert np.isfinite(after)
     assert after < before

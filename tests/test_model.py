@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refchain as rc
+from helpers import same_bits
 from l2okit import imitation, metatrain
 from l2okit.model import (TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape,
                           load_checkpoint, preprocess, save_checkpoint, workspace,
@@ -65,6 +67,17 @@ def test_init_deterministic_and_forget_bias():
 def test_init_rejects_bad_hidden():
     with pytest.raises(ValueError):
         init_l2o(0, hidden=0)
+
+
+@pytest.mark.parametrize("setting, value, match", [
+    ("preprocess_p", math.inf, "preprocess_p must be > 0 and finite, got inf"),
+    ("out_scale", math.nan, "out_scale must be finite, got nan"),
+    ("out_scale", -math.inf, "out_scale must be finite, got -inf"),
+], ids=["preprocess-p-inf", "out-scale-nan", "out-scale-minus-inf"])
+def test_init_rejects_non_finite_header_floats(setting, value, match):
+    # the two floats a checkpoint header stores, checked as load_checkpoint does
+    with pytest.raises(ValueError, match=match):
+        init_l2o(0, **{setting: value})
 
 
 @given(seed=st.integers(0, 10**6), d=st.integers(2, 8))
@@ -166,11 +179,6 @@ def test_state_dimension_mismatch_rejected():
         l2o_step_np(phi, zero_state(3, phi.hidden), np.zeros(4), workspace(3, phi.hidden))
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("zero_projection", [False, True])
 @pytest.mark.parametrize("path", ["segment", "imitation"])
 def test_fused_cell_matches_primitive_chain_bitwise(path, zero_projection):
@@ -196,12 +204,12 @@ def test_fused_cell_matches_primitive_chain_bitwise(path, zero_projection):
 
     fused = run(metatrain.segment_loss_and_grads, imitation.imitation_loss_and_grads)
     ref = run(rc.segment, rc.imitation_segment)
-    assert _same_bits(fused[0], ref[0])
+    assert same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
-        assert _same_bits(fused[1][name], ref[1][name]), name
+        assert same_bits(fused[1][name], ref[1][name]), name
     for part, a, b in zip(rc.STATE_PARTS, rc.split_state(fused[2]),
                           rc.split_state(ref[2])):
-        assert _same_bits(a, b), part
+        assert same_bits(a, b), part
 
 
 def test_mm_rows_operands_are_c_contiguous(tmp_path, monkeypatch):

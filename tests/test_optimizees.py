@@ -6,12 +6,12 @@ import pytest
 import idxwrite
 import refchain as rc
 import reftape as rt
+from helpers import fixture_quadratic, same_bits
 from l2okit import autodiff as ad
 from l2okit import idx, metatrain
 from l2okit.model import TENSOR_NAMES, init_l2o
 from l2okit.optimizees import (FAMILIES, Batch, LogisticBlobsInstance,
-                               OptimizeeSpec, QuadraticInstance, TinyMLPInstance,
-                               sample_instance)
+                               OptimizeeSpec, QuadraticInstance, sample_instance)
 from l2okit.seeding import derive_seed
 
 QUAD = OptimizeeSpec(family="quadratic", dim=4)
@@ -19,12 +19,6 @@ BLOBS = OptimizeeSpec(family="logistic_blobs", features=2, n_points=64,
                       batch_size=16)
 TINY = OptimizeeSpec(family="tiny_mlp", features=2, hidden=8, n_points=64,
                      batch_size=16)
-
-
-def fixture_quadratic():
-    # f(theta) = (2 theta - 4)^2, minimizer theta* = 2
-    return QuadraticInstance(OptimizeeSpec(family="quadratic", dim=1),
-                             np.array([[2.0]]), np.array([4.0]))
 
 
 def test_spec_validation():
@@ -299,11 +293,6 @@ def _ref_loss_and_grad(inst, theta, batch):
     return float(out.data), th.grad
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.fixture(scope="module")
 def family_specs(tmp_path_factory):
     root = tmp_path_factory.mktemp("idx")
@@ -338,8 +327,8 @@ def test_loss_and_grad_matches_primitive_chain_bitwise(family_specs, family):
                 loss, grad = inst.loss_and_grad(theta, batch)
                 ref_loss, ref_grad = _ref_loss_and_grad(inst, theta, batch)
                 assert np.isfinite(loss)
-                assert _same_bits(loss, ref_loss), (seed, scale)
-                assert _same_bits(grad, ref_grad), (seed, scale)
+                assert same_bits(loss, ref_loss), (seed, scale)
+                assert same_bits(grad, ref_grad), (seed, scale)
                 checked += 1
     assert checked == 36
 
@@ -356,7 +345,7 @@ def test_underflowed_logistic_gradient_matches_the_chain_bitwise():
     theta, batch = np.array([1000.0, 0.0, 0.0]), Batch(x, y)
     _, grad = inst.loss_and_grad(theta, batch)
     _, ref_grad = _ref_loss_and_grad(inst, theta, batch)
-    assert _same_bits(grad, ref_grad) and _same_bits(grad[2], 0.0)
+    assert same_bits(grad, ref_grad) and same_bits(grad[2], 0.0)
 
 
 def test_loss_nodes_match_finite_differences():
@@ -384,8 +373,8 @@ def test_loss_node_matches_primitive_chain_for_any_seed(family_specs, family,
     th = ref_tape.leaf(theta, trainable=True)
     out = rt.scale(_REFERENCE[family](inst, ref_tape, th, batch), seed_value)
     rt.backward(ref_tape, out)
-    assert _same_bits(loss * seed_value, out.data)
-    assert _same_bits(tape[0](seed_value), th.grad)
+    assert same_bits(loss * seed_value, out.data)
+    assert same_bits(tape[0](seed_value), th.grad)
 
 
 @pytest.mark.parametrize("omega", [(0.5, 2.0, 1.25), (1.5, 0.0, 0.75)])
@@ -419,10 +408,10 @@ def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_
     weights = iter(omega)
     ref = rc.segment(phi, inst, theta0, state, len(omega), loss=chain_loss)
     assert not fused[4] and not ref[4]
-    assert _same_bits(fused[0], ref[0])
+    assert same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
-        assert _same_bits(fused[1][name], ref[1][name]), name
-    assert _same_bits(fused[2], ref[2])
+        assert same_bits(fused[1][name], ref[1][name]), name
+    assert same_bits(fused[2], ref[2])
     for part, a, b in zip(rc.STATE_PARTS, rc.split_state(fused[3]),
                           rc.split_state(ref[3])):
-        assert _same_bits(a, b), part
+        assert same_bits(a, b), part
