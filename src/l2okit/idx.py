@@ -2,9 +2,11 @@
 
 All integers are 32-bit big-endian unsigned. Image files carry magic
 0x00000803 and pixel bytes are scaled to [0, 1] by /255; label files
-carry magic 0x00000801.
+carry magic 0x00000801. A file shorter than its header says raises
+ValueError naming the file.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -13,29 +15,34 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
+def _read(path, magic, n_dims, kind):
+    """The n_dims sizes after an IDX file's magic, and the data bytes they
+    count; kind names the file's contents in errors."""
+    with open(path, "rb") as fh:
+        head = fh.read(4 * (1 + n_dims))
+        if len(head) != 4 * (1 + n_dims):
+            raise ValueError(f"{path}: truncated {kind} header")
+        got, *dims = struct.unpack(f">{1 + n_dims}I", head)
+        if got != magic:
+            raise ValueError(f"{path}: bad {kind}s magic 0x{got:08x}")
+        data = fh.read()
+    size = math.prod(dims)
+    # checked before slicing, as a corrupt header can claim any size
+    if size > len(data):
+        raise ValueError(f"{path}: truncated {kind} data")
+    return dims, data[:size]
+
+
 def read_idx_images(path) -> np.ndarray:
     """Returns float64 array (n, rows, cols) with values in [0, 1]."""
-    with open(path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", fh.read(16))
-        if magic != IMAGES_MAGIC:
-            raise ValueError(f"{path}: bad images magic 0x{magic:08x}")
-        raw = fh.read(n * rows * cols)
-    if len(raw) != n * rows * cols:
-        raise ValueError(f"{path}: truncated image data")
+    dims, raw = _read(path, IMAGES_MAGIC, 3, "image")
     # uint8 -> float64 is exact, so dividing the bytes directly gives the
     # bits of astype(np.float64) / 255.0
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(dims)
     return pixels / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Returns int64 label array (n,)."""
-    with open(path, "rb") as fh:
-        magic, n = struct.unpack(">II", fh.read(8))
-        if magic != LABELS_MAGIC:
-            raise ValueError(f"{path}: bad labels magic 0x{magic:08x}")
-        raw = fh.read(n)
-    if len(raw) != n:
-        raise ValueError(f"{path}: truncated label data")
+    _, raw = _read(path, LABELS_MAGIC, 1, "label")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-

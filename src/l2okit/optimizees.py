@@ -27,9 +27,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import idx
+from .model import expit
 from .seeding import derive_seed, rng_for
 
 FAMILIES = ("quadratic", "logistic_blobs", "tiny_mlp", "mnist_mlp")
@@ -277,9 +277,16 @@ def _mnist_data(spec: OptimizeeSpec):
 @functools.cache
 def _read_mnist(root: str):
     """The flattened training images and labels under root, read once per
-    process and shared read-only by every instance."""
+    process and shared read-only by every instance. A label file whose
+    count differs from the images' or with a label >= MNIST_CLASSES raises
+    ValueError naming it."""
     images = idx.read_idx_images(os.path.join(root, "train-images-idx3-ubyte"))
-    labels = idx.read_idx_labels(os.path.join(root, "train-labels-idx1-ubyte"))
+    label_path = os.path.join(root, "train-labels-idx1-ubyte")
+    labels = idx.read_idx_labels(label_path)
+    if len(labels) != len(images):
+        raise ValueError(f"{label_path}: {len(labels)} labels for {len(images)} images")
+    if labels.max(initial=0) >= MNIST_CLASSES:
+        raise ValueError(f"{label_path}: label {labels.max()} is not below {MNIST_CLASSES}")
     x = images.reshape(images.shape[0], -1)
     x.flags.writeable = labels.flags.writeable = False
     return x, labels

@@ -337,6 +337,17 @@ def test_eval_rejects_checkpoint_header_that_does_not_fit_hidden(tmp_path, capsy
     assert not out.exists()
 
 
+def test_eval_rejects_mnist_images_shorter_than_their_header(tmp_path, capsys):
+    images, out = tmp_path / "train-images-idx3-ubyte", tmp_path / "e"
+    images.write_bytes(struct.pack(">II", 0x00000803, 300))
+    rc = main(["eval", "--family", "mnist_mlp", "--dataset-root", str(tmp_path),
+               "--optimizer", "adam", "--n-eval", "5", "--eval-seeds", "0",
+               "--out", str(out)])
+    assert rc == 1
+    assert f"error: {images}: truncated image header" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_rejects_empty_ladder(tmp_path, capsys):
     out = tmp_path / "e"
     rc = main(["eval", "--family", "quadratic", "--optimizer", "adam",

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -292,3 +295,73 @@ def test_param_count_independent_of_dimension():
     metatrain.stepper(phi, 3)(np.zeros(3))
     metatrain.stepper(phi, 30)(np.zeros(30))
     assert phi.n_params() == n
+
+
+# -- expit: scipy's ufunc, loaded from its extension --------------------------
+
+UFUNCS = "scipy.special._special_ufuncs"
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports l2okit from this tree,
+    so no module that this test process already holds is reused."""
+    path = [os.path.join(os.path.dirname(TESTS), "src"), TESTS]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_runs_load_expit_without_importing_scipy_special(tmp_path):
+    run_python(f"""
+import sys
+import numpy as np
+import l2okit.cli
+from l2okit import model, optimizees
+out = {str(tmp_path)!r}
+assert l2okit.cli.main(["eval", "--family", "tiny_mlp", "--optimizer", "adam",
+                        "--n-eval", "20", "--eval-seeds", "0", "--out", out + "/e"]) == 0
+assert l2okit.cli.main(["train", "--mode", "vanilla", "--family", "tiny_mlp",
+                        "--epochs", "2", "--n-train", "20", "--out", out + "/t"]) == 0
+assert "scipy.special" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+assert model.expit is optimizees.expit
+import scipy.special
+import refchain
+assert scipy.special.expit is model.expit
+x = np.array([-745.2, 709.8, np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324,
+              1e-310, -1e-310, 2.2250738585072014e-308])
+assert model.expit(x).tobytes() == refchain.expit(x).tobytes()
+""")
+
+
+@pytest.mark.parametrize("stand_in", [None, "", "raise ImportError('stand-in')\n"],
+                         ids=["missing", "no-expit", "fails-to-load"])
+def test_expit_falls_back_to_scipy_special(tmp_path, stand_in):
+    # the finder's first answer for the extension is none or a stand-in
+    # that registers itself in sys.modules, as a single-phase extension
+    # does, before it is done
+    spec = "None"
+    if stand_in is not None:
+        path = tmp_path / "stand_in.py"
+        path.write_text("import sys\nsys.modules[__name__] = type(sys)(__name__)\n"
+                        + stand_in)
+        spec = f"importlib.util.spec_from_file_location(name, {str(path)!r})"
+    run_python(f"""
+import importlib.machinery, importlib.util, sys
+real = importlib.machinery.PathFinder.find_spec.__func__
+asked = []
+
+def find_spec(cls, name, path=None, target=None):
+    if name == {UFUNCS!r} and not asked:
+        asked.append(name)
+        return {spec}
+    return real(cls, name, path, target)
+
+importlib.machinery.PathFinder.find_spec = classmethod(find_spec)
+from l2okit import model
+assert asked == [{UFUNCS!r}]
+import scipy.special
+assert model.expit is scipy.special.expit
+assert sys.modules[{UFUNCS!r}].expit is model.expit
+""")

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -198,6 +200,40 @@ def test_idx_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 12)
     with pytest.raises(ValueError, match="magic"):
         idx.read_idx_images(path)
+
+
+# each file is a header, then the bytes that follow it
+@pytest.mark.parametrize("read, data, match", [
+    (idx.read_idx_images, struct.pack(">II", idx.IMAGES_MAGIC, 3), "truncated image header"),
+    (idx.read_idx_labels, struct.pack(">I", idx.LABELS_MAGIC), "truncated label header"),
+    (idx.read_idx_images, struct.pack(">IIII", idx.IMAGES_MAGIC, 2, 3, 3) + bytes(17),
+     "truncated image data"),
+    (idx.read_idx_images, struct.pack(">IIII", idx.IMAGES_MAGIC, *[2 ** 32 - 1] * 3)
+     + bytes(64), "truncated image data"),
+    (idx.read_idx_labels, struct.pack(">II", idx.LABELS_MAGIC, 2 ** 32 - 1) + bytes(64),
+     "truncated label data"),
+], ids=["images-header", "labels-header", "images-data", "images-dims-2^32-1",
+        "labels-dims-2^32-1"])
+def test_idx_rejects_file_shorter_than_its_header_says(tmp_path, read, data, match):
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}$"):
+        read(path)
+
+
+@pytest.mark.parametrize("labels, match", [
+    (np.zeros(10), "10 labels for 30 images"),
+    (np.r_[np.zeros(29), 10], "label 10 is not below 10"),
+], ids=["count", "class"])
+def test_mnist_rejects_labels_that_do_not_fit_the_images(tmp_path, labels, match):
+    rng = np.random.default_rng(4)
+    idxwrite.write_idx_images(tmp_path / "train-images-idx3-ubyte",
+                              rng.integers(0, 256, size=(30, 4, 4), dtype=np.uint8))
+    label_path = tmp_path / "train-labels-idx1-ubyte"
+    idxwrite.write_idx_labels(label_path, labels)
+    spec = OptimizeeSpec(family="mnist_mlp", batch_size=8, dataset_root=str(tmp_path))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(label_path))}: {match}$"):
+        sample_instance(spec, 0)
 
 
 def test_mnist_mlp_from_synthetic_idx(tmp_path):
