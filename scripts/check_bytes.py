@@ -19,6 +19,9 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
 - ``l2okit train --mode il`` on ``tiny_mlp`` over 20 epochs at horizon 20
   with a 7-step segment, so that meta and imitation episodes both end in
   a segment shorter than the others (7, 7 and 6 steps);
+- ``l2okit train --mode cl-il`` on ``logistic_blobs`` with 500 points, so
+  that each pass over the data ends in a 116-point batch after three of
+  128;
 - ``l2okit eval --family tiny_mlp --n-eval 500`` of
   ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides) and
   of ``--optimizer adam``;
@@ -60,6 +63,11 @@ def commands(out: Path) -> dict[str, list[str]]:
     runs["train-il-segment-7"] = ["train", "--mode", "il", "--family", "tiny_mlp",
                                   "--seed", "3", "--epochs", "20", "--n-train", "20",
                                   "--segment", "7", "--r", "0.5"]
+    runs["train-cl-il-blobs-500"] = ["train", "--mode", "cl-il",
+                                     "--family", "logistic_blobs", "--n-points", "500",
+                                     "--seed", "3", "--epochs", "40", "--n-train", "20",
+                                     "--ladder", "10,20,40", "--n-period", "1",
+                                     "--t-period", "5"]
     runs["eval-checkpoint"] = [*EVAL_ARGS, "--checkpoint",
                                str(ROOT / "benchmark" / "checkpoint.l2o")]
     runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]

@@ -46,7 +46,8 @@ import numpy as np
 import scipy
 
 from l2okit.config import MODES, build_config
-from l2okit.evaluation import COMPARE_COLUMNS, EvalConfig, compare, run_eval
+from l2okit.evaluation import (COMPARE_COLUMNS, EvalConfig, compare, run_eval,
+                               usable_cpus)
 from l2okit.experiments import FLAGSHIP_FLAGS, train
 from l2okit.teachers import TeacherKind
 
@@ -94,7 +95,7 @@ def grid_cells(modes, families, seeds):
 def run_grid(cells) -> list[dict]:
     """Rows of every cell, sorted by (family, mode, seed)."""
     cells = list(cells)
-    workers = min(len(cells), len(os.sched_getaffinity(0)))
+    workers = min(len(cells), usable_cpus())
     rows, finals = [], {}
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) as pool:

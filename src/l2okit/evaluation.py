@@ -116,10 +116,18 @@ class EvalReport:
 POOL_MIN_DIM = 200
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (not macOS or Windows), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(cfg: EvalConfig) -> int:
     """Threads for run_eval: one per seed and usable CPU, or 1 (the seeds
     run in the calling thread) below POOL_MIN_DIM."""
-    workers = min(len(cfg.seeds), len(os.sched_getaffinity(0)))
+    workers = min(len(cfg.seeds), usable_cpus())
     if workers == 1:
         return 1
     inst = sample_instance(cfg.optimizee, derive_seed(cfg.seeds[0], "eval-inst"))
@@ -135,9 +143,9 @@ def eval_seed(optimizer, cfg: EvalConfig, seed: int):
     """One seed's rollout on a fresh instance and theta0: its (step, loss)
     at each logged step it reached, and the step it diverged at, or None."""
     inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
-    theta0 = inst.start(seed, "eval")
+    theta0, batches = inst.start(seed, "eval")
     losses, diverged_at = rollout(stepper(optimizer, inst.dim), inst, theta0,
-                                  cfg.n_eval)
+                                  batches, cfg.n_eval)
     pts = [(t, float(losses[t])) for t in logged_steps(cfg) if t < len(losses)]
     return pts, diverged_at
 

@@ -56,7 +56,7 @@ def check_loss_nodes(seed: int = 4) -> float:
                          MNIST_HIDDEN, MNIST_CLASSES)]
     worst = 0.0
     for inst in insts:
-        batch = inst.next_batch()
+        batch = next(inst.batches(0))
         p0 = rng.normal(0, 0.5, inst.dim)
         worst = max(worst, ad.fd_error(inst.loss_vjp(p0, batch)[1](0.7),
                                        lambda p: 0.7 * inst.loss_vjp(p, batch)[0], p0))
@@ -83,9 +83,9 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
     quadratic; at horizon 1 the frozen and plain oracles coincide."""
     phi = _phi_probe(hidden=4, seed=seed)
     inst = sample_instance(OptimizeeSpec(family="quadratic", dim=3), seed)
-    theta0 = inst.init_params(seed + 1)
+    theta0, batches = inst.init_params(seed + 1), inst.batches(0)
     _, grads, _, _, diverged = segment_loss_and_grads(
-        phi, inst, theta0, zero_state(inst.dim, phi.hidden), horizon)
+        phi, inst, theta0, zero_state(inst.dim, phi.hidden), batches, horizon)
     assert not diverged
 
     # frozen-input oracle: replay with the base run's g_t sequence fixed
@@ -93,7 +93,7 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
     th = theta0.copy()
     step = stepper(phi, inst.dim)
     for _ in range(horizon):
-        _, g = inst.loss_and_grad(th, inst.next_batch())
+        _, g = inst.loss_and_grad(th, next(batches))
         base_gs.append(g)
         th = th + step(g)
 
@@ -103,7 +103,7 @@ def check_meta_loss(seed: int = 2, horizon: int = 1) -> float:
         total = 0.0
         for g in base_gs:
             th = th + step(g)
-            fval, _ = inst.loss_and_grad(th, inst.next_batch())
+            fval, _ = inst.loss_and_grad(th, next(batches))
             total += fval
         return total
 
@@ -116,7 +116,8 @@ def check_imitation_loss(seed: int = 3) -> float:
     phi = _phi_probe(hidden=4, seed=seed)
     inst = sample_instance(OptimizeeSpec(family="quadratic", dim=3), seed)
     theta0 = inst.init_params(seed + 1)
-    steps, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 5)
+    steps, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0,
+                                  inst.batches(0), 5)
     _, grads, _ = imitation_loss_and_grads(phi, steps, zero_state(inst.dim, phi.hidden))
 
     def loss_of(probe):

@@ -33,10 +33,10 @@ def si_probs(epoch: int, n_teachers: int, anneal_epochs: int,
 
 
 def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
-                       theta0: np.ndarray, n: int):
-    """Roll the analytical optimizer for n steps; independent of phi.
-    Returns (steps, diverged_at), steps being each step's (g, update)
-    pair for replay."""
+                       theta0: np.ndarray, batches, n: int):
+    """Roll the analytical optimizer for n steps on batches; independent
+    of phi. Returns (steps, diverged_at), steps being each step's
+    (g, update) pair for replay."""
     step = stepper(kind, inst.dim)
     steps = []
 
@@ -45,7 +45,7 @@ def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
         steps.append((g, update))
         return update
 
-    _, diverged_at = rollout(recorded_step, inst, theta0, n)
+    _, diverged_at = rollout(recorded_step, inst, theta0, batches, n)
     return steps, diverged_at
 
 
@@ -89,8 +89,8 @@ def il_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
         return train_epoch(phi, epoch, horizon, adam=adam, segment=segment,
                            inst=inst, seed=seed, events=events)
     kind = teachers[int(rng_for(seed, "il-teacher", epoch).integers(len(teachers)))]
-    theta0 = inst.start(seed, "epoch", epoch)
-    steps, diverged_at = teacher_trajectory(kind, inst, theta0, horizon)
+    theta0, batches = inst.start(seed, "epoch", epoch)
+    steps, diverged_at = teacher_trajectory(kind, inst, theta0, batches, horizon)
     if diverged_at is not None:
         events.append(("teacher-divergence", epoch, kind.kind))
         return f"IL:{kind.kind}", float("nan")

@@ -41,10 +41,11 @@ class MetaAdam:
             arr += update
 
 
-def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int):
-    """Evaluative rollout: iterate loss/grad -> step_fn -> theta update.
-    Returns (losses, diverged_at): one loss per step, nothing per step
-    that grows with the optimizee dimension.
+def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, batches,
+            n: int):
+    """Evaluative rollout: iterate loss/grad -> step_fn -> theta update,
+    one batch per step from batches. Returns (losses, diverged_at): one
+    loss per step, nothing per step that grows with the optimizee dimension.
 
     Divergence (non-finite loss or parameters) truncates the losses and
     sets diverged_at; it is data, not an error.
@@ -53,8 +54,7 @@ def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, n: int):
         raise ValueError("rollout: n must be >= 1")
     theta = np.asarray(theta0, dtype=np.float64).copy()
     losses: list[float] = []
-    for t in range(n):
-        batch = inst.next_batch()
+    for t, batch in zip(range(n), batches):
         loss, g = inst.loss_and_grad(theta, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(theta)):
             return losses, t
@@ -85,10 +85,10 @@ def stepper(optimizer, dim: int):
 
 
 def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
-                           theta: np.ndarray, state, n_steps: int,
+                           theta: np.ndarray, state, batches, n_steps: int,
                            step_override=None):
-    """Record one truncated segment of n_steps optimizee steps on a tape
-    and backpropagate the sum of their losses.
+    """Record one truncated segment of n_steps optimizee steps, one batch
+    each from batches, on a tape and backpropagate the sum of their losses.
 
     Returns (loss, grads, theta_next, state_next, diverged). grads is a
     name -> array dict over phi tensors (zeros where unreachable).
@@ -96,8 +96,7 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
     tape = []
     th = np.asarray(theta, dtype=np.float64)
     total = 0.0
-    for _ in range(n_steps):
-        batch = inst.next_batch()
+    for _, batch in zip(range(n_steps), batches):
         loss_t, g = inst.loss_and_grad(th, batch)
         if not np.isfinite(loss_t) or not np.all(np.isfinite(th)):
             return None, None, th, state, True
@@ -127,12 +126,12 @@ def train_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
 
     Every epoch body takes (phi, epoch, horizon) positionally and the
     run's context by keyword, so one training loop runs any of them."""
-    theta = inst.start(seed, "epoch", epoch)
+    theta, batches = inst.start(seed, "epoch", epoch)
     state = zero_state(inst.dim, phi.hidden)
     total = 0.0
     for seg_start in range(0, horizon, segment):
         loss, grads, theta, state, diverged = segment_loss_and_grads(
-            phi, inst, theta, state, min(segment, horizon - seg_start),
+            phi, inst, theta, state, batches, min(segment, horizon - seg_start),
             step_override=step_override)
         if diverged:
             events.append(("divergence", epoch, seg_start))
@@ -151,10 +150,10 @@ def validate(phi: L2OParams, n_valid: int, instances: list, seed: int,
         raise ValueError("validate: validation set is empty")
     scores = []
     for i, inst in enumerate(instances):
-        theta0 = inst.start(seed, "valid", i)
+        theta0, batches = inst.start(seed, "valid", i)
         # step n_valid's loss is f(theta_N); its update goes unused
         losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
-                                      n_valid + 1)
+                                      batches, n_valid + 1)
         if diverged_at is not None:
             scores.append(penalty)
         else:

@@ -1,7 +1,8 @@
 """Optimizee families: the problems f(theta) that optimizers are run on.
 
 Each instance freezes its problem data at construction (deterministic in
-the sampling seed); the only mutable state is the mini-batch stream.
+the sampling seed) and holds nothing that changes afterwards. A rollout's
+mini-batches come from batches(seed), an iterator that the rollout owns.
 
 Each family writes its loss and gradient once, in closed form, as
 loss_vjp: the loss at theta and a function from the loss's incoming
@@ -23,7 +24,9 @@ reference.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +76,7 @@ class Batch:
 
 
 class OptimizeeInstance:
-    """Base: frozen problem data + a seeded batch stream."""
+    """Base: frozen problem data, and the seeded batch streams over it."""
 
     spec: OptimizeeSpec
     dim: int
@@ -82,17 +85,17 @@ class OptimizeeInstance:
         rng = rng_for(seed, "theta0")
         return rng.normal(0.0, self.spec.init_std, self.dim)
 
-    def reseed_batches(self, seed: int) -> None:
+    def batches(self, seed: int) -> Iterator[Batch]:
+        """The endless mini-batch stream drawn from seed."""
         raise NotImplementedError
 
-    def start(self, seed: int, label: str, index: int = 0) -> np.ndarray:
-        """A rollout's fixed start, drawn from (seed, label, index): reseeds
-        the batch stream and returns theta0."""
-        self.reseed_batches(derive_seed(seed, f"{label}-batches", index))
-        return self.init_params(derive_seed(seed, f"{label}-theta0", index))
-
-    def next_batch(self) -> Batch:
-        raise NotImplementedError
+    def start(self, seed: int, label: str,
+              index: int = 0) -> tuple[np.ndarray, Iterator[Batch]]:
+        """A rollout's fixed start, drawn from (seed, label, index): returns
+        (theta0, batches), theta0 from the seed label <label>-theta0 and
+        the batch stream from <label>-batches."""
+        return (self.init_params(derive_seed(seed, f"{label}-theta0", index)),
+                self.batches(derive_seed(seed, f"{label}-batches", index)))
 
     def loss_vjp(self, theta: np.ndarray, batch: Batch):
         """Returns (loss, vjp); vjp(seed) is seed * d loss / d theta."""
@@ -119,25 +122,21 @@ class OptimizeeInstance:
 
 
 class _DatasetInstance(OptimizeeInstance):
-    """Shared batching: a fixed shuffled order per cycle, then reshuffle."""
+    """Shared batching: each pass over the data is a fresh permutation,
+    cut into slices of min(batch_size, n) rows, the last one short."""
 
     x: np.ndarray  # (n, features)
     y: np.ndarray  # labels
 
-    def reseed_batches(self, seed: int) -> None:
-        self._batch_rng = rng_for(seed, "batches")
-        self._order = None
-        self._pos = 0
-
-    def next_batch(self) -> Batch:
+    def batches(self, seed):
+        rng = rng_for(seed, "batches")
         n = self.x.shape[0]
         b = min(self.spec.batch_size, n)
-        if self._order is None or self._pos >= n:
-            self._order = self._batch_rng.permutation(n)
-            self._pos = 0
-        pick = self._order[self._pos: self._pos + b]
-        self._pos += b
-        return Batch(self.x[pick], self.y[pick])
+        while True:
+            order = rng.permutation(n)
+            for pos in range(0, n, b):
+                pick = order[pos: pos + b]
+                yield Batch(self.x[pick], self.y[pick])
 
 
 class QuadraticInstance(OptimizeeInstance):
@@ -149,11 +148,8 @@ class QuadraticInstance(OptimizeeInstance):
         self.y = y
         self.dim = w.shape[1]
 
-    def reseed_batches(self, seed: int) -> None:
-        pass  # full-batch family
-
-    def next_batch(self) -> Batch:
-        return Batch(self.w, self.y)
+    def batches(self, seed):
+        return itertools.repeat(Batch(self.w, self.y))  # full-batch family
 
     def loss_vjp(self, theta, batch):
         w = batch.x
@@ -181,7 +177,6 @@ class LogisticBlobsInstance(_DatasetInstance):
         self.x = x
         self.y = y.astype(np.float64)
         self.dim = spec.features + 1
-        self.reseed_batches(0)
 
     def loss_vjp(self, theta, batch):
         f = self.spec.features
@@ -213,7 +208,6 @@ class MLPInstance(_DatasetInstance):
         self.n_classes = n_classes
         f = x.shape[1]
         self.dim = f * n_hidden + n_hidden + n_hidden * n_classes + n_classes
-        self.reseed_batches(0)
 
     def loss_vjp(self, theta, batch):
         f = self.x.shape[1]
@@ -277,17 +271,23 @@ def _mnist_data(spec: OptimizeeSpec):
 @functools.cache
 def _read_mnist(root: str):
     """The flattened training images and labels under root, read once per
-    process and shared read-only by every instance. A label file whose
-    count differs from the images' or with a label >= MNIST_CLASSES raises
-    ValueError naming it."""
-    images = idx.read_idx_images(os.path.join(root, "train-images-idx3-ubyte"))
+    process and shared read-only by every instance. An images file with
+    no images or no pixels, or a label file whose count differs from the
+    images' or with a label >= MNIST_CLASSES, raises ValueError naming it."""
+    image_path = os.path.join(root, "train-images-idx3-ubyte")
+    images = idx.read_idx_images(image_path)
+    n, rows, cols = images.shape
+    if n == 0:
+        raise ValueError(f"{image_path}: no images")
+    if rows * cols == 0:
+        raise ValueError(f"{image_path}: images of {rows} x {cols} pixels")
     label_path = os.path.join(root, "train-labels-idx1-ubyte")
     labels = idx.read_idx_labels(label_path)
     if len(labels) != len(images):
         raise ValueError(f"{label_path}: {len(labels)} labels for {len(images)} images")
     if labels.max(initial=0) >= MNIST_CLASSES:
         raise ValueError(f"{label_path}: label {labels.max()} is not below {MNIST_CLASSES}")
-    x = images.reshape(images.shape[0], -1)
+    x = images.reshape(n, rows * cols)
     x.flags.writeable = labels.flags.writeable = False
     return x, labels
 

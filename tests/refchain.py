@@ -164,15 +164,15 @@ def _finish(tape, leaves, loss_acc, st):
     return float(loss_acc.data), grads, join_state(*(v.data for v in st))
 
 
-def segment(phi, inst, theta, state, n_steps, step_override=None, loss=fused_loss):
+def segment(phi, inst, theta, state, batches, n_steps, step_override=None,
+            loss=fused_loss):
     """segment_loss_and_grads on the generic tape, with loss(inst, tape,
     theta, batch) as each step's loss node."""
     tape = rt.Tape()
     leaves, st = _start(tape, phi, state)
     th = tape.constant(np.asarray(theta, dtype=np.float64))
     loss_acc = None
-    for _ in range(n_steps):
-        batch = inst.next_batch()
+    for _, batch in zip(range(n_steps), batches):
         loss_t, g = inst.loss_and_grad(th.data, batch)
         if not np.isfinite(loss_t) or not np.all(np.isfinite(th.data)):
             return None, None, th.data, join_state(*(v.data for v in st)), True

@@ -283,8 +283,8 @@ def test_criterion_10_off_policy_invariance():
             _ = rand_phi(phi_seed)  # learner parameters play no role
             inst = sample_instance(TINY, 9)
             theta0 = inst.init_params(4)
-            inst.reseed_batches(5)
-            trajs.append(teacher_trajectory(kind, inst, theta0, 12)[0])
+            trajs.append(teacher_trajectory(kind, inst, theta0, inst.batches(5),
+                                            12)[0])
         for (ga, ua), (gb, ub) in zip(*trajs):
             same &= bool(np.array_equal(ga, gb))
             same &= bool(np.array_equal(ua, ub))

@@ -309,7 +309,8 @@ def test_segment_tapes_are_freed_without_the_cyclic_collector(monkeypatch):
     gc.disable()
     try:
         _, grads, _, _, diverged = metatrain.segment_loss_and_grads(
-            phi, inst, inst.init_params(1), zero_state(inst.dim, 4), 3)
+            phi, inst, inst.init_params(1), zero_state(inst.dim, 4),
+            inst.batches(0), 3)
         assert not diverged and len(refs) == 3 * 6
         assert all(ref() is None for ref in refs)
     finally:

@@ -4,8 +4,10 @@ import json
 import struct
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+import idxwrite
 from l2okit import experiments
 from l2okit.cli import _add_config_flags, _config_from_args, main
 from l2okit.config import (ConfigError, PAPER_LADDER, RunConfig, build_config,
@@ -345,6 +347,23 @@ def test_eval_rejects_mnist_images_shorter_than_their_header(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 1
     assert f"error: {images}: truncated image header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape,match", [
+    ((0, 4, 4), "no images"),
+    ((5, 0, 0), "images of 0 x 0 pixels"),
+], ids=["no-images", "0x0-pixels"])
+def test_eval_rejects_mnist_images_without_pixels(tmp_path, capsys, shape, match):
+    images, out = tmp_path / "train-images-idx3-ubyte", tmp_path / "e"
+    idxwrite.write_idx_images(images, np.zeros(shape, dtype=np.uint8))
+    idxwrite.write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
+                              np.zeros(shape[0], dtype=np.uint8))
+    rc = main(["eval", "--family", "mnist_mlp", "--dataset-root", str(tmp_path),
+               "--optimizer", "adam", "--n-eval", "5", "--eval-seeds", "0",
+               "--out", str(out)])
+    assert rc == 1
+    assert f"error: {images}: {match}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

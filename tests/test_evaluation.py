@@ -82,10 +82,10 @@ def test_sgd_eval_matches_manual_gradient_descent():
 
     inst = sample_instance(QUAD, derive_seed(7, "eval-inst"))
     theta = inst.init_params(derive_seed(7, "eval-theta0"))
-    inst.reseed_batches(derive_seed(7, "eval-batches"))
+    batches = inst.batches(derive_seed(7, "eval-batches"))
     manual = []
     for _ in range(20):
-        loss, g = inst.loss_and_grad(theta, inst.next_batch())
+        loss, g = inst.loss_and_grad(theta, next(batches))
         manual.append(loss)
         theta = theta - 0.01 * g
     got = [p[1] for p in report.curves[7]]
@@ -223,7 +223,20 @@ WIDE_QUAD = OptimizeeSpec(family="quadratic", dim=200, n_rows=1)
 
 
 def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: n)
+
+
+def test_eval_runs_where_os_has_no_sched_getaffinity(monkeypatch):
+    # CPython defines os.sched_getaffinity on Linux, not on macOS or Windows
+    cfg = EvalConfig(optimizee=OptimizeeSpec(family="quadratic", dim=10), n_eval=30,
+                     seeds=(0, 1))
+    with_affinity = run_eval(TeacherKind("adam", lr=0.01), cfg).to_json()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert run_eval(TeacherKind("adam", lr=0.01), cfg).to_json() == with_affinity
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert evaluation.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert evaluation.usable_cpus() == 1
 
 
 def wide_l2o_checkpoint(tmp_path):

@@ -24,7 +24,7 @@ def test_sgd_teacher_trajectory_hand_values():
     # lr 0.01: update_0 = 0.16, theta_1 = 0.16, update_1 = 0.1472
     inst = fixture_quadratic()
     steps, _ = teacher_trajectory(TeacherKind("sgd", lr=0.01), inst,
-                                  np.array([0.0]), 2)
+                                  np.array([0.0]), inst.batches(0), 2)
     np.testing.assert_allclose(steps[0][1], [0.16], atol=1e-14)
     np.testing.assert_allclose(steps[1][1], [0.1472], atol=1e-14)
 
@@ -34,10 +34,10 @@ def test_teacher_trajectory_is_off_policy():
     # never on phi, so two separate draws are bitwise identical
     inst = sample_instance(QUAD, 5)
     theta0 = inst.init_params(1)
-    inst.reseed_batches(9)
-    a, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 6)
-    inst.reseed_batches(9)
-    b, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0, 6)
+    a, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0,
+                              inst.batches(9), 6)
+    b, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta0,
+                              inst.batches(9), 6)
     for (ga, ua), (gb, ub) in zip(a, b):
         assert np.array_equal(ga, gb)
         assert np.array_equal(ua, ub)
@@ -58,7 +58,7 @@ def test_imitation_loss_zero_at_minimizer():
     # updates, and the zero-initialized phi matches them exactly
     inst = fixture_quadratic()
     steps, _ = teacher_trajectory(TeacherKind("sgd", lr=0.01), inst,
-                                  inst.minimizer(), 3)
+                                  inst.minimizer(), inst.batches(0), 3)
     phi = init_l2o(0, hidden=6)
     loss, _, _ = imitation_loss_and_grads(phi, steps, zero_state(1, phi.hidden))
     assert loss == pytest.approx(0.0, abs=1e-20)

@@ -35,7 +35,7 @@ def test_identity_policy_rollout_is_constant():
         updates.append(step(g))
         return updates[-1]
 
-    losses, _ = rollout(recorded_step, inst, theta0, 10)
+    losses, _ = rollout(recorded_step, inst, theta0, inst.batches(0), 10)
     assert len(losses) == len(updates) == 10
     assert all(v == losses[0] for v in losses)
     assert all(np.all(u == 0) for u in updates)
@@ -46,20 +46,22 @@ def test_rollout_records_analytic_gradient():
                              np.eye(2), np.zeros(2))
     theta0 = np.array([1.0, -2.0])
     seen = []
-    rollout(lambda g: seen.append(g) or np.zeros_like(g), inst, theta0, 1)
+    rollout(lambda g: seen.append(g) or np.zeros_like(g), inst, theta0,
+            inst.batches(0), 1)
     # f = ||theta||^2 / 2, so the step function is handed g = theta
     np.testing.assert_allclose(seen[0], theta0, atol=1e-12)
 
 
 def test_rollout_rejects_bad_horizon():
+    inst = quad_instance()
     with pytest.raises(ValueError):
-        rollout(lambda g: -g, quad_instance(), np.zeros(3), 0)
+        rollout(lambda g: -g, inst, np.zeros(3), inst.batches(0), 0)
 
 
 def test_rollout_divergence_is_data():
     inst = quad_instance(3)
     losses, diverged_at = rollout(stepper(init_l2o(0, hidden=4), inst.dim), inst,
-                                  np.full(3, np.inf), 5)
+                                  np.full(3, np.inf), inst.batches(0), 5)
     assert diverged_at == 0
     assert losses == []
 
@@ -72,7 +74,8 @@ def test_rollout_memory_does_not_grow_with_dimension_times_steps():
     theta0 = inst.init_params(1)
     tracemalloc.start()
     try:
-        losses, diverged_at = rollout(lambda g: -1e-3 * g, inst, theta0, n)
+        losses, diverged_at = rollout(lambda g: -1e-3 * g, inst, theta0,
+                                      inst.batches(0), n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -87,9 +90,9 @@ def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
     instances = valid_instances(QUAD, 4, 3)
     n_valid, scores = 5, []
     for i, inst in enumerate(instances):
-        theta0 = inst.start(4, "valid", i)
+        theta0, batches = inst.start(4, "valid", i)
         losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
-                                      n_valid + 1)
+                                      batches, n_valid + 1)
         assert diverged_at is None and len(losses) == n_valid + 1
         scores.append(sum(losses[1:]))
     assert validate(phi, n_valid, instances, 4) == pytest.approx(np.mean(scores),
@@ -97,7 +100,7 @@ def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
     # identity policy keeps theta fixed, so the final loss matches step 0
     inst = quad_instance(4)
     losses, _ = rollout(stepper(init_l2o(0, hidden=4), inst.dim), inst,
-                        inst.init_params(0), 4)
+                        inst.init_params(0), inst.batches(0), 4)
     assert losses[-1] == pytest.approx(losses[0])
 
 
@@ -129,8 +132,9 @@ def test_segment_memory_peaks_at_its_forward_tape(monkeypatch, loss):
     inst = sample_instance(OptimizeeSpec(family="tiny_mlp", hidden=200), 1)
     phi = init_l2o(0, hidden=20)
     phi.w_out[:] = 0.01
-    theta = inst.init_params(2)
-    steps, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta, 20)
+    theta, batches = inst.init_params(2), inst.batches(0)
+    steps, _ = teacher_trajectory(TeacherKind("adam", lr=0.01), inst, theta,
+                                  batches, 20)
     at_entry = []
     plain = ad.backward
 
@@ -143,7 +147,7 @@ def test_segment_memory_peaks_at_its_forward_tape(monkeypatch, loss):
     tracemalloc.start()
     try:
         if loss == "meta":
-            out = segment_loss_and_grads(phi, inst, theta, state, 20)
+            out = segment_loss_and_grads(phi, inst, theta, state, batches, 20)
             assert not out[-1]
         else:
             out = imitation_loss_and_grads(phi, steps, state)
@@ -160,7 +164,7 @@ def test_meta_loss_value_identity_policy():
     phi = init_l2o(5, hidden=6)
     inst = quad_instance(6)
     theta0 = inst.init_params(1)
-    f0, _ = inst.loss_and_grad(theta0, inst.next_batch())
+    f0, _ = inst.loss_and_grad(theta0, next(inst.batches(0)))
     inst.init_params = lambda seed: theta0
     _, total = train_epoch(phi, 0, 6, adam=MetaAdam(lr=1e-3), segment=6, inst=inst,
                            seed=0, events=[])
@@ -173,6 +177,29 @@ def test_meta_gradient_fd_horizon_1():
 
 def test_meta_gradient_fd_horizon_5():
     assert check_meta_loss(horizon=5) < 1e-4
+
+
+def test_every_step_draws_exactly_one_batch(monkeypatch):
+    # a batch drawn past a segment's last step would shift the batches of
+    # every later segment of the epoch
+    phi = rand_phi(3)
+    inst = quad_instance(2)
+    theta0, state = inst.init_params(1), zero_state(inst.dim, phi.hidden)
+    drawn = []
+    plain = inst.batches
+
+    def counted(seed):
+        for batch in plain(seed):
+            drawn.append(batch)
+            yield batch
+
+    rollout(stepper(phi, inst.dim), inst, theta0, counted(0), 4)
+    assert len(drawn) == 4
+    segment_loss_and_grads(phi, inst, theta0, state, counted(0), 3)
+    assert len(drawn) == 4 + 3
+    monkeypatch.setattr(inst, "batches", counted)
+    train_epoch(phi, 0, 6, adam=MetaAdam(), segment=4, inst=inst, seed=0, events=[])
+    assert len(drawn) == 4 + 3 + 6
 
 
 def test_segments_are_truncated(monkeypatch):
@@ -188,11 +215,12 @@ def test_segments_are_truncated(monkeypatch):
         monkeypatch.setattr(inst, "loss_on_tape",
                             rc.scaled_loss_on_tape(loss_on_tape, seg1_scale))
         state = zero_state(inst.dim, phi.hidden)
+        batches = inst.batches(0)
         loss1, _, theta, state, _ = segment_loss_and_grads(
-            phi, inst, theta0, state, 4)
+            phi, inst, theta0, state, batches, 4)
         monkeypatch.setattr(inst, "loss_on_tape", loss_on_tape)
         _, grads2, _, _, _ = segment_loss_and_grads(
-            phi, inst, theta, state, 4)
+            phi, inst, theta, state, batches, 4)
         return loss1, grads2
 
     loss_a, g_a = run(1.0)
@@ -223,8 +251,7 @@ def test_overridden_steps_match_the_reference_segment_bitwise(overridden):
     state = rc.join_state(*(rng.normal(0, 0.5, (inst.dim, phi.hidden)) for _ in range(4)))
     runs = []
     for segment in (segment_loss_and_grads, rc.segment):
-        inst.reseed_batches(5)
-        runs.append(segment(phi, inst, theta0, state, 6,
+        runs.append(segment(phi, inst, theta0, state, inst.batches(5), 6,
                             step_override=overriding(overridden, inst.dim)))
     (loss, grads, theta, st, diverged), ref = runs
     assert not diverged and not ref[4]

@@ -200,7 +200,8 @@ def test_fused_cell_matches_primitive_chain_bitwise(path, zero_projection):
 
     def run(segment, imitation_segment):
         if path == "segment":
-            loss, grads, _, st, diverged = segment(phi, inst, theta0, state, len(steps))
+            loss, grads, _, st, diverged = segment(phi, inst, theta0, state,
+                                                   inst.batches(0), len(steps))
             assert not diverged
             return loss, grads, st
         return imitation_segment(phi, steps, state)

@@ -14,7 +14,7 @@ from l2okit import idx, metatrain
 from l2okit.model import TENSOR_NAMES, init_l2o
 from l2okit.optimizees import (FAMILIES, Batch, LogisticBlobsInstance,
                                OptimizeeSpec, QuadraticInstance, sample_instance)
-from l2okit.seeding import derive_seed
+from l2okit.seeding import derive_seed, rng_for
 
 QUAD = OptimizeeSpec(family="quadratic", dim=4)
 BLOBS = OptimizeeSpec(family="logistic_blobs", features=2, n_points=64,
@@ -49,7 +49,7 @@ def test_different_seeds_differ():
 def test_fixture_quadratic_minimizer():
     inst = fixture_quadratic()
     assert inst.minimizer() == pytest.approx([2.0])
-    loss, g = inst.loss_and_grad(np.array([2.0]), inst.next_batch())
+    loss, g = inst.loss_and_grad(np.array([2.0]), next(inst.batches(0)))
     assert loss == pytest.approx(0.0, abs=1e-24)
     assert g == pytest.approx([0.0], abs=1e-12)
 
@@ -58,7 +58,7 @@ def test_quadratic_hand_gradient():
     # W = I2, y = 0, theta = (1,1): f = ||theta||^2 / 2 = 1, g = theta
     inst = QuadraticInstance(OptimizeeSpec(family="quadratic", dim=2),
                              np.eye(2), np.zeros(2))
-    loss, g = inst.loss_and_grad(np.array([1.0, 1.0]), inst.next_batch())
+    loss, g = inst.loss_and_grad(np.array([1.0, 1.0]), next(inst.batches(0)))
     assert loss == pytest.approx(1.0)
     assert g == pytest.approx([1.0, 1.0])
 
@@ -75,7 +75,7 @@ def test_logistic_zero_params_gives_ln2():
 
 def test_tiny_mlp_zero_params_gives_ln_nclasses():
     inst = sample_instance(TINY, 0)
-    loss, _ = inst.loss_and_grad(np.zeros(inst.dim), inst.next_batch())
+    loss, _ = inst.loss_and_grad(np.zeros(inst.dim), next(inst.batches(0)))
     assert loss == pytest.approx(math.log(2.0))
 
 
@@ -93,11 +93,11 @@ def test_init_params_deterministic():
 def test_start_keeps_the_seed_labels_of_theta0_and_the_batches(
         label, index, theta_label, batch_label):
     a, b = sample_instance(TINY, 5), sample_instance(TINY, 5)
-    theta0 = a.start(11, label, index)
+    theta0, batches = a.start(11, label, index)
     assert np.array_equal(theta0, b.init_params(derive_seed(11, theta_label, index)))
-    b.reseed_batches(derive_seed(11, batch_label, index))
+    expected = b.batches(derive_seed(11, batch_label, index))
     for _ in range(6):  # 64 points in batches of 16: past one reshuffle
-        assert np.array_equal(a.next_batch().x, b.next_batch().x)
+        assert np.array_equal(next(batches).x, next(expected).x)
 
 
 def test_init_params_statistics():
@@ -113,26 +113,24 @@ def test_gradient_matches_central_differences(spec, seed):
     inst = sample_instance(spec, seed)
     rng = np.random.default_rng(seed)
     theta = rng.normal(0, 0.5, inst.dim)
-    inst.reseed_batches(0)
-    batch = inst.next_batch()
+    batch = next(inst.batches(0))
     _, g = inst.loss_and_grad(theta, batch)
     assert ad.fd_error(g, lambda th: inst.loss_and_grad(th, batch)[0], theta) < 1e-6
 
 
 def test_loss_and_grad_is_pure():
     inst = sample_instance(BLOBS, 21)
-    inst.reseed_batches(5)
-    batch = inst.next_batch()
-    before = (inst.x.copy(), inst.y.copy(), inst._pos)
+    batch = next(inst.batches(5))
+    before = (inst.x.copy(), inst.y.copy(), {k: id(v) for k, v in vars(inst).items()})
     inst.loss_and_grad(np.zeros(inst.dim), batch)
     assert np.array_equal(before[0], inst.x)
     assert np.array_equal(before[1], inst.y)
-    assert before[2] == inst._pos
+    assert before[2] == {k: id(v) for k, v in vars(inst).items()}
 
 
-def test_quadratic_next_batch_returns_whole_problem():
+def test_quadratic_batches_return_whole_problem():
     inst = sample_instance(QUAD, 2)
-    b = inst.next_batch()
+    b = next(inst.batches(0))
     assert np.array_equal(b.x, inst.w) and np.array_equal(b.y, inst.y)
 
 
@@ -140,8 +138,8 @@ def test_batches_partition_dataset():
     spec = OptimizeeSpec(family="logistic_blobs", features=2, n_points=512,
                          batch_size=128)
     inst = sample_instance(spec, 7)
-    inst.reseed_batches(1)
-    batches = [inst.next_batch() for _ in range(4)]
+    stream = inst.batches(1)
+    batches = [next(stream) for _ in range(4)]
     assert all(b.x.shape[0] == 128 for b in batches)
     stacked = np.concatenate([b.x for b in batches])
     assert stacked.shape == inst.x.shape
@@ -151,19 +149,58 @@ def test_batches_partition_dataset():
     assert not np.array_equal(batches[0].x, batches[1].x)
 
 
+def test_stream_ends_each_pass_with_a_short_slice_then_reshuffles():
+    spec = OptimizeeSpec(family="logistic_blobs", features=2, n_points=500,
+                         batch_size=128)
+    inst = sample_instance(spec, 7)
+    stream, rng = inst.batches(3), rng_for(3, "batches")
+    orders = [rng.permutation(500) for _ in range(2)]
+    for order in orders:
+        for pos, size in zip((0, 128, 256, 384), (128, 128, 128, 116)):
+            b = next(stream)
+            assert b.x.shape == (size, 2) and b.y.shape == (size,)
+            assert np.array_equal(b.x, inst.x[order[pos: pos + size]])
+            assert np.array_equal(b.y, inst.y[order[pos: pos + size]])
+    assert not np.array_equal(orders[0], orders[1])
+
+
+def test_stream_wider_than_the_data_gives_one_whole_batch_per_pass():
+    spec = OptimizeeSpec(family="logistic_blobs", features=2, n_points=100,
+                         batch_size=128)
+    inst = sample_instance(spec, 7)
+    stream, rng = inst.batches(3), rng_for(3, "batches")
+    passes = [next(stream).x for _ in range(3)]
+    for x in passes:
+        assert np.array_equal(x, inst.x[rng.permutation(100)])
+    assert not np.array_equal(passes[0], passes[1])
+    assert not np.array_equal(passes[1], passes[2])
+
+
+def test_streams_drawn_interleaved_equal_each_stream_drawn_alone():
+    inst = sample_instance(BLOBS, 9)  # 64 points in batches of 16
+    a, b = inst.batches(1), inst.batches(2)
+    interleaved = [(next(a), next(b)) for _ in range(10)]
+    a, b = inst.batches(1), inst.batches(2)
+    alone_a = [next(a) for _ in range(10)]
+    alone_b = [next(b) for _ in range(10)]
+    for (ia, ib), sa, sb in zip(interleaved, alone_a, alone_b):
+        assert np.array_equal(ia.x, sa.x) and np.array_equal(ia.y, sa.y)
+        assert np.array_equal(ib.x, sb.x) and np.array_equal(ib.y, sb.y)
+    assert not np.array_equal(alone_a[0].x, alone_b[0].x)
+
+
 def test_batch_stream_deterministic():
     inst1 = sample_instance(BLOBS, 9)
     inst2 = sample_instance(BLOBS, 9)
-    inst1.reseed_batches(42)
-    inst2.reseed_batches(42)
+    s1, s2 = inst1.batches(42), inst2.batches(42)
     for _ in range(10):
-        b1, b2 = inst1.next_batch(), inst2.next_batch()
+        b1, b2 = next(s1), next(s2)
         assert np.array_equal(b1.x, b2.x) and np.array_equal(b1.y, b2.y)
 
 
 def test_divergence_signalled_not_raised():
     inst = fixture_quadratic()
-    loss, g = inst.loss_and_grad(np.array([np.inf]), inst.next_batch())
+    loss, g = inst.loss_and_grad(np.array([np.inf]), next(inst.batches(0)))
     assert not np.isfinite(loss)
     assert np.all(g == 0)
 
@@ -172,7 +209,7 @@ def test_gd_with_inverse_lipschitz_lr_descends():
     inst = sample_instance(OptimizeeSpec(family="quadratic", dim=6), 31)
     lips = np.linalg.eigvalsh(2.0 * inst.w.T @ inst.w / inst.w.shape[0]).max()
     theta = inst.init_params(1)
-    batch = inst.next_batch()
+    batch = next(inst.batches(0))
     prev, _ = inst.loss_and_grad(theta, batch)
     for _ in range(50):
         loss, g = inst.loss_and_grad(theta, batch)
@@ -236,6 +273,21 @@ def test_mnist_rejects_labels_that_do_not_fit_the_images(tmp_path, labels, match
         sample_instance(spec, 0)
 
 
+@pytest.mark.parametrize("shape,match", [
+    ((0, 4, 4), "no images"),
+    ((5, 0, 0), "images of 0 x 0 pixels"),
+    ((5, 3, 0), "images of 3 x 0 pixels"),
+], ids=["no-images", "0x0-pixels", "3x0-pixels"])
+def test_mnist_rejects_images_file_without_pixels(tmp_path, shape, match):
+    image_path = tmp_path / "train-images-idx3-ubyte"
+    idxwrite.write_idx_images(image_path, np.zeros(shape, dtype=np.uint8))
+    idxwrite.write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
+                              np.zeros(shape[0], dtype=np.uint8))
+    spec = OptimizeeSpec(family="mnist_mlp", batch_size=8, dataset_root=str(tmp_path))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(image_path))}: {match}$"):
+        sample_instance(spec, 0)
+
+
 def test_mnist_mlp_from_synthetic_idx(tmp_path):
     rng = np.random.default_rng(1)
     images = rng.integers(0, 256, size=(40, 6, 6), dtype=np.uint8)
@@ -246,7 +298,7 @@ def test_mnist_mlp_from_synthetic_idx(tmp_path):
                          dataset_root=str(tmp_path))
     inst = sample_instance(spec, 0)
     assert inst.dim == 36 * 20 + 20 + 20 * 10 + 10
-    loss, g = inst.loss_and_grad(np.zeros(inst.dim), inst.next_batch())
+    loss, g = inst.loss_and_grad(np.zeros(inst.dim), next(inst.batches(0)))
     assert loss == pytest.approx(math.log(10.0))
     assert g.shape == (inst.dim,)
 
@@ -353,13 +405,13 @@ def test_loss_and_grad_matches_primitive_chain_bitwise(family_specs, family):
     checked = 0
     for seed in range(3):
         inst = sample_instance(family_specs[family], seed)
-        inst.reseed_batches(seed)
+        batches = inst.batches(seed)
         rng = np.random.default_rng(seed)
         # at theta = 0 some mlp gradient entries are exact zeros
         for scale in (0.0, 0.01, 1.0, 30.0):
             for _ in range(3):
                 theta = rng.normal(0.0, scale, inst.dim)
-                batch = inst.next_batch()
+                batch = next(batches)
                 loss, grad = inst.loss_and_grad(theta, batch)
                 ref_loss, ref_grad = _ref_loss_and_grad(inst, theta, batch)
                 assert np.isfinite(loss)
@@ -398,8 +450,7 @@ def test_loss_node_matches_primitive_chain_for_any_seed(family_specs, family,
     # chain scaled by the seed; zero and negative seeds exercise the sign
     # of zero in the gradient
     inst = sample_instance(family_specs[family], 4)
-    inst.reseed_batches(4)
-    batch = inst.next_batch()
+    batch = next(inst.batches(4))
     theta = np.random.default_rng(4).normal(0.0, 1.0, inst.dim)
     tape = []
     loss = inst.loss_on_tape(tape, theta, batch)
@@ -437,12 +488,12 @@ def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_
         return rt.scale(_REFERENCE[family](inst, tape, theta, batch), next(weights))
 
     monkeypatch.setattr(inst, "loss_on_tape", recorded_loss)
-    inst.reseed_batches(7)
     weights = iter(omega)
-    fused = metatrain.segment_loss_and_grads(phi, inst, theta0, state, len(omega))
-    inst.reseed_batches(7)
+    fused = metatrain.segment_loss_and_grads(phi, inst, theta0, state, inst.batches(7),
+                                             len(omega))
     weights = iter(omega)
-    ref = rc.segment(phi, inst, theta0, state, len(omega), loss=chain_loss)
+    ref = rc.segment(phi, inst, theta0, state, inst.batches(7), len(omega),
+                     loss=chain_loss)
     assert not fused[4] and not ref[4]
     assert same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:

@@ -116,7 +116,7 @@ def test_descent_on_fixture_quadratic(kind):
 
     inst = sample_instance(OptimizeeSpec(family="quadratic", dim=5), 17)
     theta = inst.init_params(3)
-    batch = inst.next_batch()
+    batch = next(inst.batches(0))
     start, _ = inst.loss_and_grad(theta, batch)
     state = init_state(5)
     for _ in range(100):
