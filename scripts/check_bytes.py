@@ -22,6 +22,11 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
 - ``l2okit train --mode cl-il`` on ``logistic_blobs`` with 500 points, so
   that each pass over the data ends in a 116-point batch after three of
   128;
+- ``l2okit train --mode cl-il`` on ``tiny_mlp`` at L2O hidden size 7, so
+  that most of phi's tensors start at offsets in ``phi.flat`` that are
+  not 64-byte aligned, and an ``l2okit eval`` of the checkpoint it
+  writes on a 200-hidden-unit ``tiny_mlp`` (dimension 1,002) over 100
+  steps;
 - ``l2okit eval --family tiny_mlp --n-eval 500`` of
   ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides) and
   of ``--optimizer adam``;
@@ -54,7 +59,8 @@ PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def commands(out: Path) -> dict[str, list[str]]:
-    """Run name -> l2okit arguments; train and eval runs write under out."""
+    """Run name -> l2okit arguments, in run order; train and eval runs
+    write under out."""
     runs = {f"train-{mode}": ["train", "--mode", mode, *TRAIN_ARGS]
             for mode in MODES}
     runs["train-il-diverging"] = ["train", "--mode", "il", "--family", "quadratic",
@@ -68,6 +74,13 @@ def commands(out: Path) -> dict[str, list[str]]:
                                      "--seed", "3", "--epochs", "40", "--n-train", "20",
                                      "--ladder", "10,20,40", "--n-period", "1",
                                      "--t-period", "5"]
+    runs["train-cl-il-hidden-7"] = ["train", "--mode", "cl-il", "--family", "tiny_mlp",
+                                    "--hidden", "7", "--seed", "3", "--epochs", "40",
+                                    "--n-train", "20", "--ladder", "10,20,40",
+                                    "--n-period", "1", "--t-period", "5"]
+    runs["eval-hidden-7-wide"] = ["eval", "--family", "tiny_mlp", "--mlp-hidden", "200",
+                                  "--n-eval", "100", "--checkpoint",
+                                  str(out / "train-cl-il-hidden-7" / "checkpoint.l2o")]
     runs["eval-checkpoint"] = [*EVAL_ARGS, "--checkpoint",
                                str(ROOT / "benchmark" / "checkpoint.l2o")]
     runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]

@@ -11,11 +11,13 @@ the reference for the other modes' paired wins.
 
 Each row holds the `evaluation.COMPARE_COLUMNS` (median final loss,
 divergence rate, log AUC). A trained row other than `vanilla` adds its
-paired wins: the eval seeds whose final loss is below that of `vanilla`
-at the same family and seed. `cl` and `cl-il` rows add how the
-curriculum stopped and what it cost. The file also records the
-Python/numpy/scipy/BLAS build. Rows are sorted, so the bytes do not
-depend on scheduling; wall times go to stderr only.
+paired wins (`EvalReport.paired_wins`): the eval seeds whose final loss
+is below that of `vanilla` at the same family and seed. `cl` and `cl-il`
+rows add how the curriculum stopped and what it cost. The file also
+records the Python/numpy/scipy/BLAS build, the OpenBLAS kernel and the
+SIMD targets numpy dispatches its loops to on this CPU. Rows are
+sorted, so the bytes do not depend on scheduling; wall times go to
+stderr only.
 
 Cells run on one spawned process per usable CPU, with BLAS pinned to one
 thread.
@@ -60,8 +62,8 @@ LOG_EVERY = 10
 
 def run_cell(cell):
     """Train (unless the mode is an analytical baseline) and evaluate one
-    (family, mode, seed) cell. Returns its row, its final loss per eval
-    seed and its wall time."""
+    (family, mode, seed) cell. Returns its row, its eval report and its
+    wall time."""
     family, mode, seed = cell
     t0 = time.time()
     row = {"family": family, "mode": mode, "seed": seed}
@@ -81,7 +83,7 @@ def run_cell(cell):
     report = run_eval(optimizer, ec)
     columns = compare([report])["rows"][0]
     row.update({c: columns[c] for c in COMPARE_COLUMNS})
-    return row, report.final_losses(), time.time() - t0
+    return row, report, time.time() - t0
 
 
 def grid_cells(modes, families, seeds):
@@ -96,19 +98,19 @@ def run_grid(cells) -> list[dict]:
     """Rows of every cell, sorted by (family, mode, seed)."""
     cells = list(cells)
     workers = min(len(cells), usable_cpus())
-    rows, finals = [], {}
+    rows, reports = [], {}
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-        for cell, (row, final, secs) in zip(cells, pool.map(run_cell, cells)):
+        for cell, (row, report, secs) in zip(cells, pool.map(run_cell, cells)):
             print(f"{' '.join(map(str, cell))}: median {row['median_final']:.4g}, "
                   f"{secs:.0f}s", file=sys.stderr)
             rows.append(row)
-            finals[cell] = final
+            reports[cell] = report
     for row in rows:
         if row["seed"] is not None and row["mode"] != "vanilla":
-            ref = finals[row["family"], "vanilla", row["seed"]]
-            own = finals[row["family"], row["mode"], row["seed"]]
-            row["paired_wins"] = sum(own[s] < ref[s] for s in ref)
+            ref = reports[row["family"], "vanilla", row["seed"]]
+            own = reports[row["family"], row["mode"], row["seed"]]
+            row["paired_wins"] = own.paired_wins(ref)
     return sorted(rows, key=lambda r: (r["family"], r["mode"],
                                        -1 if r["seed"] is None else r["seed"]))
 
@@ -129,6 +131,18 @@ def _openblas_core():
     return corename().decode()
 
 
+def _numpy_dispatch():
+    """The SIMD targets numpy's CPU-dispatched loops (exp, log, tanh and
+    others) may pick on this CPU: the entries of __cpu_dispatch__ that
+    __cpu_features__ marks available. NPY_DISABLE_CPU_FEATURES removes
+    targets from it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2 keeps it in numpy.core
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 def build() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -137,6 +151,7 @@ def build() -> dict:
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_core": _openblas_core(),
+        "numpy_dispatch": _numpy_dispatch(),
     }
 
 

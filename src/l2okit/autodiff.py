@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import TENSOR_NAMES, L2OParams, step_vjp
+from .model import L2OParams, step_vjp
 
 
-def backward(tape: list, phi: L2OParams) -> dict[str, np.ndarray]:
-    """The gradient of a segment's summed loss with respect to each phi
-    tensor, name -> array, zeros where the loss does not reach it.
+def backward(tape: list, phi: L2OParams) -> L2OParams:
+    """The gradient of a segment's summed loss with respect to phi, as an
+    L2OParams with phi's layout, zeros where the loss does not reach it.
 
     backward consumes the tape: it replaces each entry with None once it
     has run, so the tape keeps its length, and a second backward on the
@@ -41,7 +41,7 @@ def backward(tape: list, phi: L2OParams) -> dict[str, np.ndarray]:
     # theta and the state are constants up to the first L2O step, so no
     # entry before it reaches phi
     first = next((k for k, e in enumerate(tape) if isinstance(e, tuple)), len(tape))
-    grads = {name: np.zeros_like(getattr(phi, name)) for name in TENSOR_NAMES}
+    grads = L2OParams(phi.hidden, phi.preprocess_p, phi.out_scale)
     g = 0.0  # the theta gradient
     # the state gradient; no later step reads the last step's new state
     ghc = np.zeros((2, 2, *tape[first][-1].shape)) if first < len(tape) else None

@@ -70,6 +70,16 @@ class EvalReport:
                 out[s] = self.curves[s][-1][1]
         return out
 
+    def paired_wins(self, ref: "EvalReport") -> int:
+        """The seeds whose final loss is below ref's at the same seed. A
+        diverged seed's final loss is +inf, so it never wins and loses to
+        any finite loss; a tie counts for neither. ValueError when the two
+        reports' seeds differ."""
+        if self.seeds != ref.seeds:
+            raise ValueError(f"paired_wins: seeds {self.seeds} and {ref.seeds} differ")
+        own, other = self.final_losses(), ref.final_losses()
+        return sum(own[s] < other[s] for s in self.seeds)
+
     def log_auc(self) -> float:
         """Trapezoid AUC of log10(mean curve) over the logged steps."""
         # numpy >= 2.0 names it trapezoid (and 2.4 removed trapz);

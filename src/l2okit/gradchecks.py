@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .imitation import imitation_loss_and_grads, teacher_trajectory
 from .metatrain import segment_loss_and_grads, stepper
-from .model import TENSOR_NAMES, init_l2o, l2o_step_tape, zero_state
+from .model import L2OParams, init_l2o, l2o_step_tape, zero_state
 from .optimizees import (MNIST_CLASSES, MNIST_HIDDEN, MLPInstance, OptimizeeSpec,
                          sample_instance)
 from .seeding import rng_for
@@ -28,19 +28,10 @@ def _phi_probe(hidden=4, seed=7):
 
 
 def _phi_fd_error(phi, grads, loss_of) -> float:
-    """fd_error of grads, name -> array, against loss_of(probe), probe
-    being a copy of phi whose tensors hold the perturbed values."""
-    def flat(tensors):
-        return np.concatenate([tensors[n].ravel() for n in TENSOR_NAMES])
-
-    def loss_at(vec):
-        probe, pos = phi.copy(), 0
-        for arr in probe.tensors().values():
-            arr[...] = vec[pos: pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-        return loss_of(probe)
-
-    return ad.fd_error(flat(grads), loss_at, flat(phi.tensors()))
+    """fd_error of grads, an L2OParams with phi's layout, against
+    loss_of(probe), probe being phi with its flat perturbed."""
+    return ad.fd_error(grads.flat, lambda flat: loss_of(
+        L2OParams(phi.hidden, phi.preprocess_p, phi.out_scale, flat)), phi.flat)
 
 
 def check_loss_nodes(seed: int = 4) -> float:

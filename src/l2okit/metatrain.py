@@ -14,31 +14,25 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .model import (L2OParams, TENSOR_NAMES, l2o_step_np, l2o_step_tape,
-                    workspace, zero_state)
+from .model import L2OParams, l2o_step_np, l2o_step_tape, workspace, zero_state
 from .optimizees import OptimizeeInstance
 from .teachers import TeacherKind, adam_update, init_state, teacher_step
 
 
 class MetaAdam:
-    """Adam over the dict of L2O parameter tensors; mutates phi in place."""
+    """Adam over phi.flat, given a gradient with phi's layout; mutates phi
+    in place."""
 
     def __init__(self, lr: float = 1e-3):
         self.lr = lr
         self.t = 0
-        self.m: dict[str, np.ndarray] | None = None
-        self.v: dict[str, np.ndarray] | None = None
+        self.m: np.ndarray | float = 0.0
+        self.v: np.ndarray | float = 0.0
 
-    def step(self, phi: L2OParams, grads: dict[str, np.ndarray]) -> None:
-        if self.m is None:
-            self.m = {n: np.zeros_like(getattr(phi, n)) for n in TENSOR_NAMES}
-            self.v = {n: np.zeros_like(getattr(phi, n)) for n in TENSOR_NAMES}
+    def step(self, phi: L2OParams, grads: L2OParams) -> None:
         self.t += 1
-        for name in TENSOR_NAMES:
-            arr = getattr(phi, name)
-            update, self.m[name], self.v[name] = adam_update(
-                self.m[name], self.v[name], grads[name], self.t, self.lr)
-            arr += update
+        update, self.m, self.v = adam_update(self.m, self.v, grads.flat, self.t, self.lr)
+        phi.flat += update
 
 
 def rollout(step_fn, inst: OptimizeeInstance, theta0: np.ndarray, batches,
@@ -90,8 +84,8 @@ def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
     """Record one truncated segment of n_steps optimizee steps, one batch
     each from batches, on a tape and backpropagate the sum of their losses.
 
-    Returns (loss, grads, theta_next, state_next, diverged). grads is a
-    name -> array dict over phi tensors (zeros where unreachable).
+    Returns (loss, grads, theta_next, state_next, diverged). grads is an
+    L2OParams with phi's layout (zeros where unreachable).
     """
     tape = []
     th = np.asarray(theta, dtype=np.float64)

@@ -35,7 +35,6 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -84,29 +83,34 @@ CHECKPOINT_MAGIC = b"L2O1"
 # Gate column layout inside the 4*hidden blocks: input, forget, cell, output.
 
 
-@dataclass
-class L2OParams:
-    hidden: int
-    preprocess_p: float
-    out_scale: float
-    wx1: np.ndarray   # (2, 4h)
-    wh1: np.ndarray   # (h, 4h)
-    b1: np.ndarray    # (4h,)
-    wx2: np.ndarray   # (h, 4h)
-    wh2: np.ndarray   # (h, 4h)
-    b2: np.ndarray    # (4h,)
-    w_out: np.ndarray  # (h,)
-    b_out: np.ndarray  # scalar ()
+def tensor_shapes(hidden: int) -> tuple[tuple[int, ...], ...]:
+    """Each phi tensor's shape at this hidden size, in TENSOR_NAMES order."""
+    h, h4 = hidden, 4 * hidden
+    return ((2, h4), (h, h4), (h4,), (h, h4), (h, h4), (h4,), (h,), ())
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in TENSOR_NAMES}
+
+class L2OParams:
+    """phi: the hidden size, the preprocessing and output constants, and
+    one float64 vector flat, zeros by default. Each tensor in
+    TENSOR_NAMES is an attribute holding a C-ordered view of flat, the
+    tensors in that order, so one array operation on flat acts on all."""
+
+    def __init__(self, hidden: int, preprocess_p: float, out_scale: float,
+                 flat: np.ndarray | None = None):
+        shapes = tensor_shapes(hidden)
+        sizes = [math.prod(s) for s in shapes]
+        self.hidden, self.preprocess_p, self.out_scale = hidden, preprocess_p, out_scale
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        for name, part, shape in zip(TENSOR_NAMES, parts, shapes):
+            setattr(self, name, part.reshape(shape))
 
     def copy(self) -> "L2OParams":
-        return L2OParams(self.hidden, self.preprocess_p, self.out_scale,
-                         *[getattr(self, n).copy() for n in TENSOR_NAMES])
+        return L2OParams(self.hidden, self.preprocess_p, self.out_scale, self.flat.copy())
 
-    def n_params(self) -> int:
-        return sum(t.size for t in self.tensors().values())
+    def __reduce__(self):
+        # pickle and deepcopy would otherwise copy each view apart from flat
+        return L2OParams, (self.hidden, self.preprocess_p, self.out_scale, self.flat)
 
     def layer(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Layer n's (wx, wh, b); n = 0 is the lower layer."""
@@ -129,27 +133,14 @@ def init_l2o(seed: int, hidden: int = 20, preprocess_p: float = 10.0,
     if not math.isfinite(out_scale):
         raise ValueError(f"out_scale must be finite, got {out_scale!r}")
     rng = rng_for(seed, "init-l2o")
-
-    def uniform(fan_in, shape):
+    phi = L2OParams(hidden, preprocess_p, out_scale)
+    for arr, fan_in in ((phi.wx1, 2), (phi.wh1, hidden), (phi.wx2, hidden),
+                        (phi.wh2, hidden)):
         s = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-s, s, shape)
-
-    h = hidden
-    b1 = np.zeros(4 * h)
-    b1[h:2 * h] = 1.0
-    b2 = np.zeros(4 * h)
-    b2[h:2 * h] = 1.0
-    return L2OParams(
-        hidden=h, preprocess_p=preprocess_p, out_scale=out_scale,
-        wx1=uniform(2, (2, 4 * h)),
-        wh1=uniform(h, (h, 4 * h)),
-        b1=b1,
-        wx2=uniform(h, (h, 4 * h)),
-        wh2=uniform(h, (h, 4 * h)),
-        b2=b2,
-        w_out=np.zeros(h),
-        b_out=np.zeros(()),
-    )
+        arr[...] = rng.uniform(-s, s, arr.shape)
+    phi.b1[hidden:2 * hidden] = 1.0
+    phi.b2[hidden:2 * hidden] = 1.0
+    return phi
 
 
 def preprocess(g: np.ndarray, p: float) -> np.ndarray:
@@ -245,12 +236,13 @@ def l2o_step_tape(tape: list, phi: L2OParams, state: np.ndarray, g: np.ndarray):
     return update, new
 
 
-def step_vjp(step, g, ghc, phi: L2OParams, grads: dict, recurrent: bool):
+def step_vjp(step, g, ghc, phi: L2OParams, grads: L2OParams, recurrent: bool):
     """Backward of one step that l2o_step_tape recorded. g is the gradient
     of its update and ghc of its output state, zeros where no later step
-    reads it. Adds each phi tensor's contribution into grads (name ->
-    array) and, if recurrent, overwrites ghc with the gradient of the
-    input state; not recurrent, the input is the segment's constant start.
+    reads it. Adds each phi tensor's contribution into the same tensor of
+    grads, which has phi's layout, and, if recurrent, overwrites ghc with
+    the gradient of the input state; not recurrent, the input is the
+    segment's constant start.
 
     The vjps repeat, operation for operation, the backward pass of the
     same step as tape primitives, the chain that tests/refchain.py keeps
@@ -266,8 +258,8 @@ def step_vjp(step, g, ghc, phi: L2OParams, grads: dict, recurrent: bool):
     *cells, h2 = step
     hidden = phi.hidden
     gp = g * phi.out_scale + 0.0
-    grads["w_out"] += h2.T @ gp
-    grads["b_out"] += gp.sum()
+    grads.w_out += h2.T @ gp
+    grads.b_out += gp.sum()
     gin = np.outer(gp, phi.w_out)  # the gradient of the layer's new h from above
     for n in (1, 0):
         x, hc, z, tc = cells[n]
@@ -284,8 +276,8 @@ def step_vjp(step, g, ghc, phi: L2OParams, grads: dict, recurrent: bool):
         np.multiply(gcn * i, 1.0 - gg * gg, out=gz[:, 2 * hidden:3 * hidden])
         np.multiply(gh * tc * o, 1.0 - o, out=gz[:, 3 * hidden:])
         gz += 0.0
-        for name, contrib in zip(LAYERS[n], (x.T @ gz, hc[0].T @ gz, gz.sum(axis=0))):
-            grads[name] += contrib
+        for arr, contrib in zip(grads.layer(n), (x.T @ gz, hc[0].T @ gz, gz.sum(axis=0))):
+            arr += contrib
         if recurrent:
             np.add(gz @ wh.T, 0.0, out=gh)
             np.add(gcn * f, 0.0, out=gc)
@@ -302,8 +294,7 @@ def save_checkpoint(phi: L2OParams, path) -> None:
         fh.write(struct.pack("<q", phi.hidden))
         fh.write(struct.pack("<dd", phi.preprocess_p, phi.out_scale))
         for name in TENSOR_NAMES:
-            # np.ascontiguousarray would promote 0-d tensors to 1-d
-            arr = np.asarray(getattr(phi, name), dtype=np.float64, order="C")
+            arr = getattr(phi, name)
             fh.write(struct.pack("<q", arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<q", d))
@@ -338,16 +329,14 @@ def load_checkpoint(path) -> L2OParams:
         raise ValueError(f"{path}: preprocess_p must be > 0 and finite, got {p!r}")
     if not math.isfinite(out_scale):
         raise ValueError(f"{path}: out_scale must be finite, got {out_scale!r}")
-    h, h4 = hidden, 4 * hidden  # the shapes L2OParams lists, in TENSOR_NAMES order
-    shapes = ((2, h4), (h, h4), (h4,), (h, h4), (h, h4), (h4,), (h,), ())
-    tensors = []
-    for name, want in zip(TENSOR_NAMES, shapes):
+    chunks = []  # every header and length is checked before flat is allocated
+    for name, want in zip(TENSOR_NAMES, tensor_shapes(hidden)):
         ndim = struct.unpack("<q", read(8))[0]
         if ndim != len(want):
             raise ValueError(f"{path}: {name} has {ndim} dims, expected {len(want)}")
         shape = struct.unpack(f"<{ndim}q", read(8 * ndim))
         if shape != want:
             raise ValueError(f"{path}: {name} has shape {shape}, expected {want}")
-        arr = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        tensors.append(arr.astype(np.float64))
-    return L2OParams(hidden, p, out_scale, *tensors)
+        chunks.append(read(8 * math.prod(shape)))
+    flat = np.frombuffer(b"".join(chunks), dtype="<f8").astype(np.float64)
+    return L2OParams(hidden, p, out_scale, flat)

@@ -45,10 +45,10 @@ def adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float):
 
 @dataclass(frozen=True)
 class TeacherState:
-    t: int = 0
-    m: np.ndarray | None = None    # adam first moment
-    v: np.ndarray | None = None    # adam second moment
-    acc: np.ndarray | None = None  # adagrad / rmsprop accumulator
+    t: int
+    m: np.ndarray    # adam first moment
+    v: np.ndarray    # adam second moment
+    acc: np.ndarray  # adagrad / rmsprop accumulator
 
 
 def init_state(dim: int) -> TeacherState:
@@ -58,7 +58,7 @@ def init_state(dim: int) -> TeacherState:
 def teacher_step(kind: TeacherKind, state: TeacherState, g: np.ndarray):
     """One step; returns (update, new_state) with theta_next = theta + update."""
     g = np.asarray(g, dtype=np.float64)
-    if state.m is not None and state.m.shape != g.shape:
+    if state.m.shape != g.shape:
         raise ValueError("teacher_step: state/gradient dimension mismatch")
     t = state.t + 1
     if kind.kind == "sgd":

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 import reftape as rt
-from l2okit.model import preprocess
+from l2okit.model import TENSOR_NAMES, preprocess
 
 STATE_PARTS = ("h1", "c1", "h2", "c2")
 
@@ -151,7 +151,7 @@ def fused_loss(inst, tape, theta, batch):
 
 
 def _start(tape, phi, state):
-    leaves = {name: tape.leaf(arr, trainable=True) for name, arr in phi.tensors().items()}
+    leaves = {name: tape.leaf(getattr(phi, name), trainable=True) for name in TENSOR_NAMES}
     return leaves, tuple(tape.constant(a) for a in split_state(state))
 
 

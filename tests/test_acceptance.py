@@ -209,8 +209,7 @@ def directional_experiment():
 def test_criterion_6_directional_reproduction(directional_experiment):
     exp = directional_experiment
     rv, rc = exp["vanilla"], exp["cl_il"]
-    fv, fc = rv.final_losses(), rc.final_losses()
-    wins = sum(fc[s] < fv[s] for s in fv)
+    wins = rc.paired_wins(rv)
     median_ok = rc.final_median < rv.final_median
     div_ok = rc.divergence_rate <= rv.divergence_rate
     ok = median_ok and div_ok and wins >= 7 and exp["elapsed"] < 900

@@ -13,7 +13,7 @@ import refchain as rc
 import reftape as rt
 from l2okit import autodiff as ad
 from l2okit import metatrain
-from l2okit.model import init_l2o, l2o_step_tape, zero_state
+from l2okit.model import TENSOR_NAMES, L2OParams, init_l2o, l2o_step_tape, zero_state
 from l2okit.optimizees import OptimizeeSpec, sample_instance
 
 
@@ -102,12 +102,35 @@ def test_second_backward_on_a_consumed_tape_is_rejected():
     n_entries = len(tape)
     grads = ad.backward(tape, phi)
     assert len(tape) == n_entries and all(entry is None for entry in tape)
-    kept = [g.tobytes() for g in grads.values()]
+    kept = grads.flat.tobytes()
     with pytest.raises(ValueError, match="already been backpropagated"):
         ad.backward(tape, phi)
     assert len(tape) == n_entries
-    assert [g.tobytes() for g in grads.values()] == kept
-    assert np.any(grads["wx1"] != 0)
+    assert grads.flat.tobytes() == kept
+    assert np.any(grads.wx1 != 0)
+
+
+def test_backward_returns_a_gradient_with_phi_layout():
+    phi = init_l2o(2, hidden=3)
+    phi.w_out[:] = 0.5
+    rng = np.random.default_rng(2)
+    tape = []  # a non-zero start state, so that every tensor's gradient is non-zero
+    update, _ = l2o_step_tape(tape, phi, rng.normal(0, 0.5, (2, 2, 4, 3)),
+                              rng.uniform(-2, 2, 4))
+    tape.append(np.ones_like(update))
+    grads = ad.backward(tape, phi)
+    assert isinstance(grads, L2OParams)
+    assert (grads.hidden, grads.preprocess_p, grads.out_scale) == (
+        phi.hidden, phi.preprocess_p, phi.out_scale)
+    assert grads.flat.shape == phi.flat.shape and grads.flat.dtype == np.float64
+    assert not np.shares_memory(grads.flat, phi.flat)
+    pos = 0
+    for name in TENSOR_NAMES:
+        arr = getattr(grads, name)
+        assert arr.shape == getattr(phi, name).shape, name
+        assert np.array_equal(arr.ravel(), grads.flat[pos:pos + arr.size]), name
+        assert np.shares_memory(arr, grads.flat) and np.any(arr != 0), name
+        pos += arr.size
 
 
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 10**6))
@@ -315,7 +338,7 @@ def test_segment_tapes_are_freed_without_the_cyclic_collector(monkeypatch):
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
-    assert np.any(grads["wx1"] != 0)
+    assert np.any(grads.wx1 != 0)
 
 
 def test_backward_skips_constants_and_matches_unpruned(monkeypatch):

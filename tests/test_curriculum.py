@@ -151,8 +151,7 @@ def test_real_binding_restarts_each_stage_from_best_snapshot(monkeypatch):
     """On real L2O parameters: each new stage trains from the bytes of the
     best snapshot, and best_phi re-validates to the final floor exactly."""
     def phi_bytes(phi):
-        return b"".join(np.ascontiguousarray(t).tobytes()
-                        for t in phi.tensors().values())
+        return phi.flat.tobytes()
 
     periods = []  # (bytes at period start, bytes at period end)
 

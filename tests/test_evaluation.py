@@ -108,6 +108,43 @@ def test_final_losses_pairing_includes_all_seeds():
     assert all(math.isfinite(v) for v in finals.values())
 
 
+def ended_at(finals):
+    """A report whose seed s ends at final loss finals[s], or diverged at
+    step 0 where that is None; only final_losses reads it."""
+    return EvalReport(
+        optimizer_name="x", optimizee=OptimizeeSpec(family="quadratic", dim=3),
+        n_eval=1, log_every=1, seeds=tuple(finals),
+        curves={s: [] if v is None else [(0, v)] for s, v in finals.items()},
+        diverged_at={s: 0 if v is None else None for s, v in finals.items()},
+        agg_steps=[], agg_mean=[], agg_std=[], final_median=0.0, final_mean=0.0,
+        final_std=0.0, divergence_rate=0.0)
+
+
+def test_paired_wins_a_seed_diverged_in_own_never_wins():
+    own = ended_at({0: None, 1: None, 2: 1.0})
+    assert own.paired_wins(ended_at({0: 5.0, 1: None, 2: 2.0})) == 1
+    assert own.paired_wins(ended_at({0: math.inf, 1: 1e308, 2: 0.5})) == 0
+
+
+def test_paired_wins_a_seed_diverged_in_ref_loses_to_any_finite_loss():
+    ref = ended_at({0: None, 1: None})
+    assert ended_at({0: 1e308, 1: -1.0}).paired_wins(ref) == 2
+    assert ended_at({0: None, 1: math.inf}).paired_wins(ref) == 0
+
+
+def test_paired_wins_a_tie_counts_for_neither_side():
+    a, b = ended_at({0: 0.5, 1: 0.5, 2: 0.1}), ended_at({0: 0.5, 1: 0.7, 2: 0.1})
+    assert a.paired_wins(b) == 1
+    assert b.paired_wins(a) == 0
+
+
+def test_paired_wins_rejects_reports_over_other_seeds():
+    with pytest.raises(ValueError, match="seeds"):
+        ended_at({0: 1.0, 1: 1.0}).paired_wins(ended_at({0: 1.0, 2: 1.0}))
+    with pytest.raises(ValueError, match="seeds"):
+        ended_at({0: 1.0}).paired_wins(ended_at({0: 1.0, 1: 1.0}))
+
+
 def test_aggregate_recompute():
     report = run_eval(TeacherKind("adam", lr=0.01), quad_cfg(log_every=3))
     for i, t in enumerate(report.agg_steps):

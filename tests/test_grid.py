@@ -7,6 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__
+
 from l2okit.config import build_config
 from l2okit.evaluation import EvalConfig, run_eval
 from l2okit.experiments import train
@@ -22,8 +27,11 @@ def test_grid_rows_match_in_process_cells(tmp_path):
     subprocess.run([sys.executable, str(SCRIPT), "--modes", "vanilla", "il",
                     "--families", "quadratic", "--seeds", "0", "--out", str(out)],
                    env=env, check=True, capture_output=True)
-    rows = {(r["family"], r["mode"], r["seed"]): r
-            for r in json.loads(out.read_text())["rows"]}
+    grid = json.loads(out.read_text())
+    dispatch = grid["build"]["numpy_dispatch"]
+    assert isinstance(dispatch, list) and len(set(dispatch)) == len(dispatch)
+    assert set(dispatch) <= set(__cpu_dispatch__)
+    rows = {(r["family"], r["mode"], r["seed"]): r for r in grid["rows"]}
     assert set(rows) == {("quadratic", "vanilla", 0), ("quadratic", "il", 0),
                          ("quadratic", "adam", None), ("quadratic", "sgd", None)}
 
@@ -37,8 +45,8 @@ def test_grid_rows_match_in_process_cells(tmp_path):
         row = rows["quadratic", mode, 0]
         assert (row["median_final"], row["divergence_rate"], row["log_auc"]) == (
             report.final_median, report.divergence_rate, report.log_auc())
-    fv, fi = reports["vanilla"].final_losses(), reports["il"].final_losses()
-    assert rows["quadratic", "il", 0]["paired_wins"] == sum(fi[s] < fv[s] for s in fv)
+    assert rows["quadratic", "il", 0]["paired_wins"] == reports["il"].paired_wins(
+        reports["vanilla"])
     assert "paired_wins" not in rows["quadratic", "vanilla", 0]
 
 

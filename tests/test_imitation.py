@@ -50,7 +50,8 @@ def test_imitation_loss_single_step_value():
     steps = [(np.array([1.0]), np.array([0.2]))]
     loss, grads, _ = imitation_loss_and_grads(phi, steps, zero_state(1, phi.hidden))
     assert loss == pytest.approx(0.04, abs=1e-15)
-    assert set(grads) == set(TENSOR_NAMES)
+    for name in TENSOR_NAMES:
+        assert getattr(grads, name).shape == getattr(phi, name).shape
 
 
 def test_imitation_loss_zero_at_minimizer():

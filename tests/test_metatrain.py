@@ -13,9 +13,9 @@ from l2okit.gradchecks import check_meta_loss
 from l2okit.imitation import imitation_loss_and_grads, teacher_trajectory
 from l2okit.metatrain import (MetaAdam, rollout, segment_loss_and_grads,
                               stepper, train_epoch, validate)
-from l2okit.model import TENSOR_NAMES, init_l2o, zero_state
+from l2okit.model import TENSOR_NAMES, L2OParams, init_l2o, zero_state
 from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
-from l2okit.teachers import TeacherKind
+from l2okit.teachers import TeacherKind, adam_update
 
 QUAD = OptimizeeSpec(family="quadratic", dim=3)
 
@@ -227,7 +227,7 @@ def test_segments_are_truncated(monkeypatch):
     loss_b, g_b = run(3.0)
     assert loss_b == pytest.approx(3.0 * loss_a, rel=1e-12)
     for name in TENSOR_NAMES:
-        assert np.array_equal(g_a[name], g_b[name])
+        assert np.array_equal(getattr(g_a, name), getattr(g_b, name))
 
 
 def overriding(steps, dim):
@@ -257,14 +257,14 @@ def test_overridden_steps_match_the_reference_segment_bitwise(overridden):
     assert not diverged and not ref[4]
     assert np.asarray(loss).tobytes() == np.asarray(ref[0]).tobytes()
     for name in TENSOR_NAMES:
-        assert grads[name].shape == getattr(phi, name).shape
-        assert np.asarray(grads[name]).tobytes() == np.asarray(ref[1][name]).tobytes(), name
+        assert getattr(grads, name).shape == getattr(phi, name).shape
+        assert getattr(grads, name).tobytes() == np.asarray(ref[1][name]).tobytes(), name
     assert theta.tobytes() == ref[2].tobytes()
     assert st.tobytes() == ref[3].tobytes()
     if len(overridden) == 6:
         # no step reaches phi, so every gradient is zeros and meta-Adam
         # still takes its step
-        assert not any(np.any(g) for g in grads.values())
+        assert not np.any(grads.flat)
         adam = MetaAdam()
         stepped = phi.copy()
         adam.step(stepped, grads)
@@ -272,17 +272,40 @@ def test_overridden_steps_match_the_reference_segment_bitwise(overridden):
         for name in TENSOR_NAMES:
             assert getattr(stepped, name).tobytes() == getattr(phi, name).tobytes()
     else:
-        assert np.any(grads["wx1"] != 0)
+        assert np.any(grads.wx1 != 0)
 
 
 def test_meta_adam_first_step_magnitude():
     phi = rand_phi(9)
     before = phi.wx1.copy()
     adam = MetaAdam(lr=1e-3)
-    grads = {n: np.ones_like(getattr(phi, n)) for n in TENSOR_NAMES}
+    grads = L2OParams(phi.hidden, phi.preprocess_p, phi.out_scale, np.ones_like(phi.flat))
     adam.step(phi, grads)
     # bias-corrected Adam moves every coordinate by about lr on step one
     np.testing.assert_allclose(before - phi.wx1, 1e-3, rtol=1e-4)
+
+
+def test_meta_adam_steps_phi_flat_as_per_tensor_adam_would():
+    # one adam_update over phi.flat gives the bits of one per tensor, the
+    # moments starting at zeros; some gradients are +0.0 and -0.0
+    phi = rand_phi(9, hidden=5)
+    ref = {n: getattr(phi, n).copy() for n in TENSOR_NAMES}
+    m = {n: np.zeros_like(arr) for n, arr in ref.items()}
+    v = {n: np.zeros_like(arr) for n, arr in ref.items()}
+    adam = MetaAdam(lr=1e-3)
+    rng = np.random.default_rng(9)
+    for t in (1, 2, 3):
+        grads = L2OParams(phi.hidden, phi.preprocess_p, phi.out_scale,
+                          rng.normal(0, 1, phi.flat.size))
+        grads.flat[::7] = 0.0
+        grads.flat[3::11] = -0.0
+        adam.step(phi, grads)
+        for n in TENSOR_NAMES:
+            update, m[n], v[n] = adam_update(m[n], v[n], getattr(grads, n), t, 1e-3)
+            ref[n] += update
+        for n in TENSOR_NAMES:
+            assert getattr(phi, n).tobytes() == ref[n].tobytes(), (t, n)
+    assert adam.t == 3
 
 
 def test_divergent_segment_skips_update_and_records_event():

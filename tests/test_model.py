@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import refchain as rc
 from helpers import same_bits
 from l2okit import imitation, metatrain
-from l2okit.model import (TENSOR_NAMES, init_l2o, l2o_step_np, l2o_step_tape,
+from l2okit.model import (TENSOR_NAMES, L2OParams, init_l2o, l2o_step_np, l2o_step_tape,
                           load_checkpoint, preprocess, save_checkpoint, workspace,
                           zero_state)
 from l2okit.optimizees import OptimizeeSpec, sample_instance
@@ -210,7 +212,7 @@ def test_fused_cell_matches_primitive_chain_bitwise(path, zero_projection):
     ref = run(rc.segment, rc.imitation_segment)
     assert same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
-        assert same_bits(fused[1][name], ref[1][name]), name
+        assert same_bits(getattr(fused[1], name), ref[1][name]), name
     for part, a, b in zip(rc.STATE_PARTS, rc.split_state(fused[2]),
                           rc.split_state(ref[2])):
         assert same_bits(a, b), part
@@ -224,8 +226,8 @@ def test_mm_rows_operands_are_c_contiguous(tmp_path, monkeypatch):
     phi = init_l2o(12, hidden=5)
     save_checkpoint(phi, tmp_path / "phi.l2o")
     stepped = phi.copy()
-    metatrain.MetaAdam().step(stepped, {n: np.ones_like(getattr(phi, n))
-                                        for n in TENSOR_NAMES})
+    metatrain.MetaAdam().step(stepped, L2OParams(phi.hidden, phi.preprocess_p,
+                                                 phi.out_scale, np.ones_like(phi.flat)))
     for params in (phi, load_checkpoint(tmp_path / "phi.l2o"), phi.copy(), stepped):
         for name in TENSOR_NAMES:
             assert getattr(params, name).flags.c_contiguous, name
@@ -289,13 +291,34 @@ def test_copy_is_deep():
     assert phi.wx1[0, 0] != clone.wx1[0, 0]
 
 
+def test_every_tensor_is_a_c_ordered_view_of_flat(tmp_path):
+    # hidden 7 puts most tensors at offsets that are not 64-byte aligned
+    phi = random_phi(12, hidden=7)
+    save_checkpoint(phi, tmp_path / "phi.l2o")
+    clones = (phi.copy(), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi)))
+    for params in (phi, load_checkpoint(tmp_path / "phi.l2o"), *clones):
+        flat = params.flat
+        assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+        pos = 0
+        for name in TENSOR_NAMES:
+            arr = getattr(params, name)
+            assert np.shares_memory(arr, flat) and arr.flags.c_contiguous, name
+            assert arr.ctypes.data == flat.ctypes.data + 8 * pos, name  # in order
+            pos += arr.size
+        assert pos == flat.size
+    for clone in clones:
+        assert np.array_equal(clone.flat, phi.flat)
+        for name in TENSOR_NAMES:
+            assert not np.shares_memory(getattr(clone, name), phi.flat), name
+
+
 def test_param_count_independent_of_dimension():
     phi = random_phi(11)
-    n = phi.n_params()
+    n = phi.flat.size
     # running on different d must not change the parameter count
     metatrain.stepper(phi, 3)(np.zeros(3))
     metatrain.stepper(phi, 30)(np.zeros(30))
-    assert phi.n_params() == n
+    assert phi.flat.size == n
 
 
 # -- expit: scipy's ufunc, loaded from its extension --------------------------

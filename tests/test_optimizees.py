@@ -497,7 +497,7 @@ def test_fused_loss_node_matches_primitive_chain_in_segment(monkeypatch, family_
     assert not fused[4] and not ref[4]
     assert same_bits(fused[0], ref[0])
     for name in TENSOR_NAMES:
-        assert same_bits(fused[1][name], ref[1][name]), name
+        assert same_bits(getattr(fused[1], name), ref[1][name]), name
     assert same_bits(fused[2], ref[2])
     for part, a, b in zip(rc.STATE_PARTS, rc.split_state(fused[3]),
                           rc.split_state(ref[3])):
