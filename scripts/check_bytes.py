@@ -28,8 +28,12 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
   writes on a 200-hidden-unit ``tiny_mlp`` (dimension 1,002) over 100
   steps;
 - ``l2okit eval --family tiny_mlp --n-eval 500`` of
-  ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides) and
-  of ``--optimizer adam``;
+  ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides), of
+  ``--optimizer adam`` and of ``--optimizer adagrad``; each steps its ten
+  seeds (dimension 42) in two stacks of five;
+- ``l2okit eval --family quadratic --dim 10 --optimizer sgd`` at a
+  teacher lr of 0.38, whose ten seeds step as one stack of 100
+  coordinates until seed 6 diverges at step 437 and leaves it;
 - ``l2okit gradcheck``, which writes only to stdout.
 
 Each command's stdout is kept next to its artifacts. The script prints
@@ -84,6 +88,10 @@ def commands(out: Path) -> dict[str, list[str]]:
     runs["eval-checkpoint"] = [*EVAL_ARGS, "--checkpoint",
                                str(ROOT / "benchmark" / "checkpoint.l2o")]
     runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]
+    runs["eval-adagrad"] = [*EVAL_ARGS, "--optimizer", "adagrad"]
+    runs["eval-sgd-one-diverges"] = ["eval", "--family", "quadratic", "--dim", "10",
+                                     "--optimizer", "sgd", "--teacher-lr", "0.38",
+                                     "--n-eval", "500"]
     runs = {name: [*args, "--out", str(out / name)] for name, args in runs.items()}
     return {**runs, "gradcheck": ["gradcheck"]}
 

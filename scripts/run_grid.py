@@ -48,9 +48,9 @@ import numpy as np
 import scipy
 
 from l2okit.config import MODES, build_config
-from l2okit.evaluation import (COMPARE_COLUMNS, EvalConfig, compare, run_eval,
-                               usable_cpus)
+from l2okit.evaluation import COMPARE_COLUMNS, EvalConfig, compare, run_eval
 from l2okit.experiments import FLAGSHIP_FLAGS, train
+from l2okit.metatrain import usable_cpus
 from l2okit.teachers import TeacherKind
 
 FAMILIES = ("quadratic", "logistic_blobs", "tiny_mlp")

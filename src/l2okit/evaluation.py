@@ -1,6 +1,12 @@
 """Long-horizon, multi-seed evaluation of optimizers (learned or
 analytical) on unseen optimizees, with divergence tracking.
 
+The seeds of an eval step in lockstep: metatrain.in_groups packs them in
+seed order into groups of at least POOL_MIN_DIM coordinates, each group
+is one metatrain.rollout with one stepper over its seeds' stacked
+coordinates, and the groups run on threads. A seed's curve is the same
+bits whatever group or thread it ran in.
+
 Loss curves are stored in natural units; the log transform is applied
 only when computing the presentation AUC.
 """
@@ -9,15 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
-from .metatrain import rollout, stepper
-from .optimizees import OptimizeeSpec, sample_instance
+from .metatrain import in_groups, rollout, stepper
+from .optimizees import OptimizeeSpec, instance_dim, sample_instance
 from .seeding import derive_seed
 
 _LOG_FLOOR = 1e-300
@@ -119,45 +123,21 @@ class EvalReport:
             raise ValueError(f"{source} is not an eval report ({exc!r})") from None
 
 
-# Seeds run on threads, which overlap only the numpy kernels that release
-# the interpreter lock. Those dominate a step from about this optimizee
-# dimension up; below it two threads ran slower than one (2 vCPUs, L2O
-# hidden 20: 0.90x at dim 42, 1.01x at 127, 1.35x at 202, 1.89x at 1,002).
-POOL_MIN_DIM = 200
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the
-    platform has one (not macOS or Windows), else os.cpu_count()."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pool_size(cfg: EvalConfig) -> int:
-    """Threads for run_eval: one per seed and usable CPU, or 1 (the seeds
-    run in the calling thread) below POOL_MIN_DIM."""
-    workers = min(len(cfg.seeds), usable_cpus())
-    if workers == 1:
-        return 1
-    inst = sample_instance(cfg.optimizee, derive_seed(cfg.seeds[0], "eval-inst"))
-    return workers if inst.dim >= POOL_MIN_DIM else 1
-
-
 def logged_steps(cfg: EvalConfig) -> list[int]:
     """The steps a curve records: every log_every-th, and the last."""
     return sorted({*range(0, cfg.n_eval, cfg.log_every), cfg.n_eval - 1})
 
 
-def eval_seed(optimizer, cfg: EvalConfig, seed: int):
-    """One seed's rollout on a fresh instance and theta0: its (step, loss)
-    at each logged step it reached, and the step it diverged at, or None."""
-    inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
-    theta0, batches = inst.start(seed, "eval")
-    losses, diverged_at = rollout(stepper(optimizer, inst.dim), inst, theta0,
-                                  batches, cfg.n_eval)
-    pts = [(t, float(losses[t])) for t in logged_steps(cfg) if t < len(losses)]
-    return pts, diverged_at
+def eval_group(optimizer, cfg: EvalConfig, seeds) -> list:
+    """The lockstep rollout of seeds, each on a fresh instance and theta0:
+    per seed, its (step, loss) at each logged step it reached, and the
+    step it diverged at, or None."""
+    insts = [sample_instance(cfg.optimizee, derive_seed(s, "eval-inst")) for s in seeds]
+    runs = [(inst, *inst.start(s, "eval")) for inst, s in zip(insts, seeds)]
+    results = rollout(stepper(optimizer, sum(inst.dim for inst in insts)), runs,
+                      cfg.n_eval)
+    return [([(t, float(losses[t])) for t in logged_steps(cfg) if t < len(losses)],
+             diverged_at) for losses, diverged_at in results]
 
 
 def _std(values) -> float:
@@ -171,17 +151,13 @@ def _std(values) -> float:
 
 
 def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
-    """Fresh instance + theta0 per seed, evaluative rollout, aggregates.
-    Fully deterministic given cfg, whatever the number of threads the
-    seeds run on; never mutates the optimizer."""
+    """Fresh instance + theta0 per seed, lockstep evaluative rollouts in
+    metatrain.in_groups's groups, aggregates. Fully deterministic given
+    cfg, whatever the groups and the number of threads they run on; never
+    mutates the optimizer."""
     stepper(optimizer, 1)  # an unsupported optimizer fails before any thread
-    run = partial(eval_seed, optimizer, cfg)
-    workers = _pool_size(cfg)
-    if workers == 1:
-        results = list(map(run, cfg.seeds))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run, cfg.seeds))
+    results = in_groups(partial(eval_group, optimizer, cfg), list(cfg.seeds),
+                        [instance_dim(cfg.optimizee)] * len(cfg.seeds))
     curves = {s: pts for s, (pts, _) in zip(cfg.seeds, results)}
     diverged = {s: at for s, (_, at) in zip(cfg.seeds, results)}
 

@@ -45,7 +45,7 @@ def teacher_trajectory(kind: TeacherKind, inst: OptimizeeInstance,
         steps.append((g, update))
         return update
 
-    _, diverged_at = rollout(recorded_step, inst, theta0, batches, n)
+    [(_, diverged_at)] = rollout(recorded_step, [(inst, theta0, batches)], n)
     return steps, diverged_at
 
 

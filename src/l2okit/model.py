@@ -5,15 +5,19 @@ so the parameter count is independent of the optimizee dimension. The
 gradient is preprocessed into a (log-magnitude, sign) pair, fed through
 two LSTM layers, and projected to a single scaled update per coordinate.
 
-The LSTM state is one (2, 2, dim, hidden) array: layer, then h or c.
-One cell function computes a layer's forward pass into buffers that its
-caller passes in: the layer's new state and two (dim, 4 * hidden)
-buffers for the gate arithmetic. l2o_step_np, the evaluative step,
-updates its state in place in a workspace that a rollout's stepper
-keeps, so a step allocates no array of the state's size. l2o_step_tape,
-meta-training's step, writes into fresh buffers and appends to a
-segment's tape what the hand-written backward of the step, step_vjp,
-reads back; autodiff.backward walks that tape.
+The LSTM state is one (2, 2, hidden, dim) array: layer, then h or c,
+each with one column per coordinate. One cell function computes a
+layer's forward pass in that layout, into buffers that its caller
+passes in: the layer's new state and two (4 * hidden, dim) buffers for
+the gate arithmetic. Its products run their inner loop along the
+coordinates, so stacking more coordinates (several runs' gradients in
+one call) makes each loop longer, and every coordinate keeps the bits
+it would have alone. l2o_step_np, the evaluative step, updates its
+state in place in a workspace that a rollout's stepper keeps, so a step
+allocates no array of the state's size. l2o_step_tape, meta-training's
+step, runs the same cell into fresh buffers and appends to a segment's
+tape what the hand-written backward of the step, step_vjp, reads back,
+transposed to one row per coordinate; autodiff.backward walks that tape.
 
 The sigmoid is scipy's expit ufunc, here and in optimizees, and every
 artifact pins its bits. It is loaded from the one extension module that
@@ -118,8 +122,8 @@ class L2OParams:
 
 
 def zero_state(dim: int, hidden: int) -> np.ndarray:
-    """The LSTM state, (2, 2, dim, hidden): layer, then h or c."""
-    return np.zeros((2, 2, dim, hidden))
+    """The LSTM state, (2, 2, hidden, dim): layer, then h or c."""
+    return np.zeros((2, 2, hidden, dim))
 
 
 def init_l2o(seed: int, hidden: int = 20, preprocess_p: float = 10.0,
@@ -155,38 +159,39 @@ def preprocess(g: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _mm_rows(a, b, out=None):
-    """Matrix product evaluated with a fixed per-row accumulation order.
+def _gates_mm(w, x, out):
+    """w.T @ x into out, (4 * hidden, coordinates), for w (k, 4 * hidden)
+    and x (k, coordinates) C-ordered.
 
-    BLAS matmul may compute different rows with differently ordered
-    accumulations, which breaks bitwise permutation equivariance of the
-    coordinate-wise optimizer. Unoptimized einsum reduces every output
-    element in the same sequential order, so row results depend only on
-    that row's inputs. b may be a matrix or a vector.
+    Unoptimized einsum's inner loop runs along the coordinates, each
+    element adding its k products in order, so a column's bits depend
+    only on that column's inputs and not on how many coordinates are
+    stacked beside it. BLAS matmul may order different elements' sums
+    differently, which breaks bitwise permutation equivariance of the
+    coordinate-wise optimizer.
     """
-    if b.ndim == 2:
-        return np.einsum("ik,kj->ij", a, b, out=out, optimize=False)
-    return np.einsum("ik,k->i", a, b, out=out, optimize=False)
+    return np.einsum("kj,ki->ji", w, x, out=out, optimize=False)
 
 
 def workspace(dim: int, hidden: int) -> np.ndarray:
-    """The cell's two (dim, 4 * hidden) buffers, z and scratch, as one array."""
-    return np.empty((2, dim, 4 * hidden))
+    """The cell's two (4 * hidden, dim) buffers, z and scratch, as one array."""
+    return np.empty((2, 4 * hidden, dim))
 
 
 def _cell(x, hc, wx, wh, b, hidden, out, z, scratch):
-    """One LSTM cell on a layer's state hc, h then c. Writes the layer's
-    new state into out, which may be hc itself, and the gates i, f, g, o
-    into z's column blocks; scratch takes the second matmul, then i * g
-    and tanh of the new c. Returns tanh of the new c, a view of scratch."""
-    _mm_rows(x, wx, out=z)
-    z += _mm_rows(hc[0], wh, out=scratch)
-    z += b
-    i, f, g, o = (z[:, k * hidden:(k + 1) * hidden] for k in range(4))
-    expit(z[:, :2 * hidden], out=z[:, :2 * hidden])
+    """One LSTM cell on a layer's state hc, h then c, each (hidden, dim),
+    and its input x, (inputs, dim). Writes the layer's new state into
+    out, which may be hc itself, and the gates i, f, g, o into z's row
+    blocks; scratch takes the second matmul, then i * g and tanh of the
+    new c. Returns tanh of the new c, a view of scratch."""
+    _gates_mm(wx, x, z)
+    z += _gates_mm(wh, hc[0], scratch)
+    z += b[:, None]
+    i, f, g, o = (z[k * hidden:(k + 1) * hidden] for k in range(4))
+    expit(z[:2 * hidden], out=z[:2 * hidden])
     np.tanh(g, out=g)
     expit(o, out=o)
-    tc = scratch[:, :hidden]
+    tc = scratch[:hidden]
     np.multiply(f, hc[1], out=out[1])
     out[1] += np.multiply(i, g, out=tc)
     np.tanh(out[1], out=tc)
@@ -195,7 +200,9 @@ def _cell(x, hc, wx, wh, b, hidden, out, z, scratch):
 
 
 def _project(h, w_out, b_out, out_scale):
-    return out_scale * (_mm_rows(h, w_out) + b_out)
+    """The update from the upper layer's new h, (dim, hidden) C-ordered:
+    each coordinate's dot product over its own row."""
+    return out_scale * (np.einsum("ik,k->i", h, w_out, optimize=False) + b_out)
 
 
 def l2o_step_np(phi: L2OParams, state: np.ndarray, g: np.ndarray,
@@ -203,14 +210,14 @@ def l2o_step_np(phi: L2OParams, state: np.ndarray, g: np.ndarray,
     """Evaluative forward pass: updates state in place, with work, a
     workspace(dim, hidden), for the gate arithmetic. Returns the update,
     a fresh array."""
-    if state.shape[2] != g.shape[0]:
+    if state.shape[3] != g.shape[0]:
         raise ValueError("l2o_step: state/gradient dimension mismatch")
-    inp = preprocess(g, phi.preprocess_p)
+    inp = np.ascontiguousarray(preprocess(g, phi.preprocess_p).T)
     for n in (0, 1):
         hc = state[n]
         _cell(inp, hc, *phi.layer(n), phi.hidden, hc, *work)
         inp = hc[0]  # the layer's new h, the next layer's input
-    return _project(inp, phi.w_out, phi.b_out, phi.out_scale)
+    return _project(np.ascontiguousarray(inp.T), phi.w_out, phi.b_out, phi.out_scale)
 
 
 def l2o_step_tape(tape: list, phi: L2OParams, state: np.ndarray, g: np.ndarray):
@@ -220,17 +227,20 @@ def l2o_step_tape(tape: list, phi: L2OParams, state: np.ndarray, g: np.ndarray):
     (update, new_state) and leaves state unchanged.
 
     The record holds each layer's input, input state, gates and tanh of
-    its new c, then the upper layer's new h."""
+    its new c, then the upper layer's new h, each C-ordered with one row
+    per coordinate: (dim, inputs), (2, dim, hidden), (dim, 4 * hidden),
+    (dim, hidden) and (dim, hidden)."""
     inp = preprocess(g, phi.preprocess_p)
+    x = np.ascontiguousarray(inp.T)
     new = np.empty(state.shape)
+    z, scratch = workspace(g.shape[0], phi.hidden)
     cells = []
     for n in (0, 1):
         hc = state[n]
-        z = np.empty((g.shape[0], 4 * phi.hidden))
-        tc = _cell(inp, hc, *phi.layer(n), phi.hidden, new[n], z, np.empty_like(z))
-        # the record keeps z's gates and tanh c, not all of scratch
-        cells.append((inp, hc, z, tc.copy()))
-        inp = new[n, 0]
+        tc = _cell(x, hc, *phi.layer(n), phi.hidden, new[n], z, scratch)
+        cells.append((inp, hc.transpose(0, 2, 1).copy(), z.T.copy(), tc.T.copy()))
+        x = new[n, 0]
+        inp = x.T.copy()
     update = _project(inp, phi.w_out, phi.b_out, phi.out_scale)
     tape.append((*cells, inp))
     return update, new

@@ -206,8 +206,7 @@ class MLPInstance(_DatasetInstance):
         self.y = y
         self.n_hidden = n_hidden
         self.n_classes = n_classes
-        f = x.shape[1]
-        self.dim = f * n_hidden + n_hidden + n_hidden * n_classes + n_classes
+        self.dim = _mlp_dim(x.shape[1], n_hidden, n_classes)
 
     def loss_vjp(self, theta, batch):
         f = self.x.shape[1]
@@ -241,6 +240,10 @@ class MLPInstance(_DatasetInstance):
                                    (hid.T @ glog).ravel(), glog.sum(axis=0)]) + 0.0
 
         return loss, vjp
+
+
+def _mlp_dim(features: int, n_hidden: int, n_classes: int) -> int:
+    return features * n_hidden + n_hidden + n_hidden * n_classes + n_classes
 
 
 def _sample_blobs(spec: OptimizeeSpec, rng: np.random.Generator, labels01: bool):
@@ -310,3 +313,14 @@ def sample_instance(spec: OptimizeeSpec, seed: int) -> OptimizeeInstance:
         x, y = _mnist_data(spec)
         return MLPInstance(spec, x, y, MNIST_HIDDEN, MNIST_CLASSES)
     raise ValueError(f"unsupported family {spec.family!r}")
+
+
+def instance_dim(spec: OptimizeeSpec) -> int:
+    """The dimension of every instance that sample_instance draws from spec."""
+    if spec.family == "quadratic":
+        return spec.dim
+    if spec.family == "logistic_blobs":
+        return spec.features + 1
+    if spec.family == "tiny_mlp":
+        return _mlp_dim(spec.features, spec.hidden, spec.n_classes)
+    return _mlp_dim(_mnist_data(spec)[0].shape[1], MNIST_HIDDEN, MNIST_CLASSES)

@@ -11,7 +11,7 @@ for the closed-form loss gradients. Each primitive is one rt.Value with
 hand-written vjps, and its float operations must stay as they are, or
 the oracles stop meaning anything. The reference LSTM chain keeps the
 state as four arrays h1, c1, h2, c2; split_state and join_state convert
-to and from the package's one (2, 2, dim, hidden) state array.
+to and from the package's one (2, 2, hidden, dim) state array.
 """
 
 import numpy as np
@@ -24,13 +24,15 @@ STATE_PARTS = ("h1", "c1", "h2", "c2")
 
 
 def split_state(state):
-    """The state array's four (dim, hidden) views h1, c1, h2, c2."""
-    return (*state[0], *state[1])
+    """The state array's four parts h1, c1, h2, c2, each transposed to a
+    C-ordered (dim, hidden) copy."""
+    return tuple(np.ascontiguousarray(part.T) for part in (*state[0], *state[1]))
 
 
 def join_state(h1, c1, h2, c2):
-    """A fresh state array: layer 1's h and c, then layer 2's."""
-    return np.array([[h1, c1], [h2, c2]])
+    """A fresh state array from four (dim, hidden) parts: layer 1's h and
+    c, then layer 2's, each transposed to (hidden, dim)."""
+    return np.array([[h1.T, c1.T], [h2.T, c2.T]])
 
 
 def add_bias(a, b):
@@ -110,7 +112,10 @@ def logsumexp_rows(a):
 # -- the LSTM step as a chain: 17 nodes per cell and 3 for the projection ---
 
 def matmul_rows(a, b):
-    """model._mm_rows: the einsum products whose rows reduce in a fixed order."""
+    """model._gates_mm and model._project with one row per coordinate:
+    einsum products whose elements each reduce in a fixed order, so a
+    row has the bits that the package's (4 * hidden, dim) layout gives
+    the same coordinate's column."""
     A, B = a.data, b.data
     if B.ndim == 2:
         return rt.Value(a.tape, np.einsum("ik,kj->ij", A, B, optimize=False),

@@ -245,7 +245,7 @@ def test_criterion_8_permutation_equivariance():
         for arr in (*state[0], *state[1]):
             arr[:] = rng.normal(size=arr.shape)
         # permuted before the in-place step overwrites state
-        pstate = state[:, :, perm].copy()
+        pstate = state[..., perm].copy()
         work = workspace(d, phi.hidden)
         u = l2o_step_np(phi, state, g, work)
         pu = l2o_step_np(phi, pstate, g[perm], work)

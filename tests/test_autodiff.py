@@ -115,7 +115,7 @@ def test_backward_returns_a_gradient_with_phi_layout():
     phi.w_out[:] = 0.5
     rng = np.random.default_rng(2)
     tape = []  # a non-zero start state, so that every tensor's gradient is non-zero
-    update, _ = l2o_step_tape(tape, phi, rng.normal(0, 0.5, (2, 2, 4, 3)),
+    update, _ = l2o_step_tape(tape, phi, rng.normal(0, 0.5, (2, 2, 3, 4)),
                               rng.uniform(-2, 2, 4))
     tape.append(np.ones_like(update))
     grads = ad.backward(tape, phi)

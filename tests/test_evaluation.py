@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from l2okit import evaluation
+from l2okit import evaluation, metatrain
 from l2okit.evaluation import (COMPARE_COLUMNS, EvalConfig, EvalReport,
                                compare, run_eval, write_curves_csv,
                                write_summary_csv)
@@ -155,24 +155,26 @@ def test_aggregate_recompute():
 
 
 def test_aggregate_drops_a_seed_only_after_it_diverges(monkeypatch):
-    # seed 0's stepper blows theta up at step 12, so seed 0 diverges at
-    # step 13; seeds 1 and 2 run plain SGD to the end
+    # the three seeds step as one stack, whose stepper blows seed 0's
+    # theta up at step 12, so seed 0 diverges at step 13; seeds 1 and 2
+    # run plain SGD to the end
     sgd = TeacherKind("sgd", lr=0.01)
 
-    def blows_up_at_step_12():
-        step, calls = stepper(sgd, QUAD.dim), []
+    def blows_up_seed_0_at_step_12():
+        step, calls = stepper(sgd, 3 * QUAD.dim), []
 
-        def run(g):
+        def run(g, keep=None):
             calls.append(g)
-            return np.full_like(g, np.inf) if len(calls) == 13 else step(g)
+            update = step(g, keep)
+            if len(calls) == 13:
+                update[:QUAD.dim] = np.inf
+            return update
         return run
 
-    steppers = iter([blows_up_at_step_12(), stepper(sgd, QUAD.dim),
-                     stepper(sgd, QUAD.dim)])
     # run_eval's up-front check of the optimizer builds a stepper of
-    # dimension 1; the seeds' rollouts take the three above in order
+    # dimension 1; the group of three seeds takes the one above
     monkeypatch.setattr(evaluation, "stepper", lambda opt, dim: (
-        next(steppers) if dim == QUAD.dim else stepper(opt, dim)))
+        blows_up_seed_0_at_step_12() if dim == 3 * QUAD.dim else stepper(opt, dim)))
     report = run_eval(sgd, quad_cfg(log_every=3))
     assert report.diverged_at == {0: 13, 1: None, 2: None}
     assert report.divergence_rate == pytest.approx(1 / 3)
@@ -260,7 +262,7 @@ WIDE_QUAD = OptimizeeSpec(family="quadratic", dim=200, n_rows=1)
 
 
 def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(evaluation, "usable_cpus", lambda: n)
+    monkeypatch.setattr(metatrain, "usable_cpus", lambda: n)
 
 
 def test_eval_runs_where_os_has_no_sched_getaffinity(monkeypatch):
@@ -271,9 +273,9 @@ def test_eval_runs_where_os_has_no_sched_getaffinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert run_eval(TeacherKind("adam", lr=0.01), cfg).to_json() == with_affinity
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert evaluation.usable_cpus() == 3
+    assert metatrain.usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-    assert evaluation.usable_cpus() == 1
+    assert metatrain.usable_cpus() == 1
 
 
 def wide_l2o_checkpoint(tmp_path):
@@ -294,14 +296,15 @@ def test_report_bytes_do_not_depend_on_the_number_of_threads(monkeypatch, tmp_pa
     else:
         optimizer, n_eval, seeds = TeacherKind("sgd", lr=0.00515), 4000, (0, 2, 3)
     cfg = EvalConfig(optimizee=WIDE_QUAD, n_eval=n_eval, seeds=seeds, log_every=50)
+    # each seed's dimension reaches POOL_MIN_DIM, so each is a group of one
     seed_threads = []
 
-    def recorded_eval_seed(*args):
+    def recorded_eval_group(*args):
         seed_threads.append(threading.current_thread())
-        return eval_seed(*args)
+        return eval_group(*args)
 
-    eval_seed = evaluation.eval_seed
-    monkeypatch.setattr(evaluation, "eval_seed", recorded_eval_seed)
+    eval_group = evaluation.eval_group
+    monkeypatch.setattr(evaluation, "eval_group", recorded_eval_group)
     out = {}
     for cpus in (1, 3):
         use_cpus(monkeypatch, cpus)
@@ -339,6 +342,6 @@ def test_unsupported_optimizer_fails_before_the_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("pool started for an unsupported optimizer")
 
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(metatrain, "ThreadPoolExecutor", no_pool)
     with pytest.raises(TypeError, match="unsupported optimizer"):
         run_eval(object(), EvalConfig(optimizee=WIDE_QUAD, n_eval=5, seeds=(0, 1)))

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 import warnings
 
@@ -8,13 +9,15 @@ import pytest
 import refchain as rc
 from helpers import rand_phi, valid_instances
 from l2okit import autodiff as ad
+from l2okit import metatrain
 from l2okit.config import RunConfig
+from l2okit.evaluation import EvalConfig, run_eval
 from l2okit.gradchecks import check_meta_loss
 from l2okit.imitation import imitation_loss_and_grads, teacher_trajectory
 from l2okit.metatrain import (MetaAdam, rollout, segment_loss_and_grads,
                               stepper, train_epoch, validate)
 from l2okit.model import TENSOR_NAMES, L2OParams, init_l2o, zero_state
-from l2okit.optimizees import OptimizeeSpec, QuadraticInstance, sample_instance
+from l2okit.optimizees import Batch, OptimizeeSpec, QuadraticInstance, sample_instance
 from l2okit.teachers import TeacherKind, adam_update
 
 QUAD = OptimizeeSpec(family="quadratic", dim=3)
@@ -35,7 +38,7 @@ def test_identity_policy_rollout_is_constant():
         updates.append(step(g))
         return updates[-1]
 
-    losses, _ = rollout(recorded_step, inst, theta0, inst.batches(0), 10)
+    [(losses, _)] = rollout(recorded_step, [(inst, theta0, inst.batches(0))], 10)
     assert len(losses) == len(updates) == 10
     assert all(v == losses[0] for v in losses)
     assert all(np.all(u == 0) for u in updates)
@@ -46,8 +49,8 @@ def test_rollout_records_analytic_gradient():
                              np.eye(2), np.zeros(2))
     theta0 = np.array([1.0, -2.0])
     seen = []
-    rollout(lambda g: seen.append(g) or np.zeros_like(g), inst, theta0,
-            inst.batches(0), 1)
+    rollout(lambda g: seen.append(g) or np.zeros_like(g), [(inst, theta0, inst.batches(0))],
+            1)
     # f = ||theta||^2 / 2, so the step function is handed g = theta
     np.testing.assert_allclose(seen[0], theta0, atol=1e-12)
 
@@ -55,13 +58,13 @@ def test_rollout_records_analytic_gradient():
 def test_rollout_rejects_bad_horizon():
     inst = quad_instance()
     with pytest.raises(ValueError):
-        rollout(lambda g: -g, inst, np.zeros(3), inst.batches(0), 0)
+        rollout(lambda g: -g, [(inst, np.zeros(3), inst.batches(0))], 0)
 
 
 def test_rollout_divergence_is_data():
     inst = quad_instance(3)
-    losses, diverged_at = rollout(stepper(init_l2o(0, hidden=4), inst.dim), inst,
-                                  np.full(3, np.inf), inst.batches(0), 5)
+    [(losses, diverged_at)] = rollout(stepper(init_l2o(0, hidden=4), inst.dim),
+                                      [(inst, np.full(3, np.inf), inst.batches(0))], 5)
     assert diverged_at == 0
     assert losses == []
 
@@ -74,13 +77,115 @@ def test_rollout_memory_does_not_grow_with_dimension_times_steps():
     theta0 = inst.init_params(1)
     tracemalloc.start()
     try:
-        losses, diverged_at = rollout(lambda g: -1e-3 * g, inst, theta0,
-                                      inst.batches(0), n)
+        [(losses, diverged_at)] = rollout(lambda g: -1e-3 * g,
+                                          [(inst, theta0, inst.batches(0))], n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(losses) == n and diverged_at is None
     assert peak < 2 * n * dim * 8 / 16
+
+
+# runs of four dimensions, one of them a tiny_mlp, for one stack
+STACK_SPECS = (OptimizeeSpec(family="quadratic", dim=3),
+               OptimizeeSpec(family="quadratic", dim=7),
+               OptimizeeSpec(family="quadratic", dim=42),
+               OptimizeeSpec(family="tiny_mlp", hidden=4, n_points=32, batch_size=8))
+STACK_OPTIMIZERS = {"l2o": rand_phi(5), **{kind: TeacherKind(kind, lr=0.01) for kind in
+                                           ("sgd", "adam", "adagrad", "rmsprop")}}
+
+
+def poisoned(batches, t):
+    """batches, with non-finite targets from step t on."""
+    for step, batch in enumerate(batches):
+        yield batch if step < t else Batch(batch.x, np.full_like(batch.y, np.inf))
+
+
+def stack_runs(diverges_at):
+    """A fresh (inst, theta0, batches) per STACK_SPECS entry; the second
+    run's loss turns non-finite at step diverges_at, unless it is None."""
+    runs = []
+    for k, spec in enumerate(STACK_SPECS):
+        inst = sample_instance(spec, k)
+        theta0, batches = inst.start(k, "eval")
+        if k == 1 and diverges_at is not None:
+            batches = poisoned(batches, diverges_at)
+        runs.append((inst, theta0, batches))
+    return runs
+
+
+@pytest.mark.parametrize("diverges_at", [None, 9])
+@pytest.mark.parametrize("name", STACK_OPTIMIZERS)
+def test_stacked_runs_step_as_each_would_alone_bitwise(name, diverges_at):
+    # one stepper call over the coordinates of all runs still in; a run
+    # that diverges leaves the stack, and the runs after it move up
+    optimizer, n = STACK_OPTIMIZERS[name], 25
+    runs = stack_runs(diverges_at)
+    stacked = rollout(stepper(optimizer, sum(inst.dim for inst, _, _ in runs)), runs, n)
+    alone = [rollout(stepper(optimizer, run[0].dim), [run], n)[0]
+             for run in stack_runs(diverges_at)]
+    assert [at for _, at in stacked] == [None, diverges_at, None, None]
+    assert all(len(losses) == n for losses, at in stacked if at is None)
+    assert repr(stacked) == repr(alone)
+
+
+def test_stacked_sgd_run_that_diverges_leaves_the_others_as_they_were():
+    # one row makes SGD's stable step size differ across seeds: at lr 0.1
+    # the third run diverges mid-rollout, the others converge
+    spec, n = OptimizeeSpec(family="quadratic", dim=10, n_rows=1), 600
+    sgd = TeacherKind("sgd", lr=0.1)
+
+    def runs():
+        insts = [sample_instance(spec, s) for s in range(4)]
+        return [(inst, *inst.start(s, "eval")) for s, inst in enumerate(insts)]
+
+    stacked = rollout(stepper(sgd, 4 * spec.dim), runs(), n)
+    alone = [rollout(stepper(sgd, spec.dim), [run], n)[0] for run in runs()]
+    assert [at for _, at in stacked] == [None, None, 484, None]
+    assert repr(stacked) == repr(alone)
+
+
+def test_groups_of_wide_runs_hold_one_run_at_a_time(monkeypatch):
+    # a run of POOL_MIN_DIM coordinates or more is a group of its own, so
+    # on one thread validate and run_eval step one run's state at a time
+    monkeypatch.setattr(metatrain, "usable_cpus", lambda: 1)
+    spec = OptimizeeSpec(family="quadratic", dim=2000, n_rows=2)
+    phi, instances = init_l2o(0), valid_instances(spec, 0, 5)
+
+    def peak(fn):
+        fn()  # warm up
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def evaluate(seeds):
+        return lambda: run_eval(phi, EvalConfig(optimizee=spec, n_eval=5, seeds=seeds))
+
+    one = peak(lambda: validate(phi, 4, instances[:1], 0))
+    assert peak(lambda: validate(phi, 4, instances, 0)) <= 1.5 * one
+    one = peak(evaluate((0,)))
+    assert peak(evaluate(tuple(range(5)))) <= 1.5 * one
+
+
+def test_validate_bits_do_not_depend_on_groups_or_threads(monkeypatch):
+    # six dim-100 instances make three groups of two, run on one thread
+    # and on three; then six groups of one, and one group of six
+    phi = rand_phi(4)
+    instances = valid_instances(OptimizeeSpec(family="quadratic", dim=100), 4, 6)
+    values = []
+    for cpus, min_dim in ((1, 200), (3, 200), (3, 1), (1, 10**9)):
+        monkeypatch.setattr(metatrain, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(metatrain, "POOL_MIN_DIM", min_dim)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads as often as possible
+        try:
+            values.append(validate(phi, 30, instances, 4))
+        finally:
+            sys.setswitchinterval(interval)
+    assert len({v.hex() for v in values}) == 1
 
 
 def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
@@ -91,16 +196,16 @@ def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
     n_valid, scores = 5, []
     for i, inst in enumerate(instances):
         theta0, batches = inst.start(4, "valid", i)
-        losses, diverged_at = rollout(stepper(phi, inst.dim), inst, theta0,
-                                      batches, n_valid + 1)
+        [(losses, diverged_at)] = rollout(stepper(phi, inst.dim),
+                                          [(inst, theta0, batches)], n_valid + 1)
         assert diverged_at is None and len(losses) == n_valid + 1
         scores.append(sum(losses[1:]))
     assert validate(phi, n_valid, instances, 4) == pytest.approx(np.mean(scores),
                                                                  rel=1e-12)
     # identity policy keeps theta fixed, so the final loss matches step 0
     inst = quad_instance(4)
-    losses, _ = rollout(stepper(init_l2o(0, hidden=4), inst.dim), inst,
-                        inst.init_params(0), inst.batches(0), 4)
+    [(losses, _)] = rollout(stepper(init_l2o(0, hidden=4), inst.dim),
+                            [(inst, inst.init_params(0), inst.batches(0))], 4)
     assert losses[-1] == pytest.approx(losses[0])
 
 
@@ -193,7 +298,7 @@ def test_every_step_draws_exactly_one_batch(monkeypatch):
             drawn.append(batch)
             yield batch
 
-    rollout(stepper(phi, inst.dim), inst, theta0, counted(0), 4)
+    rollout(stepper(phi, inst.dim), [(inst, theta0, counted(0))], 4)
     assert len(drawn) == 4
     segment_loss_and_grads(phi, inst, theta0, state, counted(0), 3)
     assert len(drawn) == 4 + 3

@@ -97,7 +97,7 @@ def test_permutation_equivariance_bitwise(seed, d):
     h1[:] = rng.normal(size=h1.shape)
     c1[:] = rng.normal(size=c1.shape)
     # permuted before the in-place step overwrites state
-    pstate = state[:, :, perm].copy()
+    pstate = state[..., perm].copy()
     work = workspace(d, phi.hidden)
     u = l2o_step_np(phi, state, g, work)
     pu = l2o_step_np(phi, pstate, g[perm], work)
@@ -115,7 +115,7 @@ def test_dimension_independence():
     for d in (1, 3, 50):
         u, st = l2o_step_tape([], phi, zero_state(d, phi.hidden), np.linspace(-1, 1, d))
         assert u.shape == (d,)
-        assert st.shape == (2, 2, d, phi.hidden)
+        assert st.shape == (2, 2, phi.hidden, d)
 
 
 @pytest.mark.parametrize("d", [1, 42])
@@ -125,7 +125,7 @@ def test_step_returns_packed_layers_and_keeps_its_input_state(d):
     state = rc.join_state(*(rng.normal(0, 0.5, (d, phi.hidden)) for _ in range(4)))
     before = state.tobytes()
     _, st = l2o_step_tape([], phi, state, rng.normal(size=d))
-    assert st.shape == (2, 2, d, phi.hidden)
+    assert st.shape == (2, 2, phi.hidden, d)
     assert st.flags.c_contiguous
     assert not np.shares_memory(st, state)
     assert state.tobytes() == before
@@ -219,10 +219,10 @@ def test_fused_cell_matches_primitive_chain_bitwise(path, zero_projection):
 
 
 def test_mm_rows_operands_are_c_contiguous(tmp_path, monkeypatch):
-    # _mm_rows's bits depend on its operands' memory order (a
-    # Fortran-ordered b gives other bits at k = 20), so byte identity and
-    # criterion 8 rest on every phi tensor, state array and workspace
-    # buffer being C-ordered
+    # the einsum products' bits can depend on their operands' memory
+    # order (a Fortran-ordered h gives _project other bits at hidden 20),
+    # so byte identity and criterion 8 rest on every phi tensor, state
+    # array and workspace buffer being C-ordered
     phi = init_l2o(12, hidden=5)
     save_checkpoint(phi, tmp_path / "phi.l2o")
     stepped = phi.copy()
@@ -239,7 +239,7 @@ def test_mm_rows_operands_are_c_contiguous(tmp_path, monkeypatch):
     step(g)
     stepped_state, work = calls[0]
     for state in (state0, state1, recorded, stepped_state):
-        for part, arr in zip(rc.STATE_PARTS, rc.split_state(state)):
+        for part, arr in zip(rc.STATE_PARTS, (*state[0], *state[1])):
             assert arr.flags.c_contiguous, part
     for buf in work:
         assert buf.flags.c_contiguous

@@ -13,7 +13,8 @@ from l2okit import autodiff as ad
 from l2okit import idx, metatrain
 from l2okit.model import TENSOR_NAMES, init_l2o
 from l2okit.optimizees import (FAMILIES, Batch, LogisticBlobsInstance,
-                               OptimizeeSpec, QuadraticInstance, sample_instance)
+                               OptimizeeSpec, QuadraticInstance, instance_dim,
+                               sample_instance)
 from l2okit.seeding import derive_seed, rng_for
 
 QUAD = OptimizeeSpec(family="quadratic", dim=4)
@@ -398,6 +399,13 @@ def family_specs(tmp_path_factory):
         "mnist_mlp": OptimizeeSpec(family="mnist_mlp", batch_size=16,
                                    dataset_root=str(root)),
     }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_instance_dim_is_the_dimension_of_every_sampled_instance(family_specs, family):
+    # run_eval packs seeds into groups by this dimension before sampling
+    spec = family_specs[family]
+    assert {sample_instance(spec, seed).dim for seed in range(3)} == {instance_dim(spec)}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
