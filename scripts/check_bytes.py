@@ -19,6 +19,9 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
 - ``l2okit train --mode il`` on ``tiny_mlp`` over 20 epochs at horizon 20
   with a 7-step segment, so that meta and imitation episodes both end in
   a segment shorter than the others (7, 7 and 6 steps);
+- ``l2okit train --mode cl`` on ``quadratic`` at dimension 200 with three
+  validation instances, which reach ``POOL_MIN_DIM`` and so validate one
+  per thread;
 - ``l2okit train --mode cl-il`` on ``logistic_blobs`` with 500 points, so
   that each pass over the data ends in a 116-point batch after three of
   128;
@@ -30,7 +33,7 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
 - ``l2okit eval --family tiny_mlp --n-eval 500`` of
   ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides), of
   ``--optimizer adam`` and of ``--optimizer adagrad``; each steps its ten
-  seeds (dimension 42) in two stacks of five;
+  seeds (dimension 42) in one stack of ten;
 - ``l2okit eval --family quadratic --dim 10 --optimizer sgd`` at a
   teacher lr of 0.38, whose ten seeds step as one stack of 100
   coordinates until seed 6 diverges at step 437 and leaves it;
@@ -73,6 +76,11 @@ def commands(out: Path) -> dict[str, list[str]]:
     runs["train-il-segment-7"] = ["train", "--mode", "il", "--family", "tiny_mlp",
                                   "--seed", "3", "--epochs", "20", "--n-train", "20",
                                   "--segment", "7", "--r", "0.5"]
+    runs["train-cl-quadratic-200"] = ["train", "--mode", "cl", "--family", "quadratic",
+                                      "--dim", "200", "--n-val-instances", "3",
+                                      "--seed", "3", "--epochs", "20", "--n-train", "10",
+                                      "--ladder", "10,20", "--n-period", "1",
+                                      "--t-period", "5"]
     runs["train-cl-il-blobs-500"] = ["train", "--mode", "cl-il",
                                      "--family", "logistic_blobs", "--n-points", "500",
                                      "--seed", "3", "--epochs", "40", "--n-train", "20",

@@ -1,10 +1,10 @@
 """Long-horizon, multi-seed evaluation of optimizers (learned or
 analytical) on unseen optimizees, with divergence tracking.
 
-The seeds of an eval step in lockstep: metatrain.in_groups packs them in
-seed order into groups of at least POOL_MIN_DIM coordinates, each group
-is one metatrain.rollout with one stepper over its seeds' stacked
-coordinates, and the groups run on threads. A seed's curve is the same
+The seeds of an eval run in metatrain.in_groups's groups, each group one
+metatrain.rollout with one stepper over its seeds' stacked coordinates:
+seeds narrower than POOL_MIN_DIM step as one lockstep stack in the
+calling thread, wider ones one per thread. A seed's curve is the same
 bits whatever group or thread it ran in.
 
 Loss curves are stored in natural units; the log transform is applied
@@ -129,9 +129,9 @@ def logged_steps(cfg: EvalConfig) -> list[int]:
 
 
 def eval_group(optimizer, cfg: EvalConfig, seeds) -> list:
-    """The lockstep rollout of seeds, each on a fresh instance and theta0:
-    per seed, its (step, loss) at each logged step it reached, and the
-    step it diverged at, or None."""
+    """The lockstep rollout of seeds (all of run_eval's, or one wide seed),
+    each on a fresh instance and theta0: per seed, its (step, loss) at
+    each logged step it reached, and the step it diverged at, or None."""
     insts = [sample_instance(cfg.optimizee, derive_seed(s, "eval-inst")) for s in seeds]
     runs = [(inst, *inst.start(s, "eval")) for inst, s in zip(insts, seeds)]
     results = rollout(stepper(optimizer, sum(inst.dim for inst in insts)), runs,
@@ -151,7 +151,7 @@ def _std(values) -> float:
 
 
 def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
-    """Fresh instance + theta0 per seed, lockstep evaluative rollouts in
+    """Fresh instance + theta0 per seed, evaluative rollouts in
     metatrain.in_groups's groups, aggregates. Fully deterministic given
     cfg, whatever the groups and the number of threads they run on; never
     mutates the optimizer."""

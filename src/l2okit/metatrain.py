@@ -4,8 +4,8 @@ validation.
 Evaluative rollouts (validation, eval, teacher trajectories) run without
 a tape. The optimizer is coordinate-wise, so rollout steps a list of
 runs in lockstep through one stepper call over their stacked
-coordinates; in_groups packs runs into such stacks and runs the stacks
-on threads.
+coordinates. in_groups stacks runs narrower than POOL_MIN_DIM all
+together in the calling thread, and runs wider ones one per thread.
 
 The meta-loss over a horizon of N optimizee steps is split into fixed
 length segments (default 20). Within a segment the tape sees the
@@ -130,11 +130,12 @@ def stepper(optimizer, dim: int):
     return run
 
 
-# Groups of runs step as one stack, and groups run on threads, which
-# overlap only the numpy kernels that release the interpreter lock. Those
-# dominate a step from about this many stacked coordinates up; below it
-# two threads ran slower than one (2 vCPUs, L2O hidden 20: 0.90x at dim
-# 42, 1.01x at 127, 1.35x at 202, 1.89x at 1,002).
+# The width from which one run pays for a thread of its own: threads
+# overlap only the numpy kernels that release the interpreter lock, which
+# dominate a step from about here up (2 vCPUs, L2O hidden 20: two threads
+# ran 0.90x one at dim 42, 1.01x at 127, 1.35x at 202, 1.89x at 1,002).
+# Narrower runs stack instead; ten dim-42 runs as two stacks on two
+# threads ran 0.80-1.03 s against 0.90-1.17 s on one, for ~1.5 MB more.
 POOL_MIN_DIM = 200
 
 
@@ -147,24 +148,22 @@ def usable_cpus() -> int:
 
 
 def in_groups(fn, items: list, dims: list[int]) -> list:
-    """fn over items packed in order into groups, fn(group) returning one
-    result per item of the group; the results in item order. A group
-    takes whole items, dims giving each one's coordinates, until it holds
-    POOL_MIN_DIM; the groups run on min(groups, usable_cpus()) threads,
-    or in the calling thread when that is one."""
-    groups, start, width = [], 0, 0
-    for k, d in enumerate(dims):
-        width += d
-        if width >= POOL_MIN_DIM or k == len(dims) - 1:
-            groups.append(items[start:k + 1])
-            start, width = k + 1, 0
+    """fn over items in groups, fn(group) returning one result per item of
+    the group; the results in item order. When every item is narrower
+    than POOL_MIN_DIM coordinates (dims giving each one's), all items are
+    one group in the calling thread; otherwise each item is a group of
+    its own, and the groups run on min(items, usable_cpus()) threads, or
+    in the calling thread when that is one."""
+    if max(dims) < POOL_MIN_DIM:
+        return fn(items)
+    groups = [[item] for item in items]
     workers = min(len(groups), usable_cpus())
     if workers == 1:
         results = list(map(fn, groups))
     else:
         with ThreadPoolExecutor(workers) as pool:
             results = list(pool.map(fn, groups))
-    return [r for group in results for r in group]
+    return [r for (r,) in results]
 
 
 def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
@@ -227,8 +226,8 @@ def train_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
 def validate(phi: L2OParams, n_valid: int, instances: list, seed: int,
              penalty: float = 1e6) -> float:
     """Mean over the validation instances of sum_{t=1..N} f(theta_t) from
-    lockstep evaluative rollouts, instance i starting from seed's "valid"
-    start i; diverged rollouts score the penalty constant."""
+    evaluative rollouts in in_groups's groups, instance i starting from
+    seed's "valid" start i; diverged rollouts score the penalty constant."""
     if not instances:
         raise ValueError("validate: validation set is empty")
 

@@ -296,7 +296,8 @@ def test_report_bytes_do_not_depend_on_the_number_of_threads(monkeypatch, tmp_pa
     else:
         optimizer, n_eval, seeds = TeacherKind("sgd", lr=0.00515), 4000, (0, 2, 3)
     cfg = EvalConfig(optimizee=WIDE_QUAD, n_eval=n_eval, seeds=seeds, log_every=50)
-    # each seed's dimension reaches POOL_MIN_DIM, so each is a group of one
+    # each seed reaches POOL_MIN_DIM, so each is a group of its own, on a
+    # thread of its own when there are CPUs for it
     seed_threads = []
 
     def recorded_eval_group(*args):

@@ -1,5 +1,7 @@
 import itertools
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -9,7 +11,7 @@ import pytest
 import refchain as rc
 from helpers import rand_phi, valid_instances
 from l2okit import autodiff as ad
-from l2okit import metatrain
+from l2okit import evaluation, metatrain
 from l2okit.config import RunConfig
 from l2okit.evaluation import EvalConfig, run_eval
 from l2okit.gradchecks import check_meta_loss
@@ -17,7 +19,8 @@ from l2okit.imitation import imitation_loss_and_grads, teacher_trajectory
 from l2okit.metatrain import (MetaAdam, rollout, segment_loss_and_grads,
                               stepper, train_epoch, validate)
 from l2okit.model import TENSOR_NAMES, L2OParams, init_l2o, zero_state
-from l2okit.optimizees import Batch, OptimizeeSpec, QuadraticInstance, sample_instance
+from l2okit.optimizees import (Batch, OptimizeeSpec, QuadraticInstance, instance_dim,
+                               sample_instance)
 from l2okit.teachers import TeacherKind, adam_update
 
 QUAD = OptimizeeSpec(family="quadratic", dim=3)
@@ -171,12 +174,13 @@ def test_groups_of_wide_runs_hold_one_run_at_a_time(monkeypatch):
 
 
 def test_validate_bits_do_not_depend_on_groups_or_threads(monkeypatch):
-    # six dim-100 instances make three groups of two, run on one thread
-    # and on three; then six groups of one, and one group of six
+    # six dim-100 instances step as one stack in the calling thread; with
+    # POOL_MIN_DIM at 1 they are six groups of one, run on one thread and
+    # on three
     phi = rand_phi(4)
     instances = valid_instances(OptimizeeSpec(family="quadratic", dim=100), 4, 6)
     values = []
-    for cpus, min_dim in ((1, 200), (3, 200), (3, 1), (1, 10**9)):
+    for cpus, min_dim in ((1, 200), (3, 200), (1, 1), (3, 1)):
         monkeypatch.setattr(metatrain, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(metatrain, "POOL_MIN_DIM", min_dim)
         interval = sys.getswitchinterval()
@@ -186,6 +190,50 @@ def test_validate_bits_do_not_depend_on_groups_or_threads(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
     assert len({v.hex() for v in values}) == 1
+
+
+TINY_MLP = OptimizeeSpec(family="tiny_mlp")
+
+
+def test_narrow_runs_step_as_one_stack_in_the_calling_thread(monkeypatch):
+    # below POOL_MIN_DIM no thread pays for itself, however many CPUs
+    monkeypatch.setattr(metatrain, "usable_cpus", lambda: 3)
+    assert instance_dim(TINY_MLP) == 42
+    groups = []
+
+    def recorded_eval_group(optimizer, cfg, seeds):
+        groups.append((seeds, threading.current_thread()))
+        return eval_group(optimizer, cfg, seeds)
+
+    def recorded_rollout(step_fn, runs, n):
+        groups.append((len(runs), threading.current_thread()))
+        return rollout(step_fn, runs, n)
+
+    eval_group = evaluation.eval_group
+    monkeypatch.setattr(evaluation, "eval_group", recorded_eval_group)
+    run_eval(init_l2o(0), EvalConfig(optimizee=TINY_MLP, n_eval=5, seeds=tuple(range(10))))
+    assert groups == [(list(range(10)), threading.main_thread())]
+    groups.clear()
+    monkeypatch.setattr(metatrain, "rollout", recorded_rollout)
+    validate(init_l2o(0), 4, valid_instances(TINY_MLP, 0, 6), 0)
+    assert groups == [(6, threading.main_thread())]
+
+
+def test_one_wide_item_makes_every_item_a_group_of_its_own(monkeypatch):
+    monkeypatch.setattr(metatrain, "usable_cpus", lambda: 3)
+    groups = []
+
+    def fn(group):
+        groups.append(group)
+        time.sleep(0.01 * (5 - group[0]))   # the first items finish last
+        return [10 * item for item in group]
+
+    items, wide = [0, 1, 2, 3, 4], metatrain.POOL_MIN_DIM
+    assert metatrain.in_groups(fn, items, [42, 42, wide, 42, 1]) == [0, 10, 20, 30, 40]
+    assert sorted(groups) == [[item] for item in items]
+    groups.clear()
+    assert metatrain.in_groups(fn, items, [42, 42, wide - 1, 42, 1]) == [0, 10, 20, 30, 40]
+    assert groups == [items]
 
 
 def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():

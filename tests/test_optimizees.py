@@ -403,7 +403,7 @@ def family_specs(tmp_path_factory):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_instance_dim_is_the_dimension_of_every_sampled_instance(family_specs, family):
-    # run_eval packs seeds into groups by this dimension before sampling
+    # run_eval groups its seeds by this dimension before sampling
     spec = family_specs[family]
     assert {sample_instance(spec, seed).dim for seed in range(3)} == {instance_dim(spec)}
 
