@@ -36,7 +36,11 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
   seeds (dimension 42) in one stack of ten;
 - ``l2okit eval --family quadratic --dim 10 --optimizer sgd`` at a
   teacher lr of 0.38, whose ten seeds step as one stack of 100
-  coordinates until seed 6 diverges at step 437 and leaves it;
+  coordinates, in which seed 6 diverges at step 437 and steps on zero
+  gradients from then on;
+- ``l2okit eval --family quadratic --dim 10 --init-std 1e153`` of
+  ``benchmark/checkpoint.l2o`` over 200 steps, in whose L2O stack seed 4
+  diverges at step 0 and the other nine seeds run every step;
 - ``l2okit gradcheck``, which writes only to stdout.
 
 Each command's stdout is kept next to its artifacts. The script prints
@@ -100,6 +104,10 @@ def commands(out: Path) -> dict[str, list[str]]:
     runs["eval-sgd-one-diverges"] = ["eval", "--family", "quadratic", "--dim", "10",
                                      "--optimizer", "sgd", "--teacher-lr", "0.38",
                                      "--n-eval", "500"]
+    runs["eval-l2o-one-diverges"] = ["eval", "--family", "quadratic", "--dim", "10",
+                                     "--init-std", "1e153", "--checkpoint",
+                                     str(ROOT / "benchmark" / "checkpoint.l2o"),
+                                     "--n-eval", "200"]
     runs = {name: [*args, "--out", str(out / name)] for name, args in runs.items()}
     return {**runs, "gradcheck": ["gradcheck"]}
 

@@ -4,8 +4,10 @@ validation.
 Evaluative rollouts (validation, eval, teacher trajectories) run without
 a tape. The optimizer is coordinate-wise, so rollout steps a list of
 runs in lockstep through one stepper call over their stacked
-coordinates. in_groups stacks runs narrower than POOL_MIN_DIM all
-together in the calling thread, and runs wider ones one per thread.
+coordinates, a stack of fixed width: a run that diverges stays in it
+on zero gradients (rollout's docstring gives the cost). in_groups
+stacks runs narrower than POOL_MIN_DIM all together in the calling
+thread, and runs wider ones one per thread.
 
 The meta-loss over a horizon of N optimizee steps is split into fixed
 length segments (default 20). Within a segment the tape sees the
@@ -26,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import L2OParams, l2o_step_np, l2o_step_tape, workspace, zero_state
 from .optimizees import OptimizeeInstance
-from .teachers import TeacherKind, TeacherState, adam_update, init_state, teacher_step
+from .teachers import TeacherKind, adam_update, init_state, teacher_step
 
 
 class MetaAdam:
@@ -50,80 +52,61 @@ def rollout(step_fn, runs, n: int):
     triple: per step, every run still in draws one batch from its own
     batches for its loss and gradient, step_fn maps the runs' gradients,
     concatenated in run order, to their concatenated updates, and each
-    run adds its own slice to its theta. Returns one (losses,
+    run still in adds its own slice to its theta. Returns one (losses,
     diverged_at) per run: one loss per step, nothing per step that grows
     with the optimizee dimension.
 
     Divergence (non-finite loss or parameters) truncates a run's losses
-    and sets its diverged_at; it is data, not an error. The run leaves
-    the stack and computes nothing more: on the next call step_fn gets
-    keep, the indices of the stacked coordinates that stay, to drop the
-    others' state. A step_fn for one run is called with g alone.
+    and sets its diverged_at; it is data, not an error. The stack keeps
+    its width: a diverged run draws no batch and computes no loss after
+    the step it diverged at, from that step on its slice of the gradient
+    is zeros and its updates are dropped, and the rollout ends once every
+    run has diverged.
+    Columns are independent, so the other runs keep their bits, and a
+    rollout never costs more than the same rollout with no run diverging.
     """
     if n < 1:
         raise ValueError("rollout: n must be >= 1")
     thetas = [np.asarray(theta0, dtype=np.float64).copy() for _, theta0, _ in runs]
     losses = [[] for _ in runs]
     diverged_at = [None] * len(runs)
-    live = list(range(len(runs)))
-    cols = _columns(runs, live)
+    ends = itertools.accumulate(inst.dim for inst, _, _ in runs)
+    cols = [slice(end - inst.dim, end) for (inst, _, _), end in zip(runs, ends)]
     for t in range(n):
         grads = []
-        for r in live:
-            inst, _, batches = runs[r]
-            loss, g = inst.loss_and_grad(thetas[r], next(batches))
-            if np.isfinite(loss) and np.all(np.isfinite(thetas[r])):
-                losses[r].append(loss)
-                grads.append(g)
-            else:
+        for r, (inst, _, batches) in enumerate(runs):
+            if diverged_at[r] is None:
+                loss, g = inst.loss_and_grad(thetas[r], next(batches))
+                if np.isfinite(loss) and np.all(np.isfinite(thetas[r])):
+                    losses[r].append(loss)
+                    grads.append(g)
+                    continue
                 diverged_at[r] = t
-        if not grads:
+            grads.append(np.zeros(inst.dim))
+        if None not in diverged_at:
             break
-        if len(grads) == len(live):
-            update = step_fn(np.concatenate(grads))
-        else:
-            live = [r for r in live if diverged_at[r] is None]
-            keep = np.r_[tuple(cols[r] for r in live)]
-            cols = _columns(runs, live)
-            update = step_fn(np.concatenate(grads), keep)
-        for r in live:
-            thetas[r] = thetas[r] + update[cols[r]]
+        update = step_fn(np.concatenate(grads))
+        for r, at in enumerate(diverged_at):
+            if at is None:
+                thetas[r] = thetas[r] + update[cols[r]]
     return list(zip(losses, diverged_at))
-
-
-def _columns(runs, live: list[int]) -> dict[int, slice]:
-    """Each live run's slice of the stacked coordinates, in live's order."""
-    dims = [runs[r][0].dim for r in live]
-    return {r: slice(end - d, end) for r, d, end in zip(live, dims, itertools.accumulate(dims))}
 
 
 def stepper(optimizer, dim: int):
     """g -> update over dim stacked coordinates, from an L2OParams or a
     TeacherKind. The closure carries the optimizer's state from one step
-    to the next and never mutates the optimizer; step(g, keep) first
-    keeps only the state of the coordinates that keep indexes, for a
-    rollout whose runs have left the stack. An L2O stepper updates its
-    own state in place in one workspace; each update it returns is a
-    fresh array."""
+    to the next and never mutates the optimizer; its width is fixed. An
+    L2O stepper updates its own state in place in one workspace; each
+    update it returns is a fresh array."""
     if isinstance(optimizer, L2OParams):
-        hidden = optimizer.hidden
-        state, work = zero_state(dim, hidden), workspace(dim, hidden)
-
-        def run_l2o(g, keep=None):
-            nonlocal state, work
-            if keep is not None:
-                state, work = state.take(keep, axis=3), workspace(len(keep), hidden)
-            return l2o_step_np(optimizer, state, g, work)
-
-        return run_l2o
+        state, work = zero_state(dim, optimizer.hidden), workspace(dim, optimizer.hidden)
+        return lambda g: l2o_step_np(optimizer, state, g, work)
     if not isinstance(optimizer, TeacherKind):
         raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
     state = init_state(dim)
 
-    def run(g, keep=None):
+    def run(g):
         nonlocal state
-        if keep is not None:
-            state = TeacherState(state.t, state.m[keep], state.v[keep], state.acc[keep])
         update, state = teacher_step(optimizer, state, g)
         return update
 

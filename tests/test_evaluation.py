@@ -163,9 +163,9 @@ def test_aggregate_drops_a_seed_only_after_it_diverges(monkeypatch):
     def blows_up_seed_0_at_step_12():
         step, calls = stepper(sgd, 3 * QUAD.dim), []
 
-        def run(g, keep=None):
+        def run(g):
             calls.append(g)
-            update = step(g, keep)
+            update = step(g)
             if len(calls) == 13:
                 update[:QUAD.dim] = np.inf
             return update

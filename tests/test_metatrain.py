@@ -99,37 +99,81 @@ STACK_OPTIMIZERS = {"l2o": rand_phi(5), **{kind: TeacherKind(kind, lr=0.01) for 
 
 
 def poisoned(batches, t):
-    """batches, with non-finite targets from step t on."""
+    """batches, with non-finite inputs from step t on."""
     for step, batch in enumerate(batches):
-        yield batch if step < t else Batch(batch.x, np.full_like(batch.y, np.inf))
+        yield batch if step < t else Batch(np.full_like(batch.x, np.nan), batch.y)
 
 
-def stack_runs(diverges_at):
-    """A fresh (inst, theta0, batches) per STACK_SPECS entry; the second
-    run's loss turns non-finite at step diverges_at, unless it is None."""
+def stack_runs(poison):
+    """A fresh (inst, theta0, batches) per STACK_SPECS entry; poison maps a
+    run's index to the step its loss turns non-finite at."""
     runs = []
     for k, spec in enumerate(STACK_SPECS):
         inst = sample_instance(spec, k)
         theta0, batches = inst.start(k, "eval")
-        if k == 1 and diverges_at is not None:
-            batches = poisoned(batches, diverges_at)
+        if k in poison:
+            batches = poisoned(batches, poison[k])
         runs.append((inst, theta0, batches))
     return runs
 
 
-@pytest.mark.parametrize("diverges_at", [None, 9])
+# the run that diverges at step 9: the second (id "9"), the first or the
+# last, so that its zero slice sits inside the stack or at either end
+@pytest.mark.parametrize("poison", [pytest.param({}, id="None"),
+                                    pytest.param({1: 9}, id="9"),
+                                    pytest.param({0: 9}, id="first-9"),
+                                    pytest.param({3: 9}, id="last-9")])
 @pytest.mark.parametrize("name", STACK_OPTIMIZERS)
-def test_stacked_runs_step_as_each_would_alone_bitwise(name, diverges_at):
-    # one stepper call over the coordinates of all runs still in; a run
-    # that diverges leaves the stack, and the runs after it move up
+def test_stacked_runs_step_as_each_would_alone_bitwise(name, poison):
+    # one stepper call over the coordinates of all runs per step; a run
+    # that diverges stays in the stack on zero gradients
     optimizer, n = STACK_OPTIMIZERS[name], 25
-    runs = stack_runs(diverges_at)
+    runs = stack_runs(poison)
     stacked = rollout(stepper(optimizer, sum(inst.dim for inst, _, _ in runs)), runs, n)
     alone = [rollout(stepper(optimizer, run[0].dim), [run], n)[0]
-             for run in stack_runs(diverges_at)]
-    assert [at for _, at in stacked] == [None, diverges_at, None, None]
+             for run in stack_runs(poison)]
+    assert [at for _, at in stacked] == [poison.get(k) for k in range(len(runs))]
     assert all(len(losses) == n for losses, at in stacked if at is None)
     assert repr(stacked) == repr(alone)
+
+
+def tallied(batches, draws, k):
+    """batches, adding one to draws[k] per batch drawn."""
+    for batch in batches:
+        draws[k] += 1
+        yield batch
+
+
+@pytest.mark.parametrize("name", STACK_OPTIMIZERS)
+def test_stack_keeps_its_width_with_zero_gradients_for_diverged_runs(name):
+    # the runs diverge at steps 14, 3, 20 and 9; each diverged run's
+    # slice of every later stepper call is +0.0, it draws no batch after
+    # its step, and no call follows the last divergence
+    poison, n = {0: 14, 1: 3, 2: 20, 3: 9}, 25
+    runs, draws = stack_runs(poison), [0] * len(STACK_SPECS)
+    runs = [(inst, theta0, tallied(batches, draws, k))
+            for k, (inst, theta0, batches) in enumerate(runs)]
+    ends = list(itertools.accumulate(inst.dim for inst, _, _ in runs))
+    step, seen = stepper(STACK_OPTIMIZERS[name], ends[-1]), []
+
+    def recorded_step(g):
+        seen.append(g.copy())
+        return step(g)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = rollout(recorded_step, runs, n)
+    assert [at for _, at in results] == [poison[k] for k in range(len(runs))]
+    assert draws == [poison[k] + 1 for k in range(len(runs))]
+    assert len(seen) == max(poison.values())
+    for t, g in enumerate(seen):
+        assert g.shape == (ends[-1],)
+        for k, (inst, _, _) in enumerate(runs):
+            part = g[ends[k] - inst.dim:ends[k]]
+            if t >= poison[k]:
+                assert np.all(part == 0) and not np.any(np.signbit(part))
+            else:
+                assert np.all(np.isfinite(part)) and np.any(part != 0)
 
 
 def test_stacked_sgd_run_that_diverges_leaves_the_others_as_they_were():
