@@ -34,6 +34,9 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
   ``benchmark/checkpoint.l2o`` (this checkout's copy, for both sides), of
   ``--optimizer adam`` and of ``--optimizer adagrad``; each steps its ten
   seeds (dimension 42) in one stack of ten;
+- ``l2okit eval --family tiny_mlp --mlp-hidden 200 --optimizer adam``
+  over 100 steps, a teacher eval whose ten seeds (dimension 1,002) are
+  each sampled and stepped alone, one per thread;
 - ``l2okit eval --family quadratic --dim 10 --optimizer sgd`` at a
   teacher lr of 0.38, whose ten seeds step as one stack of 100
   coordinates, in which seed 6 diverges at step 437 and steps on zero
@@ -43,9 +46,9 @@ to one thread, into the same output directory ``.bench_build/bytes/out``
   diverges at step 0 and the other nine seeds run every step;
 - ``l2okit gradcheck``, which writes only to stdout.
 
-Each command's stdout is kept next to its artifacts. The script prints
-every file whose sha256 differs between the sides, or that only one side
-wrote, and exits 1 if there is any.
+Each command's stdout is kept next to its artifacts, 119 files on each
+side in all. The script prints every file whose sha256 differs between
+the sides, or that only one side wrote, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ def commands(out: Path) -> dict[str, list[str]]:
                                str(ROOT / "benchmark" / "checkpoint.l2o")]
     runs["eval-adam"] = [*EVAL_ARGS, "--optimizer", "adam"]
     runs["eval-adagrad"] = [*EVAL_ARGS, "--optimizer", "adagrad"]
+    runs["eval-adam-wide"] = ["eval", "--family", "tiny_mlp", "--mlp-hidden", "200",
+                              "--optimizer", "adam", "--n-eval", "100"]
     runs["eval-sgd-one-diverges"] = ["eval", "--family", "quadratic", "--dim", "10",
                                      "--optimizer", "sgd", "--teacher-lr", "0.38",
                                      "--n-eval", "500"]

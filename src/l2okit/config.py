@@ -84,12 +84,14 @@ class RunConfig:
 
     def validate(self) -> None:
         """Checks, in every mode: mode, profile, family and optimizer are
-        known; every float setting is finite; r is in [0, 1]; meta_lr > 0;
-        segment, the resolved n_train and epochs, n_val_instances and
-        anneal_epochs are >= 1; and si_start_prob, when set, is in
-        [0, 1/k] for the k teachers of default_ensemble. The remaining
-        ranges are checked by building the optimizee spec and the
-        curriculum; hidden and preprocess_p by init_l2o."""
+        known; every float setting is finite; r is in [0, 1]; meta_lr and
+        teacher_lr are > 0; segment, the resolved n_train and epochs,
+        n_val_instances and anneal_epochs are >= 1; and si_start_prob,
+        when set, is in [0, 1/k] for the k teachers of default_ensemble.
+        The remaining ranges are checked by building the optimizee spec
+        and the curriculum; hidden and preprocess_p by init_l2o. In cl
+        and cl-il the resolved ladder also needs a second entry, the
+        mismatched horizon that validation runs at."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.profile not in PROFILES:
@@ -107,6 +109,8 @@ class RunConfig:
             raise ConfigError("r must be in [0, 1]")
         if self.meta_lr <= 0:
             raise ConfigError("meta_lr must be > 0")
+        if self.teacher_lr <= 0:
+            raise ConfigError("teacher_lr must be > 0")
         if self.segment < 1:
             raise ConfigError("segment must be >= 1")
         if self.resolved_n_train() < 1:
@@ -126,6 +130,8 @@ class RunConfig:
             self.curriculum()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.mode in ("cl", "cl-il") and len(self.resolved_ladder()) < 2:
+            raise ConfigError(f"ladder must have >= 2 entries in mode {self.mode}")
 
     # profile-resolved views -------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Long-horizon, multi-seed evaluation of optimizers (learned or
 analytical) on unseen optimizees, with divergence tracking.
 
-The seeds of an eval run in metatrain.in_groups's groups, each group one
-metatrain.rollout with one stepper over its seeds' stacked coordinates:
-seeds narrower than POOL_MIN_DIM step as one lockstep stack in the
-calling thread, wider ones one per thread. A seed's curve is the same
-bits whatever group or thread it ran in.
+An eval is one metatrain.lockstep over its seeds, each on a fresh
+instance and theta0: seeds narrower than POOL_MIN_DIM step as one stack
+in the calling thread, wider ones are sampled and stepped one per
+thread. A seed's curve is the same bits whatever stack or thread it ran
+in.
 
 Loss curves are stored in natural units; the log transform is applied
 only when computing the presentation AUC.
@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
-from .metatrain import in_groups, rollout, stepper
+# unused here; benchmark/test_benchmark.py reads evaluation.rollout
+from .metatrain import lockstep, rollout  # noqa: F401
 from .optimizees import OptimizeeSpec, instance_dim, sample_instance
 from .seeding import derive_seed
 
@@ -128,18 +128,6 @@ def logged_steps(cfg: EvalConfig) -> list[int]:
     return sorted({*range(0, cfg.n_eval, cfg.log_every), cfg.n_eval - 1})
 
 
-def eval_group(optimizer, cfg: EvalConfig, seeds) -> list:
-    """The lockstep rollout of seeds (all of run_eval's, or one wide seed),
-    each on a fresh instance and theta0: per seed, its (step, loss) at
-    each logged step it reached, and the step it diverged at, or None."""
-    insts = [sample_instance(cfg.optimizee, derive_seed(s, "eval-inst")) for s in seeds]
-    runs = [(inst, *inst.start(s, "eval")) for inst, s in zip(insts, seeds)]
-    results = rollout(stepper(optimizer, sum(inst.dim for inst in insts)), runs,
-                      cfg.n_eval)
-    return [([(t, float(losses[t])) for t in logged_steps(cfg) if t < len(losses)],
-             diverged_at) for losses, diverged_at in results]
-
-
 def _std(values) -> float:
     """np.std, rescaled by the largest magnitude where the squares overflow."""
     with np.errstate(over="ignore"):
@@ -151,21 +139,25 @@ def _std(values) -> float:
 
 
 def run_eval(optimizer, cfg: EvalConfig) -> EvalReport:
-    """Fresh instance + theta0 per seed, evaluative rollouts in
-    metatrain.in_groups's groups, aggregates. Fully deterministic given
-    cfg, whatever the groups and the number of threads they run on; never
-    mutates the optimizer."""
-    stepper(optimizer, 1)  # an unsupported optimizer fails before any thread
-    results = in_groups(partial(eval_group, optimizer, cfg), list(cfg.seeds),
-                        [instance_dim(cfg.optimizee)] * len(cfg.seeds))
-    curves = {s: pts for s, (pts, _) in zip(cfg.seeds, results)}
+    """Fresh instance + theta0 per seed, evaluative rollouts in one
+    metatrain.lockstep, aggregates. Fully deterministic given cfg,
+    whatever the number of threads the seeds run on; never mutates the
+    optimizer."""
+    def make_run(seed):
+        inst = sample_instance(cfg.optimizee, derive_seed(seed, "eval-inst"))
+        return (inst, *inst.start(seed, "eval"))
+
+    results = lockstep(optimizer, make_run, cfg.seeds, instance_dim(cfg.optimizee),
+                       cfg.n_eval)
+    steps = logged_steps(cfg)
+    # a seed has a loss at every step before it diverged
+    curves = {s: [(t, float(losses[t])) for t in steps if t < len(losses)]
+              for s, (losses, _) in zip(cfg.seeds, results)}
     diverged = {s: at for s, (_, at) in zip(cfg.seeds, results)}
 
-    # a seed has a point at every logged step before it diverged
-    points = [dict(curves[s]) for s in cfg.seeds]
     agg_mean, agg_std, kept_steps = [], [], []
-    for t in logged_steps(cfg):
-        alive = [pts[t] for pts in points if t in pts]
+    for t in steps:
+        alive = [float(losses[t]) for losses, _ in results if t < len(losses)]
         if not alive:
             continue
         kept_steps.append(t)

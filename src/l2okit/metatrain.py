@@ -5,9 +5,10 @@ Evaluative rollouts (validation, eval, teacher trajectories) run without
 a tape. The optimizer is coordinate-wise, so rollout steps a list of
 runs in lockstep through one stepper call over their stacked
 coordinates, a stack of fixed width: a run that diverges stays in it
-on zero gradients (rollout's docstring gives the cost). in_groups
-stacks runs narrower than POOL_MIN_DIM all together in the calling
-thread, and runs wider ones one per thread.
+on zero gradients (rollout's docstring gives the cost). lockstep is the
+one driver of validation and eval: it steps one run per key with one
+optimizer, stacking runs narrower than POOL_MIN_DIM all together in the
+calling thread, and making and stepping wider ones one per thread.
 
 The meta-loss over a horizon of N optimizee steps is split into fixed
 length segments (default 20). Within a segment the tape sees the
@@ -130,23 +131,27 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def in_groups(fn, items: list, dims: list[int]) -> list:
-    """fn over items in groups, fn(group) returning one result per item of
-    the group; the results in item order. When every item is narrower
-    than POOL_MIN_DIM coordinates (dims giving each one's), all items are
-    one group in the calling thread; otherwise each item is a group of
-    its own, and the groups run on min(items, usable_cpus()) threads, or
-    in the calling thread when that is one."""
-    if max(dims) < POOL_MIN_DIM:
-        return fn(items)
-    groups = [[item] for item in items]
-    workers = min(len(groups), usable_cpus())
+def lockstep(optimizer, make_run, keys, dim: int, n: int) -> list:
+    """One n-step rollout per key of the run make_run(key), an (inst,
+    theta0, batches) over dim coordinates, all stepped by optimizer; one
+    (losses, diverged_at) per key, in key order. Runs narrower than
+    POOL_MIN_DIM step as one stack in the calling thread; each wider run
+    is made and stepped alone, on min(keys, usable_cpus()) threads, or in
+    the calling thread when that is one. An optimizer that stepper
+    rejects raises its TypeError before any run is made."""
+    if dim < POOL_MIN_DIM:
+        return rollout(stepper(optimizer, dim * len(keys)), [make_run(k) for k in keys], n)
+    stepper(optimizer, 1)  # an unsupported optimizer fails before any thread
+
+    def alone(key):
+        [result] = rollout(stepper(optimizer, dim), [make_run(key)], n)
+        return result
+
+    workers = min(len(keys), usable_cpus())
     if workers == 1:
-        results = list(map(fn, groups))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(fn, groups))
-    return [r for (r,) in results]
+        return list(map(alone, keys))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(alone, keys))
 
 
 def segment_loss_and_grads(phi: L2OParams, inst: OptimizeeInstance,
@@ -209,20 +214,15 @@ def train_epoch(phi: L2OParams, epoch: int, horizon: int, *, adam: MetaAdam,
 def validate(phi: L2OParams, n_valid: int, instances: list, seed: int,
              penalty: float = 1e6) -> float:
     """Mean over the validation instances of sum_{t=1..N} f(theta_t) from
-    evaluative rollouts in in_groups's groups, instance i starting from
-    seed's "valid" start i; diverged rollouts score the penalty constant."""
+    one lockstep of evaluative rollouts, instance i starting from seed's
+    "valid" start i; diverged rollouts score the penalty constant."""
     if not instances:
         raise ValueError("validate: validation set is empty")
-
-    def score(group):
-        runs = [(instances[i], *instances[i].start(seed, "valid", i)) for i in group]
-        # step n_valid's loss is f(theta_N); its update goes unused
-        return rollout(stepper(phi, sum(inst.dim for inst, _, _ in runs)), runs,
-                       n_valid + 1)
-
     scores = []
-    for losses, diverged_at in in_groups(score, list(range(len(instances))),
-                                         [inst.dim for inst in instances]):
+    # step n_valid's loss is f(theta_N); its update goes unused
+    for losses, diverged_at in lockstep(
+            phi, lambda i: (instances[i], *instances[i].start(seed, "valid", i)),
+            range(len(instances)), instances[0].dim, n_valid + 1):
         if diverged_at is not None:
             scores.append(penalty)
         else:

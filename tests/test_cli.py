@@ -10,7 +10,7 @@ import pytest
 import idxwrite
 from l2okit import experiments
 from l2okit.cli import _add_config_flags, _config_from_args, main
-from l2okit.config import (ConfigError, PAPER_LADDER, RunConfig, build_config,
+from l2okit.config import (MODES, ConfigError, PAPER_LADDER, RunConfig, build_config,
                            config_hash, parse_config_file, serialize_config)
 from l2okit.model import init_l2o, save_checkpoint
 
@@ -71,6 +71,18 @@ def test_build_rejects_invalid_values():
         build_config({"r": 1.5})
     with pytest.raises(ConfigError, match="ladder must be non-empty"):
         build_config({"ladder": ()})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_build_checks_teacher_lr_in_every_mode_and_two_rungs_in_curriculum_modes(mode):
+    for lr in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="teacher_lr must be > 0"):
+            build_config({"mode": mode, "teacher_lr": lr})
+    if mode in ("cl", "cl-il"):
+        with pytest.raises(ConfigError, match=f"ladder must have >= 2 entries in mode {mode}"):
+            build_config({"mode": mode, "ladder": (10,)})
+    else:   # a fixed-horizon mode trains at the first rung and never validates
+        assert build_config({"mode": mode, "ladder": (10,)}).resolved_ladder() == (10,)
 
 
 def test_profile_defaults():
@@ -252,10 +264,14 @@ def _training_started(*args, **kwargs):
      "si_start_prob must be in"),
     (["--mode", "self-improving", "--si-start-prob", "0.34"], "",   # 3 * 0.34 > 1
      "si_start_prob must be in"),
+    (["--teacher-lr", "-1"], "", "teacher_lr must be > 0"),
+    (["--mode", "cl-il", "--ladder", "10"], "", "ladder must have >= 2 entries in mode cl-il"),
+    (["--mode", "cl"], "ladder = 10\n", "ladder must have >= 2 entries in mode cl"),
 ], ids=["anneal-epochs-0", "si-start-prob-0.5", "n-val-instances-0",
         "epochs-0", "epochs-negative", "ladder-empty", "meta-lr-0", "r-1.5",
         "meta-lr-nan", "out-scale-inf", "preprocess-p-0", "n-train-0",
-        "si-start-prob-negative", "si-start-prob-0.34"])
+        "si-start-prob-negative", "si-start-prob-0.34", "teacher-lr-negative",
+        "ladder-one-entry-cl-il", "ladder-one-entry-cl"])
 def test_invalid_training_settings_exit_1_before_any_epoch(tmp_path, capsys,
                                                            monkeypatch, flags,
                                                            config_line, message):
@@ -373,6 +389,15 @@ def test_eval_rejects_empty_ladder(tmp_path, capsys):
                "--ladder", "", "--out", str(out)])
     assert rc == 1
     assert "error: ladder must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_teacher_lr_0(tmp_path, capsys):
+    out = tmp_path / "e"
+    rc = main(["eval", "--family", "quadratic", "--optimizer", "adam",
+               "--teacher-lr", "0", "--out", str(out)])
+    assert rc == 1
+    assert "error: teacher_lr must be > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

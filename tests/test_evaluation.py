@@ -171,9 +171,8 @@ def test_aggregate_drops_a_seed_only_after_it_diverges(monkeypatch):
             return update
         return run
 
-    # run_eval's up-front check of the optimizer builds a stepper of
-    # dimension 1; the group of three seeds takes the one above
-    monkeypatch.setattr(evaluation, "stepper", lambda opt, dim: (
+    # the stack of three seeds takes the stepper above
+    monkeypatch.setattr(metatrain, "stepper", lambda opt, dim: (
         blows_up_seed_0_at_step_12() if dim == 3 * QUAD.dim else stepper(opt, dim)))
     report = run_eval(sgd, quad_cfg(log_every=3))
     assert report.diverged_at == {0: 13, 1: None, 2: None}
@@ -296,16 +295,16 @@ def test_report_bytes_do_not_depend_on_the_number_of_threads(monkeypatch, tmp_pa
     else:
         optimizer, n_eval, seeds = TeacherKind("sgd", lr=0.00515), 4000, (0, 2, 3)
     cfg = EvalConfig(optimizee=WIDE_QUAD, n_eval=n_eval, seeds=seeds, log_every=50)
-    # each seed reaches POOL_MIN_DIM, so each is a group of its own, on a
-    # thread of its own when there are CPUs for it
+    # each seed reaches POOL_MIN_DIM, so each is sampled and stepped
+    # alone, on a thread of its own when there are CPUs for it
     seed_threads = []
 
-    def recorded_eval_group(*args):
+    def recorded_rollout(*args):
         seed_threads.append(threading.current_thread())
-        return eval_group(*args)
+        return rollout(*args)
 
-    eval_group = evaluation.eval_group
-    monkeypatch.setattr(evaluation, "eval_group", recorded_eval_group)
+    rollout = metatrain.rollout
+    monkeypatch.setattr(metatrain, "rollout", recorded_rollout)
     out = {}
     for cpus in (1, 3):
         use_cpus(monkeypatch, cpus)

@@ -11,7 +11,7 @@ import pytest
 import refchain as rc
 from helpers import rand_phi, valid_instances
 from l2okit import autodiff as ad
-from l2okit import evaluation, metatrain
+from l2okit import metatrain
 from l2okit.config import RunConfig
 from l2okit.evaluation import EvalConfig, run_eval
 from l2okit.gradchecks import check_meta_loss
@@ -193,10 +193,13 @@ def test_stacked_sgd_run_that_diverges_leaves_the_others_as_they_were():
 
 
 def test_groups_of_wide_runs_hold_one_run_at_a_time(monkeypatch):
-    # a run of POOL_MIN_DIM coordinates or more is a group of its own, so
-    # on one thread validate and run_eval step one run's state at a time
+    # a run of POOL_MIN_DIM coordinates or more is made and stepped alone,
+    # so on one thread validate and run_eval hold one run's state at a
+    # time; at dim 600 with 600 rows an eval seed's instance data
+    # outweighs its stepper, so eval must not sample the seeds up front
     monkeypatch.setattr(metatrain, "usable_cpus", lambda: 1)
     spec = OptimizeeSpec(family="quadratic", dim=2000, n_rows=2)
+    heavy = OptimizeeSpec(family="quadratic", dim=600)
     phi, instances = init_l2o(0), valid_instances(spec, 0, 5)
 
     def peak(fn):
@@ -208,18 +211,20 @@ def test_groups_of_wide_runs_hold_one_run_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    def evaluate(seeds):
-        return lambda: run_eval(phi, EvalConfig(optimizee=spec, n_eval=5, seeds=seeds))
+    def evaluate(seeds, optimizee=spec):
+        return lambda: run_eval(phi, EvalConfig(optimizee=optimizee, n_eval=5, seeds=seeds))
 
     one = peak(lambda: validate(phi, 4, instances[:1], 0))
     assert peak(lambda: validate(phi, 4, instances, 0)) <= 1.5 * one
     one = peak(evaluate((0,)))
     assert peak(evaluate(tuple(range(5)))) <= 1.5 * one
+    one = peak(evaluate((0,), heavy))
+    assert peak(evaluate(tuple(range(5)), heavy)) <= 1.5 * one
 
 
 def test_validate_bits_do_not_depend_on_groups_or_threads(monkeypatch):
     # six dim-100 instances step as one stack in the calling thread; with
-    # POOL_MIN_DIM at 1 they are six groups of one, run on one thread and
+    # POOL_MIN_DIM at 1 each is made and stepped alone, on one thread and
     # on three
     phi = rand_phi(4)
     instances = valid_instances(OptimizeeSpec(family="quadratic", dim=100), 4, 6)
@@ -245,39 +250,47 @@ def test_narrow_runs_step_as_one_stack_in_the_calling_thread(monkeypatch):
     assert instance_dim(TINY_MLP) == 42
     groups = []
 
-    def recorded_eval_group(optimizer, cfg, seeds):
-        groups.append((seeds, threading.current_thread()))
-        return eval_group(optimizer, cfg, seeds)
-
     def recorded_rollout(step_fn, runs, n):
         groups.append((len(runs), threading.current_thread()))
         return rollout(step_fn, runs, n)
 
-    eval_group = evaluation.eval_group
-    monkeypatch.setattr(evaluation, "eval_group", recorded_eval_group)
-    run_eval(init_l2o(0), EvalConfig(optimizee=TINY_MLP, n_eval=5, seeds=tuple(range(10))))
-    assert groups == [(list(range(10)), threading.main_thread())]
-    groups.clear()
     monkeypatch.setattr(metatrain, "rollout", recorded_rollout)
+    run_eval(init_l2o(0), EvalConfig(optimizee=TINY_MLP, n_eval=5, seeds=tuple(range(10))))
+    assert groups == [(10, threading.main_thread())]
+    groups.clear()
     validate(init_l2o(0), 4, valid_instances(TINY_MLP, 0, 6), 0)
     assert groups == [(6, threading.main_thread())]
 
 
-def test_one_wide_item_makes_every_item_a_group_of_its_own(monkeypatch):
+def test_lockstep_returns_wide_runs_in_key_order_each_as_if_alone(monkeypatch):
+    # each run of POOL_MIN_DIM coordinates is made and stepped on a pool
+    # thread; the earlier keys are made slowest, so they finish last
     monkeypatch.setattr(metatrain, "usable_cpus", lambda: 3)
-    groups = []
+    spec = OptimizeeSpec(family="quadratic", dim=metatrain.POOL_MIN_DIM, n_rows=4)
+    phi, keys, n = rand_phi(2), [0, 1, 2, 3, 4], 20
+    made, stepped, finished, key_of = [], [], [], {}
 
-    def fn(group):
-        groups.append(group)
-        time.sleep(0.01 * (5 - group[0]))   # the first items finish last
-        return [10 * item for item in group]
+    def make_run(key):
+        made.append(threading.current_thread())
+        time.sleep(0.02 * (len(keys) - key))
+        inst = sample_instance(spec, key)
+        key_of[id(inst)] = key
+        return (inst, *inst.start(key, "eval"))
 
-    items, wide = [0, 1, 2, 3, 4], metatrain.POOL_MIN_DIM
-    assert metatrain.in_groups(fn, items, [42, 42, wide, 42, 1]) == [0, 10, 20, 30, 40]
-    assert sorted(groups) == [[item] for item in items]
-    groups.clear()
-    assert metatrain.in_groups(fn, items, [42, 42, wide - 1, 42, 1]) == [0, 10, 20, 30, 40]
-    assert groups == [items]
+    def recorded_rollout(step_fn, runs, n):
+        stepped.append(threading.current_thread())
+        result = rollout(step_fn, runs, n)
+        [(inst, _, _)] = runs
+        finished.append(key_of[id(inst)])
+        return result
+
+    monkeypatch.setattr(metatrain, "rollout", recorded_rollout)
+    results = metatrain.lockstep(phi, make_run, keys, spec.dim, n)
+    assert len(made) == len(stepped) == len(keys)
+    assert threading.main_thread() not in made + stepped
+    assert sorted(finished) == keys and finished != keys
+    alone = [rollout(stepper(phi, spec.dim), [make_run(k)], n)[0] for k in keys]
+    assert repr(results) == repr(alone)
 
 
 def test_validate_is_the_mean_over_rollouts_of_n_valid_plus_one_steps():
